@@ -10,25 +10,14 @@ sample is grown adaptively until it would (or a budget is hit).
 from .errors import (DegenerateInputError, ModelQueryError, SingularityError,
                      SlimeError, ValidationError)
 from .explainer import (Explanation, ExplainerConfig, lime_explain,
-                        run_with_reuse, slime_explain)
-from .models import (BatchFileModel, ExpressionModel, LinearModel, MarsModel,
-                     Model, SubprocessModel, eval_linear, eval_mars,
-                     parse_model_spec)
-from .sampling import (InstanceSpec, PerturbationDataset, build_dataset,
-                       default_kernel_width, extend_dataset, gaussian_perturb,
-                       kernel_weights, query_model, scales_from_csv)
-from .stability_testing import (ProductCovariance, TestDecision,
-                                bonferroni_entry_test, entry_test,
-                                normal_quantile, normal_upper_tail,
-                                product_covariance, required_sample_size)
-from .bench import (ReproResult, StabilityReport, jaccard,
-                    lasso_ordering_experiment, positionwise_stability,
-                    repeat_explanations, reproduce_lasso_ordering,
-                    reproduce_mars_stability)
-from .weighted_lars import (DesignMatrix, PathState, SolverOptions,
-                            StandardizedDesign, correlations, lars_lasso_path,
-                            refit_least_squares, standardize,
-                            transform_response)
+                        slime_explain)
+from .models import BatchFileModel, LinearModel, MarsModel, parse_model_spec
+from .sampling import InstanceSpec, build_dataset, extend_dataset
+from .stability_testing import (entry_test, product_covariance,
+                                required_sample_size)
+from .bench import repeat_explanations
+from .weighted_lars import (DesignMatrix, lars_lasso_path, refit_least_squares,
+                            standardize, transform_response)
 
 __version__ = "0.1.0"
 
@@ -37,27 +26,14 @@ __all__ = [
     # errors
     "SlimeError", "ValidationError", "DegenerateInputError",
     "SingularityError", "ModelQueryError",
-    # solver
-    "DesignMatrix", "StandardizedDesign", "SolverOptions", "PathState",
-    "standardize", "transform_response", "correlations", "lars_lasso_path",
-    "refit_least_squares",
-    # testing
-    "ProductCovariance", "TestDecision", "normal_quantile",
-    "normal_upper_tail", "product_covariance", "entry_test",
-    "bonferroni_entry_test", "required_sample_size",
-    # sampling
-    "InstanceSpec", "PerturbationDataset", "default_kernel_width",
-    "gaussian_perturb", "kernel_weights", "query_model", "build_dataset",
-    "extend_dataset", "scales_from_csv",
-    # models
-    "Model", "MarsModel", "LinearModel", "ExpressionModel",
-    "SubprocessModel", "BatchFileModel", "eval_mars", "eval_linear",
-    "parse_model_spec",
     # explainers
-    "ExplainerConfig", "Explanation", "lime_explain", "slime_explain",
-    "run_with_reuse",
-    # benchmarking
-    "StabilityReport", "ReproResult", "jaccard", "positionwise_stability",
-    "repeat_explanations", "lasso_ordering_experiment",
-    "reproduce_mars_stability", "reproduce_lasso_ordering",
+    "ExplainerConfig", "Explanation", "slime_explain", "lime_explain",
+    "repeat_explanations",
+    # inputs and models
+    "InstanceSpec", "build_dataset", "extend_dataset", "MarsModel",
+    "LinearModel", "BatchFileModel", "parse_model_spec",
+    # solver and entry test
+    "DesignMatrix", "standardize", "transform_response", "lars_lasso_path",
+    "refit_least_squares", "product_covariance", "entry_test",
+    "required_sample_size",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .explainer import Explanation, ExplainerConfig, lime_explain, slime_explain
 from .models import Model
-from .sampling import InstanceSpec
+from .sampling import InstanceSpec, seed_sequence
 from .weighted_lars import DesignMatrix, lars_lasso_path, standardize, transform_response
 
 __all__ = [
@@ -56,8 +56,7 @@ class StabilityReport:
     ``positions`` maps each cut-off k (1-based) to the average pairwise
     Jaccard of top-k sets.  ``ordering_histogram`` counts the full top-K
     orderings seen; its values sum to ``reps``.  ``incomplete`` flags that
-    some repetitions failed and were excluded.  ``per_pair`` optionally holds
-    the raw pairwise Jaccard matrix per position, shape (K, reps, reps).
+    some repetitions failed and were excluded.
     """
 
     positions: tuple[tuple[int, float], ...]
@@ -65,11 +64,10 @@ class StabilityReport:
     ordering_histogram: tuple[tuple[tuple[str, ...], int], ...]
     incomplete: bool = False
     failures: tuple[str, ...] = ()
-    per_pair: np.ndarray | None = None
 
 
-def positionwise_stability(runs: Sequence[Sequence[str]], k_max: int | None = None,
-                           *, include_pairwise: bool = False) -> StabilityReport:
+def positionwise_stability(runs: Sequence[Sequence[str]],
+                           k_max: int | None = None) -> StabilityReport:
     """Average pairwise Jaccard of top-k sets for k = 1 .. k_max.
 
     Every run must supply at least ``k_max`` ordered features; a short run is
@@ -91,46 +89,34 @@ def positionwise_stability(runs: Sequence[Sequence[str]], k_max: int | None = No
             raise ValidationError(f"run {i} repeats a feature in its top {k_max}")
     reps = len(ordered)
     positions = []
-    per_pair = np.ones((k_max, reps, reps)) if include_pairwise else None
     for k in range(1, k_max + 1):
         tops = [set(run[:k]) for run in ordered]
         total = 0.0
         count = 0
         for i in range(reps):
             for j in range(i + 1, reps):
-                value = jaccard(tops[i], tops[j])
-                total += value
+                total += jaccard(tops[i], tops[j])
                 count += 1
-                if per_pair is not None:
-                    per_pair[k - 1, i, j] = per_pair[k - 1, j, i] = value
         positions.append((k, total / count))
     histogram = Counter(run[:k_max] for run in ordered)
     return StabilityReport(
         positions=tuple(positions),
         reps=reps,
         ordering_histogram=tuple(sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))),
-        per_pair=per_pair,
     )
-
-
-def _derive_seed(base_seed: int, index: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def repeat_explanations(model: Model, instance: InstanceSpec,
                         config: ExplainerConfig, reps: int, base_seed: int,
                         method: str = "slime", *, workers: int = 1,
-                        lime_n: int | None = None,
-                        raw_path: str | Path | None = None
+                        lime_n: int | None = None
                         ) -> tuple[StabilityReport, list[Explanation]]:
     """Run one explainer ``reps`` times with derived seeds and score stability.
 
     Repetition i uses the seed split off as child i of ``base_seed``, so the
     batch is reproducible as a whole while repetitions stay independent.
     Failed repetitions are excluded from the report, which is then marked
-    ``incomplete``.  When ``raw_path`` is given, every successful explanation
-    is appended there as one JSON object per line.
+    ``incomplete``.
     """
     if reps < 2:
         raise ValidationError("reps must be at least 2 to measure stability")
@@ -140,7 +126,8 @@ def repeat_explanations(model: Model, instance: InstanceSpec,
         raise ValidationError("workers must be at least 1")
 
     def run_one(i: int) -> Explanation:
-        seeded = replace(config, seed=_derive_seed(base_seed, i))
+        seed = int(seed_sequence(base_seed, (i,)).generate_state(1, np.uint64)[0])
+        seeded = replace(config, seed=seed)
         if method == "lime":
             return lime_explain(model, instance, seeded, n=lime_n)
         return slime_explain(model, instance, seeded)
@@ -172,8 +159,6 @@ def repeat_explanations(model: Model, instance: InstanceSpec,
     if errors:
         report = replace(report, incomplete=True,
                          failures=tuple(errors[i] for i in sorted(errors)))
-    if raw_path is not None:
-        explanations_to_jsonl(ordered, raw_path)
     return report, ordered
 
 
@@ -202,8 +187,7 @@ def lasso_ordering_experiment(coefficients: Sequence[float], n: int, runs: int,
     weights = np.ones(n)
     histogram: Counter = Counter()
     for run in range(runs):
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(run,))
-        gen = np.random.Generator(np.random.Philox(ss))
+        gen = np.random.Generator(np.random.Philox(seed_sequence(seed, (run,))))
         X = gen.standard_normal((n, p))
         y = X @ coefficients
         design = DesignMatrix(values=X, column_names=names)

@@ -38,6 +38,7 @@ from .errors import (DegenerateInputError, ModelQueryError, SingularityError,
 from .explainer import ExplainerConfig, lime_explain, slime_explain
 from .models import parse_model_spec
 from .sampling import InstanceSpec, scales_from_csv
+from .stability_testing import DEFAULT_GROWTH_FACTOR
 
 __all__ = ["main"]
 
@@ -90,9 +91,10 @@ def _add_explain_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scales-csv", default=None,
                         help="CSV of background rows; per-column standard "
                              "deviations become the feature scales")
-    parser.add_argument("--growth-factor", type=float, default=4.0,
+    parser.add_argument("--growth-factor", type=float,
+                        default=DEFAULT_GROWTH_FACTOR,
                         help="sample growth multiplier when a test is "
-                             "uninformative (default 4)")
+                             "uninformative (default %(default)g)")
     parser.add_argument("--multiple-testing", action="store_true",
                         help="compare the leader against every trailing "
                              "candidate with a summed p-value bound instead "
@@ -204,11 +206,8 @@ def _resolve_scales(args: argparse.Namespace, p: int) -> np.ndarray | None:
 
 def _build_inputs(args: argparse.Namespace):
     values = _parse_floats(args.instance, "--instance")
-    scales = _resolve_scales(args, values.size)
-    if scales is None:
-        instance = InstanceSpec(values=values)
-    else:
-        instance = InstanceSpec(values=values, feature_scales=scales)
+    instance = InstanceSpec(values=values,
+                            feature_scales=_resolve_scales(args, values.size))
     model = parse_model_spec(args.model, input_dim=values.size)
     seed = args.seed if args.seed is not None else _env_seed()
     config = ExplainerConfig(
@@ -217,7 +216,7 @@ def _build_inputs(args: argparse.Namespace):
         multiple_testing=args.multiple_testing,
         growth_factor=args.growth_factor,
         reuse_samples=not args.no_reuse)
-    return model, instance, config, seed
+    return model, instance, config
 
 
 def _explanation_table(explanation) -> str:
@@ -231,11 +230,10 @@ def _explanation_table(explanation) -> str:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    model, instance, config, _ = _build_inputs(args)
+    model, instance, config = _build_inputs(args)
     with model:
         if args.method == "lime":
-            n = args.n if args.n is not None else args.n0
-            explanation = lime_explain(model, instance, config, n=n)
+            explanation = lime_explain(model, instance, config, n=args.n)
         else:
             explanation = slime_explain(model, instance, config)
     if args.format == "json":
@@ -264,18 +262,15 @@ def _report_payload(report) -> dict:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 2:
         raise ValidationError("--reps must be at least 2")
-    model, instance, config, seed = _build_inputs(args)
-    raw_path = None
-    report_dir = None
-    if args.report:
-        report_dir = Path(args.report)
+    model, instance, config = _build_inputs(args)
+    report_dir = Path(args.report) if args.report else None
+    if report_dir is not None:
         report_dir.mkdir(parents=True, exist_ok=True)
-        raw_path = report_dir / "raw.jsonl"
     with model:
         report, explanations = repeat_explanations(
-            model, instance, config, reps=args.reps, base_seed=seed,
+            model, instance, config, reps=args.reps, base_seed=config.seed,
             method=args.method, workers=args.workers,
-            lime_n=args.n if args.n is not None else args.n0)
+            lime_n=args.n)
     if args.format == "json":
         text = json.dumps(_report_payload(report), sort_keys=True, indent=2) + "\n"
     else:
@@ -286,8 +281,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                                encoding="utf-8")
         (report_dir / "report.md").write_text(
             report_to_markdown(report, title=args.method), encoding="utf-8")
-        if raw_path is not None:
-            explanations_to_jsonl(explanations, raw_path)
+        explanations_to_jsonl(explanations, report_dir / "raw.jsonl")
     _write_manifest(args)
     return 0
 

@@ -14,22 +14,23 @@ would be exceeded, one final pass runs untested and the result is marked
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .models import Model
 from .sampling import (InstanceSpec, PerturbationDataset, build_dataset,
-                       default_kernel_width, extend_dataset)
-from .stability_testing import (TestDecision, bonferroni_entry_test,
-                                entry_test, product_covariance)
+                       extend_dataset, seed_sequence)
+from .stability_testing import (DEFAULT_GROWTH_FACTOR, TestDecision,
+                                bonferroni_entry_test, entry_test,
+                                product_covariance)
 from .weighted_lars import (DesignMatrix, EntryContext, PathState,
-                            lars_lasso_path, refit_least_squares, standardize,
+                            StandardizedDesign, lars_lasso_path,
+                            refit_least_squares, standardize,
                             transform_response)
 
-__all__ = ["ExplainerConfig", "Explanation", "lime_explain", "slime_explain",
-           "run_with_reuse"]
+__all__ = ["ExplainerConfig", "Explanation", "lime_explain", "slime_explain"]
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class ExplainerConfig:
     n_max: int = 10000
     kernel_width: float | None = None
     multiple_testing: bool = False
-    growth_factor: float = 4.0
+    growth_factor: float = DEFAULT_GROWTH_FACTOR
     seed: int = 0
     reuse_samples: bool = True
 
@@ -93,16 +94,12 @@ class Explanation:
         return tuple(name for name, _ in self.selected)
 
 
-def _width(config: ExplainerConfig, p: int) -> float:
-    return config.kernel_width if config.kernel_width is not None else default_kernel_width(p)
-
-
 class _EntryGate:
     """Observer that tests each entry and remembers why it aborted."""
 
-    def __init__(self, config: ExplainerConfig, n: int):
+    def __init__(self, config: ExplainerConfig, design: StandardizedDesign):
         self.config = config
-        self.n = n
+        self.design = design
         self.decisions: list[TestDecision] = []
         self.failed: TestDecision | None = None
 
@@ -138,29 +135,26 @@ class _EntryGate:
         return True
 
     def _signed_column(self, candidate) -> np.ndarray:
-        column = self._design.base.values[:, candidate.index]
+        column = self.design.base.values[:, candidate.index]
         return -column if candidate.c_hat < 0 else column
-
-    def bind(self, design) -> "_EntryGate":
-        self._design = design
-        return self
 
 
 def _select_and_refit(dataset: PerturbationDataset, config: ExplainerConfig,
-                      gate: _EntryGate | None) -> tuple[PathState, DesignMatrix]:
+                      gated: bool
+                      ) -> tuple[PathState, DesignMatrix, _EntryGate | None]:
     design = DesignMatrix(values=dataset.X,
                           column_names=dataset.instance.feature_names)
     std = standardize(design, dataset.weights)
     response = transform_response(dataset.y, dataset.weights)
     max_active = min(config.k, std.base.n_cols, dataset.n - 1)
-    observer = gate.bind(std) if gate is not None else None
-    state = lars_lasso_path(std, response, max_active, observer=observer)
-    return state, design
+    gate = _EntryGate(config, std) if gated else None
+    state = lars_lasso_path(std, response, max_active, observer=gate)
+    return state, design, gate
 
 
 def _finish(state: PathState, design: DesignMatrix,
-            dataset: PerturbationDataset, config: ExplainerConfig,
-            capped: bool, trace: list[TestDecision]) -> Explanation:
+            dataset: PerturbationDataset, capped: bool,
+            trace: list[TestDecision]) -> Explanation:
     names = list(state.active_set)
     if names:
         coef, intercept = refit_least_squares(design, dataset.y,
@@ -190,9 +184,9 @@ def lime_explain(model: Model, instance: InstanceSpec,
         raise ValidationError(f"n must be at least k + 2 = {config.k + 2}")
     _check_model(model, instance)
     dataset = build_dataset(model, instance, sample_n, config.seed,
-                            _width(config, instance.n_features))
-    state, design = _select_and_refit(dataset, config, gate=None)
-    return _finish(state, design, dataset, config, capped=False, trace=[])
+                            config.kernel_width)
+    state, design, _ = _select_and_refit(dataset, config, gated=False)
+    return _finish(state, design, dataset, capped=False, trace=[])
 
 
 def slime_explain(model: Model, instance: InstanceSpec,
@@ -207,18 +201,17 @@ def slime_explain(model: Model, instance: InstanceSpec,
     and one final ungated pass produces the (capped) answer.
     """
     _check_model(model, instance)
-    width = _width(config, instance.n_features)
-    dataset = build_dataset(model, instance, config.n0, config.seed, width)
+    dataset = build_dataset(model, instance, config.n0, config.seed,
+                            config.kernel_width)
     trace: list[TestDecision] = []
     capped = False
     round_index = 0
     while True:
-        gate = None if capped else _EntryGate(config, dataset.n)
-        state, design = _select_and_refit(dataset, config, gate)
+        state, design, gate = _select_and_refit(dataset, config, gated=not capped)
         if gate is not None:
             trace.extend(gate.decisions)
         if capped or not state.aborted:
-            return _finish(state, design, dataset, config, capped, trace)
+            return _finish(state, design, dataset, capped, trace)
         recommended = gate.failed.recommended_n
         if recommended > config.n_max:
             recommended = config.n_max
@@ -228,22 +221,12 @@ def slime_explain(model: Model, instance: InstanceSpec,
             if recommended > dataset.n:
                 dataset = extend_dataset(model, dataset, recommended)
         else:
-            round_seed = _derived_seed(config.seed, round_index)
-            dataset = build_dataset(model, instance, recommended, round_seed, width)
+            round_seed = int(seed_sequence(config.seed, (0x5EED, round_index))
+                             .generate_state(1, np.uint64)[0])
+            dataset = build_dataset(model, instance, recommended, round_seed,
+                                    config.kernel_width)
         # If capped with recommended <= dataset.n (budget already reached),
         # the loop simply reruns ungated on the data it has.
-
-
-def run_with_reuse(model: Model, previous: PerturbationDataset,
-                   new_n: int) -> PerturbationDataset:
-    """Public alias for growing a dataset in place; see
-    :func:`slime.sampling.extend_dataset`."""
-    return extend_dataset(model, previous, new_n)
-
-
-def _derived_seed(base_seed: int, index: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(0x5EED, index))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _check_model(model: Model, instance: InstanceSpec) -> None:

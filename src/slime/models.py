@@ -38,8 +38,6 @@ __all__ = [
     "ExpressionError",
     "SubprocessModel",
     "BatchFileModel",
-    "eval_mars",
-    "eval_linear",
     "parse_model_spec",
     "MAX_ROWS_PER_REQUEST",
 ]
@@ -79,27 +77,9 @@ def _as_matrix(X: np.ndarray, input_dim: int) -> np.ndarray:
     return X
 
 
-def eval_mars(x: Sequence[float]) -> float:
-    """The five-feature benchmark surface used throughout the test suite:
-    ``10 sin(pi x1 x2) + 20 (x3 - 0.05)^2 + 5.2 x4 + 5 x5``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (5,):
-        raise ValidationError("mars surface takes exactly 5 features")
-    return float(10.0 * np.sin(np.pi * x[0] * x[1])
-                 + 20.0 * (x[2] - 0.05) ** 2 + 5.2 * x[3] + 5.0 * x[4])
-
-
-def eval_linear(x: Sequence[float], coefficients: Sequence[float],
-                intercept: float = 0.0) -> float:
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(coefficients, dtype=float)
-    if x.shape != c.shape:
-        raise ValidationError("feature vector and coefficients must have equal length")
-    return float(x @ c + intercept)
-
-
 class MarsModel(Model):
-    """Noise-free nonlinear benchmark with known local behavior."""
+    """Noise-free nonlinear benchmark with known local behavior:
+    ``10 sin(pi x1 x2) + 20 (x3 - 0.05)^2 + 5.2 x4 + 5 x5``."""
 
     input_dim = 5
 

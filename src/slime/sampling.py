@@ -117,9 +117,18 @@ def default_kernel_width(p: int) -> float:
     return 0.75 * math.sqrt(p)
 
 
+def seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
+    """The independent child stream ``key`` of ``seed``.
+
+    Row blocks, ordering-experiment runs, adaptive growth rounds and
+    benchmark repetitions each draw from their own key, so changing one
+    never shifts another's stream.
+    """
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+
+
 def _block_rows(seed: int, block: int, p: int) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
-    gen = np.random.Generator(np.random.Philox(ss))
+    gen = np.random.Generator(np.random.Philox(seed_sequence(seed, (block,))))
     return gen.standard_normal((_BLOCK, p))
 
 

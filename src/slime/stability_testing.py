@@ -16,7 +16,7 @@ with ``P(Z > z) = p``, so ``normal_quantile(0.05) ~= 1.6449``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -163,22 +163,22 @@ def entry_test(cov: ProductCovariance, alpha: float, *,
 
         t = (c1 - c2) - z_alpha * sqrt(2 * var_diff / n)
 
-    and the decision is significant exactly when ``t >= 0``.  With zero
-    variance and a zero gap the comparison is undecidable at any sample size;
-    that corner reports ``t = -inf``, ``p = 0.5``, not significant.
+    and the decision is significant exactly when ``t >= 0``.  With a zero
+    standard error and a zero gap the comparison is undecidable at any sample
+    size; that corner reports ``t = -inf``, ``p = 0.5``, not significant.
     """
     _check_alpha(alpha)
     gap = cov.c1_hat - cov.c2_hat
     if gap < 0:
         raise ValidationError("c1_hat must be >= c2_hat; order the candidates first")
-    var = cov.diff_variance
-    if var == 0.0:
+    # Branch on se, not the variance: a subnormal variance still gives se == 0.
+    se = math.sqrt(2.0 * cov.diff_variance / cov.n)
+    if se == 0.0:
         if gap > 0:
             t, p, significant = gap, 0.0, True
         else:
             t, p, significant = float("-inf"), 0.5, False
     else:
-        se = math.sqrt(2.0 * var / cov.n)
         t = gap - normal_quantile(alpha) * se
         p = _pair_p_value(cov)
         significant = t >= 0.0

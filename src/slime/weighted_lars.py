@@ -16,7 +16,7 @@ undecided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,17 +27,20 @@ from .errors import DegenerateInputError, SingularityError, ValidationError
 __all__ = [
     "DesignMatrix",
     "StandardizedDesign",
-    "SolverOptions",
     "EntryCandidate",
     "EntryContext",
     "PathBreakpoint",
     "PathState",
     "standardize",
     "transform_response",
-    "correlations",
     "lars_lasso_path",
     "refit_least_squares",
 ]
+
+# One floor for three tests: a column with a smaller norm is dropped, the path
+# stops once no correlation exceeds it, and scaled by a step's size it
+# separates a real step from rounding noise.
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,17 +95,6 @@ class StandardizedDesign:
     dropped_cols: tuple[str, ...]
     retained_idx: np.ndarray
     original_names: tuple[str, ...]
-    sqrt_weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Numerical knobs for :func:`standardize` and :func:`lars_lasso_path`."""
-
-    lasso_drop: bool = True          # False gives plain LARS (no sign-crossing drops)
-    zero_norm_tol: float = 1e-12     # columns with smaller norm are dropped
-    corr_zero_tol: float = 1e-12     # path stops once no correlation exceeds this
-    step_tol: float = 1e-12          # relative floor separating a real step from noise
 
 
 @dataclass(frozen=True)
@@ -149,7 +141,6 @@ class PathState:
 
 
 def standardize(design: DesignMatrix, weights: np.ndarray,
-                options: SolverOptions = SolverOptions(),
                 *, scale_columns: bool = True) -> StandardizedDesign:
     """Fold in observation weights and standardize every column.
 
@@ -179,10 +170,11 @@ def standardize(design: DesignMatrix, weights: np.ndarray,
     sqrt_w = np.sqrt(w)
     total = w.sum()
     means = (w @ design.values) / total
-    transformed = sqrt_w[:, None] * (design.values - means)
+    transformed = design.values - means
+    transformed *= sqrt_w[:, None]
     norms = np.linalg.norm(transformed, axis=0)
 
-    keep = norms >= options.zero_norm_tol
+    keep = norms >= _TOL
     retained_idx = np.flatnonzero(keep)
     if retained_idx.size == 0:
         raise DegenerateInputError("every column is constant under the given weights")
@@ -190,10 +182,12 @@ def standardize(design: DesignMatrix, weights: np.ndarray,
     kept_names = tuple(design.column_names[i] for i in retained_idx)
 
     divisor = norms[retained_idx] if scale_columns else np.ones(retained_idx.size)
-    base = DesignMatrix(
-        values=transformed[:, retained_idx] / divisor,
-        column_names=kept_names,
-    )
+    # The fancy index yields a Fortran-ordered copy; BLAS products and column
+    # norms sum in a layout-dependent order, so the path's bytes depend on it.
+    values = transformed[:, retained_idx]
+    del transformed
+    values /= divisor
+    base = DesignMatrix(values=values, column_names=kept_names)
     return StandardizedDesign(
         base=base,
         col_means=means[retained_idx],
@@ -201,7 +195,6 @@ def standardize(design: DesignMatrix, weights: np.ndarray,
         dropped_cols=dropped,
         retained_idx=retained_idx,
         original_names=design.column_names,
-        sqrt_weights=sqrt_w,
     )
 
 
@@ -221,30 +214,14 @@ def transform_response(response: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sqrt(w) * (y - (w @ y) / total)
 
 
-def correlations(residual: np.ndarray, design: StandardizedDesign) -> np.ndarray:
-    """Per-column correlation (1/n) <residual, column> over retained columns."""
-    r = np.asarray(residual, dtype=float)
-    n = design.base.n_rows
-    if r.shape != (n,):
-        raise ValidationError("residual length must match the design")
-    return (design.base.values.T @ r) / n
-
-
-def _positive_min(values: np.ndarray, floor: float) -> float:
-    """Smallest entry strictly above ``floor``; +inf when none qualifies."""
-    ok = values[values > floor]
-    return float(ok.min()) if ok.size else float("inf")
-
-
 def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
-                    max_active: int, observer: EntryObserver | None = None,
-                    options: SolverOptions = SolverOptions()) -> PathState:
+                    max_active: int, observer: EntryObserver | None = None) -> PathState:
     """Trace the LASSO path on standardized data until ``max_active`` features.
 
     ``response`` must already be transformed by :func:`transform_response`.
-    One variable enters per outer iteration; with the drop modification
-    enabled, a coefficient that would cross zero leaves the active set at the
-    crossing instead, and the direction is recomputed.  Every completed
+    One variable enters per outer iteration.  The LASSO drop modification is
+    always applied: a coefficient that would cross zero leaves the active set
+    at the crossing instead, and the direction is recomputed.  Every completed
     breakpoint is recorded with its implied penalty so the path can be checked
     against a direct penalized solver.
 
@@ -281,7 +258,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         return full
 
     def record(c: np.ndarray) -> None:
-        lam = float(np.max(np.abs(c))) if c.size else 0.0
+        lam = float(np.max(np.abs(c)))
         breakpoints.append(PathBreakpoint(
             beta=expand(beta.copy()), lam=lam,
             active=tuple(names[j] for j in active)))
@@ -290,7 +267,6 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
     record(c)
 
     while True:
-        c = X.T @ r
         abs_c = np.abs(c)
         inactive = [j for j in range(m) if j not in active]
 
@@ -300,8 +276,8 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         if not drop_pending:
             if len(active) >= max_active or not inactive:
                 break
-            top = float(abs_c[inactive].max()) if inactive else 0.0
-            if top <= options.corr_zero_tol:
+            top = float(abs_c[inactive].max())
+            if top <= _TOL:
                 break  # residual carries no further signal
             ranked = sorted(inactive, key=lambda j: (-abs_c[j], j))
             if observer is not None:
@@ -353,13 +329,13 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         # must be ignored or it would bounce straight back in, but a genuine
         # catch-up later in the same segment is a real re-entry.  For anything
         # else a tie at zero distance is a legitimate co-entry.
-        floor = -options.step_tol * (1.0 + cmax)
-        bounce_tol = options.step_tol * (1.0 + cmax)
+        floor = -_TOL * (1.0 + cmax)
+        bounce_tol = _TOL * (1.0 + cmax)
         gamma_entry = float("inf")
         for j in inactive:
             guard_bounce = j in just_dropped
             for num, den in ((cmax - c[j], aa - a[j]), (cmax + c[j], aa + a[j])):
-                if den <= options.step_tol * (1.0 + aa):
+                if den <= _TOL * (1.0 + aa):
                     continue
                 g = num / den
                 if guard_bounce and g <= bounce_tol:
@@ -370,22 +346,21 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         gamma = min(gamma_entry, gamma_ls)
 
         dropped_now: list[int] = []
-        if options.lasso_drop:
-            d = signs * w_dir                # coefficient direction for active columns
-            crossing = -beta[idx] / np.where(d != 0, d, np.nan)
-            crossing = np.where(np.isfinite(crossing), crossing, np.inf)
-            drop_floor = options.step_tol * (1.0 + min(gamma, gamma_ls))
-            gamma_drop = _positive_min(crossing, drop_floor)
-            if gamma_drop < gamma:
-                gamma = gamma_drop
-                rel = options.step_tol * (1.0 + gamma_drop)
-                dropped_now = [active[k] for k in range(len(active))
-                               if abs(crossing[k] - gamma_drop) <= rel]
+        d = signs * w_dir                    # coefficient direction for active columns
+        crossing = -beta[idx] / np.where(d != 0, d, np.nan)
+        crossing = np.where(np.isfinite(crossing), crossing, np.inf)
+        ahead = crossing[crossing > _TOL * (1.0 + min(gamma, gamma_ls))]
+        gamma_drop = float(ahead.min()) if ahead.size else float("inf")
+        if gamma_drop < gamma:
+            gamma = gamma_drop
+            rel = _TOL * (1.0 + gamma_drop)
+            dropped_now = [active[k] for k in range(len(active))
+                           if abs(crossing[k] - gamma_drop) <= rel]
 
         if not np.isfinite(gamma):
             break  # no admissible move remains
 
-        beta[idx] += gamma * (signs * w_dir)
+        beta[idx] += gamma * d
         if dropped_now:
             for j in dropped_now:
                 beta[j] = 0.0
@@ -393,7 +368,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
                 drop_events.append((step, names[j]))
             just_dropped = set(dropped_now)
             drop_pending = True
-        elif gamma > options.step_tol * (1.0 + cmax):
+        elif gamma > _TOL * (1.0 + cmax):
             just_dropped = set()
 
         r = y - X @ beta                     # recompute: keeps breakpoints exact
@@ -403,10 +378,9 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         if gamma == gamma_ls and not dropped_now:
             break  # reached the least-squares end of the path
 
-    full_beta = expand(beta)
     return PathState(
         active_set=[names[j] for j in active],
-        beta=full_beta,
+        beta=expand(beta),
         residual=r,
         entry_events=entry_events,
         drop_events=drop_events,

@@ -4,15 +4,39 @@ Everything here is written from first principles with a different algorithm
 than the library uses, so agreement is evidence of correctness rather than
 of shared bugs: the LASSO oracle iterates coordinate descent instead of
 walking the path, the quantile oracle bisects mpmath's erfc instead of
-calling scipy, covariance is the classic two-pass formula, and local slopes
+calling scipy, covariance is the classic two-pass formula, local slopes
 of a smooth function come from Gauss-Hermite quadrature rather than any
-regression.
+regression, and the builtin model surfaces are evaluated one scalar point at
+a time instead of as a batch.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import mpmath
 import numpy as np
+
+from slime.errors import ValidationError
+
+
+def eval_mars(x: Sequence[float]) -> float:
+    """The five-feature benchmark surface, one point at a time:
+    ``10 sin(pi x1 x2) + 20 (x3 - 0.05)^2 + 5.2 x4 + 5 x5``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (5,):
+        raise ValidationError("mars surface takes exactly 5 features")
+    return float(10.0 * np.sin(np.pi * x[0] * x[1])
+                 + 20.0 * (x[2] - 0.05) ** 2 + 5.2 * x[3] + 5.0 * x[4])
+
+
+def eval_linear(x: Sequence[float], coefficients: Sequence[float],
+                intercept: float = 0.0) -> float:
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(coefficients, dtype=float)
+    if x.shape != c.shape:
+        raise ValidationError("feature vector and coefficients must have equal length")
+    return float(x @ c + intercept)
 
 
 def cd_lasso(X: np.ndarray, y: np.ndarray, lam: float,

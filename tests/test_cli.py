@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import slime
 from slime.cli import main
+from slime.errors import SlimeError
 
 LINEAR3 = ["--model", "builtin:linear:2,-1,0.5", "--instance", "1,2,3"]
 
@@ -91,7 +96,8 @@ def test_explain_via_module_subprocess_matches_in_process(capsys, tmp_path):
     _, expected, _ = run_cli(argv, capsys)
     completed = subprocess.run(
         [sys.executable, "-m", "slime.cli", *argv],
-        capture_output=True, text=True, cwd=tmp_path, check=True)
+        capture_output=True, text=True, cwd=tmp_path, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(slime.__file__).parents[1])})
     assert completed.stdout == expected
 
 
@@ -182,6 +188,18 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "slime" in capsys.readouterr().out
+
+
+def test_every_package_export_is_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    undocumented = [
+        name for name in slime.__all__
+        if name != "__version__"
+        and not (isinstance(getattr(slime, name), type)
+                 and issubclass(getattr(slime, name), SlimeError))
+        and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert undocumented == []
 
 
 # ------------------------------------------------------------------- scales

@@ -6,10 +6,9 @@ import pytest
 from oracles import weighted_ols
 from slime.errors import ValidationError
 from slime.explainer import (ExplainerConfig, Explanation, lime_explain,
-                             run_with_reuse, slime_explain)
+                             slime_explain)
 from slime.models import LinearModel, MarsModel
-from slime.sampling import (InstanceSpec, build_dataset, default_kernel_width,
-                            extend_dataset)
+from slime.sampling import InstanceSpec, build_dataset, default_kernel_width
 
 MARS_INSTANCE = InstanceSpec(values=np.array([0.51, 0.49, 0.5, 0.5, 0.5]),
                              feature_scales=np.full(5, 0.05))
@@ -229,15 +228,3 @@ def test_constant_response_selects_nothing():
         assert explanation.final_n == 100
         assert not explanation.capped
 
-
-def test_run_with_reuse_is_extend_dataset():
-    model = LinearModel([1.0, -1.0])
-    instance = InstanceSpec(values=np.zeros(2))
-    dataset = build_dataset(model, instance, 100, seed=3,
-                            kernel_width=default_kernel_width(2))
-    a = run_with_reuse(model, dataset, 150)
-    b = extend_dataset(model, dataset, 150)
-    np.testing.assert_array_equal(a.X, b.X)
-    np.testing.assert_array_equal(a.y, b.y)
-    np.testing.assert_array_equal(a.weights, b.weights)
-    assert a.n == b.n == 150

@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import eval_linear, eval_mars
 from slime.errors import ModelQueryError, ValidationError
 from slime.models import (MAX_ROWS_PER_REQUEST, BatchFileModel,
                           ExpressionError, ExpressionModel, LinearModel,
-                          MarsModel, Model, SubprocessModel, eval_linear,
-                          eval_mars, parse_model_spec)
+                          MarsModel, Model, SubprocessModel, parse_model_spec)
 
 # deterministic nonlinear benchmark value, pinned to full double precision
 MARS_AT_CENTER = 16.218846021489732

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mp_normal_upper_quantile, two_pass_product_covariance
@@ -184,6 +184,8 @@ def test_negation_rule_equivalence():
 @given(gap=st.floats(0.0, 2.0), s11=st.floats(0.0, 3.0), s22=st.floats(0.0, 3.0),
        rho=st.floats(-0.99, 0.99), n=st.integers(2, 10**6),
        alpha=st.floats(0.001, 0.499))
+# A subnormal difference variance whose standard error underflows to zero.
+@example(gap=0.0, s11=0.0, s22=5e-324, rho=0.0, n=4, alpha=0.25)
 def test_decision_triple_consistency(gap, s11, s22, rho, n, alpha):
     """significant, statistic_t >= 0 and p_value <= alpha always agree."""
     s12 = rho * math.sqrt(s11 * s22)
