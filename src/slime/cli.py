@@ -164,16 +164,25 @@ def _write_manifest(args: argparse.Namespace) -> None:
                     encoding="utf-8")
 
 
-def _load_manifest(path: str) -> argparse.Namespace:
+def _load_manifest(path: str, parser: argparse.ArgumentParser) -> argparse.Namespace:
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read manifest: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest is not valid JSON: {exc}") from None
-    options = manifest.get("options")
+    options = manifest.get("options") if isinstance(manifest, dict) else None
     if not isinstance(options, dict) or "command" not in options:
         raise ValidationError("manifest lacks a recorded command")
+    command = options["command"]
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    if not isinstance(command, str) or command not in commands:
+        raise ValidationError(f"unknown command {command!r}")
+    # Every option the command's parser would have set must be recorded.
+    for action in commands[command]._actions:
+        if action.default != argparse.SUPPRESS and action.dest not in options:
+            raise ValidationError(f"manifest lacks option {action.dest!r}")
     return argparse.Namespace(**options)
 
 
@@ -323,14 +332,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.command is not None or others:
                 raise ValidationError(
                     "--from-manifest cannot be combined with other flags")
-            args = _load_manifest(args.from_manifest)
+            args = _load_manifest(args.from_manifest, parser)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        handler = _DISPATCH.get(args.command)
-        if handler is None:
-            raise ValidationError(f"unknown command {args.command!r}")
-        return handler(args)
+        return _DISPATCH[args.command](args)
     except (ValidationError, DegenerateInputError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

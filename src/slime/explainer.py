@@ -95,124 +95,75 @@ class Explanation:
 
 
 class _EntryGate:
-    """Observer that tests each entry and remembers why it aborted."""
+    """Observer that tests each entry and appends its decision to a trace."""
 
-    def __init__(self, config: ExplainerConfig, design: StandardizedDesign):
+    def __init__(self, config: ExplainerConfig, design: StandardizedDesign,
+                 trace: list[TestDecision]):
         self.config = config
         self.design = design
-        self.decisions: list[TestDecision] = []
-        self.failed: TestDecision | None = None
+        self.trace = trace
 
     def __call__(self, ctx: EntryContext) -> bool:
         if len(ctx.candidates) < 2:
             return True   # nothing to compete against: entry is forced
-        residual = ctx.residual
+        top = ctx.candidates[0]
+        rivals = ctx.candidates[1:] if self.config.multiple_testing else ctx.candidates[1:2]
         # The negation rule: a negatively correlated candidate is compared
         # through its sign-flipped column so every correlation is positive.
-        top = ctx.candidates[0]
         top_col = self._signed_column(top)
+        covs = [product_covariance(ctx.residual, top_col, self._signed_column(rival))
+                for rival in rivals]
         if self.config.multiple_testing:
-            covs = []
-            names = []
-            for cand in ctx.candidates[1:]:
-                covs.append(product_covariance(residual, top_col,
-                                               self._signed_column(cand)))
-                names.append((top.name, cand.name))
             decision = bonferroni_entry_test(
-                covs, self.config.alpha, compared_names=names, step=ctx.step,
-                growth_factor=self.config.growth_factor)
-        else:
-            runner_up = ctx.candidates[1]
-            cov = product_covariance(residual, top_col,
-                                     self._signed_column(runner_up))
-            decision = entry_test(
-                cov, self.config.alpha, compared=(top.name, runner_up.name),
+                covs, self.config.alpha,
+                compared_names=[(top.name, rival.name) for rival in rivals],
                 step=ctx.step, growth_factor=self.config.growth_factor)
-        self.decisions.append(decision)
-        if not decision.significant:
-            self.failed = decision
-            return False
-        return True
+        else:
+            decision = entry_test(
+                covs[0], self.config.alpha, compared=(top.name, rivals[0].name),
+                step=ctx.step, growth_factor=self.config.growth_factor)
+        self.trace.append(decision)
+        return decision.significant
 
     def _signed_column(self, candidate) -> np.ndarray:
         column = self.design.base.values[:, candidate.index]
         return -column if candidate.c_hat < 0 else column
 
 
-def _select_and_refit(dataset: PerturbationDataset, config: ExplainerConfig,
-                      gated: bool
-                      ) -> tuple[PathState, DesignMatrix, _EntryGate | None]:
-    design = DesignMatrix(values=dataset.X,
-                          column_names=dataset.instance.feature_names)
+def _walk(design: DesignMatrix, dataset: PerturbationDataset,
+          config: ExplainerConfig, trace: list[TestDecision] | None) -> PathState:
+    """One round: standardize the sample and walk its LASSO path.
+
+    With a ``trace`` every entry is gated and its decision appended there.
+    The standardized copy and the gate die when the round returns, so they
+    are never alive while the next round grows the sample.
+    """
     std = standardize(design, dataset.weights)
     response = transform_response(dataset.y, dataset.weights)
     max_active = min(config.k, std.base.n_cols, dataset.n - 1)
-    gate = _EntryGate(config, std) if gated else None
-    state = lars_lasso_path(std, response, max_active, observer=gate)
-    return state, design, gate
+    gate = None if trace is None else _EntryGate(config, std, trace)
+    return lars_lasso_path(std, response, max_active, observer=gate)
 
 
-def _finish(state: PathState, design: DesignMatrix,
-            dataset: PerturbationDataset, capped: bool,
-            trace: list[TestDecision]) -> Explanation:
-    names = list(state.active_set)
-    if names:
-        coef, intercept = refit_least_squares(design, dataset.y,
-                                              dataset.weights, names)
-        selected = tuple((name, float(c)) for name, c in zip(names, coef))
-    else:
-        # Degenerate: nothing correlates with the response.  Report the
-        # weighted mean as the intercept and no features.
-        total = dataset.weights.sum()
-        selected = ()
-        intercept = float((dataset.weights @ dataset.y) / total)
-    return Explanation(
-        selected=selected,
-        intercept=float(intercept),
-        final_n=dataset.n,
-        capped=capped,
-        test_trace=tuple(trace),
-        seed=dataset.seed,
-    )
-
-
-def lime_explain(model: Model, instance: InstanceSpec,
-                 config: ExplainerConfig, n: int | None = None) -> Explanation:
-    """Plain fixed-sample explanation: sample once, select, refit."""
-    sample_n = config.n0 if n is None else n
-    if sample_n < config.k + 2:
-        raise ValidationError(f"n must be at least k + 2 = {config.k + 2}")
-    _check_model(model, instance)
-    dataset = build_dataset(model, instance, sample_n, config.seed,
-                            config.kernel_width)
-    state, design, _ = _select_and_refit(dataset, config, gated=False)
-    return _finish(state, design, dataset, capped=False, trace=[])
-
-
-def slime_explain(model: Model, instance: InstanceSpec,
-                  config: ExplainerConfig) -> Explanation:
-    """Stabilized explanation with adaptive sample growth.
-
-    Runs the gated path; on an undecided entry, grows the sample to the
-    test's recommended size and restarts.  Growth reuses existing rows when
-    ``config.reuse_samples`` (the default); otherwise each round draws a
-    fresh dataset from a seed derived for that round.  When the
-    recommendation would exceed ``n_max``, the sample is set to ``n_max``
-    and one final ungated pass produces the (capped) answer.
-    """
-    _check_model(model, instance)
-    dataset = build_dataset(model, instance, config.n0, config.seed,
-                            config.kernel_width)
+def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
+             n: int, gated: bool) -> Explanation:
+    """The round loop behind both explainers: walk, grow if gated and
+    undecided, walk again; refit the last walk's features."""
+    if getattr(model, "input_dim", instance.n_features) != instance.n_features:
+        raise ValidationError(
+            f"model expects {model.input_dim} features, instance has {instance.n_features}")
+    dataset = build_dataset(model, instance, n, config.seed, config.kernel_width)
     trace: list[TestDecision] = []
     capped = False
     round_index = 0
     while True:
-        state, design, gate = _select_and_refit(dataset, config, gated=not capped)
-        if gate is not None:
-            trace.extend(gate.decisions)
-        if capped or not state.aborted:
-            return _finish(state, design, dataset, capped, trace)
-        recommended = gate.failed.recommended_n
+        # Rebinding releases the previous round's sample before standardize.
+        design = DesignMatrix(values=dataset.X, column_names=instance.feature_names)
+        state = _walk(design, dataset, config, trace if gated and not capped else None)
+        if not state.aborted:
+            break
+        # An aborted walk ends on its failed decision.
+        recommended = trace[-1].recommended_n
         if recommended > config.n_max:
             recommended = config.n_max
             capped = True
@@ -228,8 +179,39 @@ def slime_explain(model: Model, instance: InstanceSpec,
         # If capped with recommended <= dataset.n (budget already reached),
         # the loop simply reruns ungated on the data it has.
 
+    names = state.active_set
+    if names:
+        coef, intercept = refit_least_squares(design, dataset.y,
+                                              dataset.weights, names)
+        selected = tuple((name, float(c)) for name, c in zip(names, coef))
+    else:
+        # Degenerate: nothing correlates with the response.  Report the
+        # weighted mean as the intercept and no features.
+        selected = ()
+        intercept = (dataset.weights @ dataset.y) / dataset.weights.sum()
+    return Explanation(selected=selected, intercept=float(intercept),
+                       final_n=dataset.n, capped=capped,
+                       test_trace=tuple(trace), seed=dataset.seed)
 
-def _check_model(model: Model, instance: InstanceSpec) -> None:
-    if getattr(model, "input_dim", instance.n_features) != instance.n_features:
-        raise ValidationError(
-            f"model expects {model.input_dim} features, instance has {instance.n_features}")
+
+def lime_explain(model: Model, instance: InstanceSpec,
+                 config: ExplainerConfig, n: int | None = None) -> Explanation:
+    """Plain fixed-sample explanation: sample once, select, refit."""
+    sample_n = config.n0 if n is None else n
+    if sample_n < config.k + 2:
+        raise ValidationError(f"n must be at least k + 2 = {config.k + 2}")
+    return _explain(model, instance, config, sample_n, gated=False)
+
+
+def slime_explain(model: Model, instance: InstanceSpec,
+                  config: ExplainerConfig) -> Explanation:
+    """Stabilized explanation with adaptive sample growth.
+
+    Runs the gated path; on an undecided entry, grows the sample to the
+    test's recommended size and restarts.  Growth reuses existing rows when
+    ``config.reuse_samples`` (the default); otherwise each round draws a
+    fresh dataset from a seed derived for that round.  When the
+    recommendation would exceed ``n_max``, the sample is set to ``n_max``
+    and one final ungated pass produces the (capped) answer.
+    """
+    return _explain(model, instance, config, config.n0, gated=True)

@@ -301,12 +301,6 @@ def _excerpt(text: str) -> str:
     return text if len(text) <= _EXCERPT_LEN else text[:_EXCERPT_LEN] + "..."
 
 
-def _float_list(values: np.ndarray) -> list[float]:
-    # float() keeps json.dumps emitting repr-precision decimals (17
-    # significant digits when needed), which round-trip exactly.
-    return [float(v) for v in values]
-
-
 class SubprocessModel(Model):
     """Child process answering line-delimited JSON prediction requests.
 
@@ -326,7 +320,9 @@ class SubprocessModel(Model):
         self._lock = threading.Lock()
 
     def _ensure_child(self) -> subprocess.Popen:
-        if self._child is None or self._child.poll() is not None:
+        if self._child is not None and self._child.poll() is not None:
+            self.close()   # reap the dead child and close its pipes
+        if self._child is None:
             try:
                 self._child = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -346,7 +342,9 @@ class SubprocessModel(Model):
 
     def _request(self, rows: np.ndarray, batch_index: int) -> np.ndarray:
         child = self._ensure_child()
-        payload = json.dumps({"instances": [_float_list(row) for row in rows]})
+        # tolist() yields Python floats, which json.dumps writes at repr
+        # precision (17 significant digits when needed): exact round trip.
+        payload = json.dumps({"instances": rows.tolist()})
         try:
             child.stdin.write(payload + "\n")
             child.stdin.flush()
@@ -381,13 +379,18 @@ class SubprocessModel(Model):
 
     def close(self) -> None:
         child, self._child = self._child, None
-        if child is not None and child.poll() is None:
-            try:
-                child.stdin.close()
-                child.wait(timeout=5)
-            except (OSError, subprocess.TimeoutExpired):
-                child.kill()
-                child.wait()
+        if child is None:
+            return
+        try:
+            child.stdin.close()   # EOF asks a live child to exit
+        except BrokenPipeError:
+            pass                  # the child is gone; the pipe is closed anyway
+        try:
+            child.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
+        child.stdout.close()
 
 
 class BatchFileModel(Model):

@@ -157,7 +157,9 @@ def gaussian_perturb(instance: InstanceSpec, n: int, seed: int, *,
     if start < 0:
         raise ValidationError("start must be nonnegative")
     z = _standard_rows(int(seed), start, start + n, instance.n_features)
-    return instance.values + instance.feature_scales * z
+    z *= instance.feature_scales
+    z += instance.values
+    return z
 
 
 def kernel_weights(X: np.ndarray, instance: InstanceSpec, width: float) -> np.ndarray:

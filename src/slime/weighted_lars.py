@@ -260,7 +260,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
     def record(c: np.ndarray) -> None:
         lam = float(np.max(np.abs(c)))
         breakpoints.append(PathBreakpoint(
-            beta=expand(beta.copy()), lam=lam,
+            beta=expand(beta), lam=lam,
             active=tuple(names[j] for j in active)))
 
     c = X.T @ r

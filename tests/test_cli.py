@@ -127,10 +127,20 @@ def test_from_manifest_missing_or_malformed(capsys, tmp_path):
     code, _, err = run_cli(["--from-manifest", str(tmp_path / "nope.json")],
                            capsys)
     assert code == 2 and "cannot read manifest" in err
+    manifest = tmp_path / "run.manifest.json"
+    run_cli(["explain", *LINEAR3, "--manifest", str(manifest)], capsys)
+    recorded = json.loads(manifest.read_text(encoding="utf-8"))
+    del recorded["options"]["scales"]
     bad = tmp_path / "bad.json"
-    bad.write_text("{}", encoding="utf-8")
-    code, _, err = run_cli(["--from-manifest", str(bad)], capsys)
-    assert code == 2 and "lacks a recorded command" in err
+    for text, message in [
+            ("{}", "lacks a recorded command"),
+            ("[1, 2]", "lacks a recorded command"),
+            ('{"options": {"command": ["explain"]}}', "unknown command"),
+            ('{"options": {"command": "explain"}}', "lacks option 'model'"),
+            (json.dumps(recorded), "lacks option 'scales'")]:
+        bad.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(["--from-manifest", str(bad)], capsys)
+        assert code == 2 and message in err, text
 
 
 # --------------------------------------------------------------- exit codes

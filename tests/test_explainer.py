@@ -1,8 +1,11 @@
 """Explainer checks: determinism, gating, growth, caps, refit honesty."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+import slime.explainer
 from oracles import weighted_ols
 from slime.errors import ValidationError
 from slime.explainer import (ExplainerConfig, Explanation, lime_explain,
@@ -140,6 +143,22 @@ def test_slime_grows_until_the_ordering_is_resolved():
     for d in failures:
         assert d.recommended_n > d.n
     assert explanation.test_trace[-1].significant
+
+
+def test_growth_releases_each_sample_before_the_next_standardize(monkeypatch):
+    standardize = slime.explainer.standardize
+    samples = []
+
+    def spy(design, weights):
+        assert all(sample() is None for sample in samples)
+        samples.append(weakref.ref(design.values))
+        return standardize(design, weights)
+
+    monkeypatch.setattr(slime.explainer, "standardize", spy)
+    config = ExplainerConfig(n0=200, k=2, n_max=20000, seed=3)
+    explanation = slime_explain(LinearModel([1.0, 0.98, 0.5]),
+                                InstanceSpec(values=np.zeros(3)), config)
+    assert len(samples) >= 2 and explanation.final_n > 200
 
 
 def test_slime_caps_on_a_coin_flip():

@@ -168,10 +168,11 @@ def child_model(tmp_path, source, input_dim=2, name="child.py"):
 def test_subprocess_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(37, 2)) * 1e3
+    X[:3, 0] = [-0.0, 5e-324, 1e308]
     with child_model(tmp_path, CHILD_FIRST_COLUMN) as model:
         got = model.predict_batch(X)
     # repr-precision serialization makes the float round trip bit exact
-    np.testing.assert_array_equal(got, X[:, 0])
+    assert got.tobytes() == X[:, 0].tobytes()
 
 
 def test_subprocess_batches_at_the_row_limit(tmp_path):
@@ -189,10 +190,25 @@ def test_subprocess_survives_close_and_restart(tmp_path):
     model = child_model(tmp_path, CHILD_FIRST_COLUMN)
     X = np.array([[1.5, 0.0], [2.5, 0.0]])
     np.testing.assert_array_equal(model.predict_batch(X), [1.5, 2.5])
+    child = model._child
     model.close()
     model.close()      # idempotent
+    assert_closed(child)
     np.testing.assert_array_equal(model.predict_batch(X), [1.5, 2.5])
+    dead = model._child
+    dead.kill()
+    dead.wait()
+    np.testing.assert_array_equal(model.predict_batch(X), [1.5, 2.5])
+    assert_closed(dead)    # a dead child is closed before the restart
+    child = model._child
+    child.kill()
     model.close()
+    assert_closed(child)   # closing reaps a child that died first
+
+
+def assert_closed(child):
+    assert child.stdin.closed and child.stdout.closed
+    assert child.returncode is not None
 
 
 @pytest.mark.parametrize("source,fragment", [
