@@ -12,8 +12,9 @@ Three subcommands cover the library's main entry points:
 
 stdout carries only the requested output (JSON or a plain table) so that
 reruns with the same flags are byte-identical; all diagnostics go to stderr.
-Every run also records a manifest file holding the resolved options, and
-``--from-manifest`` replays a recorded run exactly.
+Every run also records a manifest file holding its command line, seed
+included, and ``--from-manifest`` parses that command line again to replay
+the run exactly.
 
 Exit codes: 0 success, 1 reproduction failure, 2 invalid input or flags,
 3 model query failure.
@@ -38,11 +39,11 @@ from .errors import (DegenerateInputError, ModelQueryError, SingularityError,
 from .explainer import ExplainerConfig, lime_explain, slime_explain
 from .models import parse_model_spec
 from .sampling import InstanceSpec, scales_from_csv
-from .stability_testing import DEFAULT_GROWTH_FACTOR
 
 __all__ = ["main"]
 
 _DEFAULT_MANIFEST = "slime-manifest.json"
+_DEFAULTS = ExplainerConfig()
 
 
 def _parse_floats(text: str, flag: str) -> np.ndarray:
@@ -70,21 +71,23 @@ def _add_explain_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--instance", required=True,
                         help="comma-separated feature values")
     parser.add_argument("--method", choices=("lime", "slime"), default="slime")
-    parser.add_argument("--n0", type=int, default=1000,
-                        help="starting sample size (default 1000)")
+    parser.add_argument("--n0", type=int, default=_DEFAULTS.n0,
+                        help="starting sample size (default %(default)s)")
     parser.add_argument("--n", type=int, default=None,
                         help="fixed sample size for --method lime "
                              "(default: --n0)")
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="significance level (default 0.05)")
-    parser.add_argument("--k", type=int, default=5,
-                        help="number of features to select (default 5)")
-    parser.add_argument("--n-max", type=int, default=10000,
-                        help="sample budget (default 10000)")
-    parser.add_argument("--kernel-width", type=float, default=None,
+    parser.add_argument("--alpha", type=float, default=_DEFAULTS.alpha,
+                        help="significance level (default %(default)s)")
+    parser.add_argument("--k", type=int, default=_DEFAULTS.k,
+                        help="number of features to select (default %(default)s)")
+    parser.add_argument("--n-max", type=int, default=_DEFAULTS.n_max,
+                        help="sample budget (default %(default)s)")
+    parser.add_argument("--kernel-width", type=float,
+                        default=_DEFAULTS.kernel_width,
                         help="locality kernel width (default 0.75*sqrt(p))")
     parser.add_argument("--seed", type=int, default=None,
-                        help="base seed (default: SLIME_SEED env var or 0)")
+                        help="base seed (default: SLIME_SEED env var or 0); "
+                             "the manifest records the value used")
     parser.add_argument("--scales", default=None,
                         help="comma-separated per-feature scales, or one "
                              "value for all features")
@@ -92,9 +95,9 @@ def _add_explain_flags(parser: argparse.ArgumentParser) -> None:
                         help="CSV of background rows; per-column standard "
                              "deviations become the feature scales")
     parser.add_argument("--growth-factor", type=float,
-                        default=DEFAULT_GROWTH_FACTOR,
+                        default=_DEFAULTS.growth_factor,
                         help="sample growth multiplier when a test is "
-                             "uninformative (default %(default)g)")
+                             "uninformative (default %(default)s)")
     parser.add_argument("--multiple-testing", action="store_true",
                         help="compare the leader against every trailing "
                              "candidate with a summed p-value bound instead "
@@ -154,36 +157,25 @@ def _manifest_path(args: argparse.Namespace) -> Path:
     return Path(_DEFAULT_MANIFEST)
 
 
-def _write_manifest(args: argparse.Namespace) -> None:
-    options = {key: value for key, value in vars(args).items()
-               if key not in ("from_manifest",)}
-    manifest = {"package_version": __version__, "options": options}
-    path = _manifest_path(args)
+def _write_manifest(argv: list[str], path: Path) -> None:
+    manifest = {"package_version": __version__, "argv": argv}
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
 
 
-def _load_manifest(path: str, parser: argparse.ArgumentParser) -> argparse.Namespace:
+def _load_manifest(path: str) -> list[str]:
+    """The recorded command line; the caller parses it like a typed one."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read manifest: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest is not valid JSON: {exc}") from None
-    options = manifest.get("options") if isinstance(manifest, dict) else None
-    if not isinstance(options, dict) or "command" not in options:
-        raise ValidationError("manifest lacks a recorded command")
-    command = options["command"]
-    commands = next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    if not isinstance(command, str) or command not in commands:
-        raise ValidationError(f"unknown command {command!r}")
-    # Every option the command's parser would have set must be recorded.
-    for action in commands[command]._actions:
-        if action.default != argparse.SUPPRESS and action.dest not in options:
-            raise ValidationError(f"manifest lacks option {action.dest!r}")
-    return argparse.Namespace(**options)
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise ValidationError("manifest lacks a recorded command line")
+    return argv
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -218,10 +210,9 @@ def _build_inputs(args: argparse.Namespace):
     instance = InstanceSpec(values=values,
                             feature_scales=_resolve_scales(args, values.size))
     model = parse_model_spec(args.model, input_dim=values.size)
-    seed = args.seed if args.seed is not None else _env_seed()
     config = ExplainerConfig(
         n0=args.n0, alpha=args.alpha, k=args.k, n_max=args.n_max,
-        kernel_width=args.kernel_width, seed=seed,
+        kernel_width=args.kernel_width, seed=args.seed,
         multiple_testing=args.multiple_testing,
         growth_factor=args.growth_factor,
         reuse_samples=not args.no_reuse)
@@ -238,7 +229,7 @@ def _explanation_table(explanation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
+def _cmd_explain(args: argparse.Namespace) -> tuple[str, int]:
     model, instance, config = _build_inputs(args)
     with model:
         if args.method == "lime":
@@ -250,9 +241,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                           sort_keys=True, indent=2) + "\n"
     else:
         text = _explanation_table(explanation)
-    _emit(text, args.out)
-    _write_manifest(args)
-    return 0
+    return text, 0
 
 
 def _report_payload(report) -> dict:
@@ -268,7 +257,7 @@ def _report_payload(report) -> dict:
     }
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
     if args.reps < 2:
         raise ValidationError("--reps must be at least 2")
     model, instance, config = _build_inputs(args)
@@ -284,18 +273,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         text = json.dumps(_report_payload(report), sort_keys=True, indent=2) + "\n"
     else:
         text = report_to_markdown(report, title=args.method)
-    _emit(text, args.out)
     if report_dir is not None:
         (report_dir / "report.csv").write_text(report_to_csv(report),
                                                encoding="utf-8")
         (report_dir / "report.md").write_text(
             report_to_markdown(report, title=args.method), encoding="utf-8")
         explanations_to_jsonl(explanations, report_dir / "raw.jsonl")
-    _write_manifest(args)
-    return 0
+    return text, 0
 
 
-def _cmd_repro(args: argparse.Namespace) -> int:
+def _cmd_repro(args: argparse.Namespace) -> tuple[str, int]:
     if args.name == "mars":
         result = reproduce_mars_stability(workers=args.workers)
     else:
@@ -310,9 +297,7 @@ def _cmd_repro(args: argparse.Namespace) -> int:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(result.summary_lines()) + "\n"
-    _emit(text, args.out)
-    _write_manifest(args)
-    return 0 if result.passed else 1
+    return text, 0 if result.passed else 1
 
 
 _DISPATCH = {
@@ -324,19 +309,28 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
         if args.from_manifest is not None:
-            others = {key: value for key, value in vars(args).items()
-                      if key not in ("from_manifest", "command") and value}
-            if args.command is not None or others:
+            if args.command is not None:
                 raise ValidationError(
                     "--from-manifest cannot be combined with other flags")
-            args = _load_manifest(args.from_manifest, parser)
+            argv = _load_manifest(args.from_manifest)
+            args = parser.parse_args(argv)
+            if args.from_manifest is not None:
+                raise ValidationError("a manifest cannot replay another manifest")
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        return _DISPATCH[args.command](args)
+        if args.command != "repro" and args.seed is None:
+            # Record the seed actually used so a replay needs no environment.
+            args.seed = _env_seed()
+            argv += ["--seed", str(args.seed)]
+        text, code = _DISPATCH[args.command](args)
+        _emit(text, args.out)
+        _write_manifest(argv, _manifest_path(args))
+        return code
     except (ValidationError, DegenerateInputError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

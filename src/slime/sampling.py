@@ -169,7 +169,8 @@ def kernel_weights(X: np.ndarray, instance: InstanceSpec, width: float) -> np.nd
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != instance.n_features:
         raise ValidationError("X must be 2-d with one column per feature")
-    z = (X - instance.values) / instance.feature_scales
+    z = X - instance.values
+    z /= instance.feature_scales
     d2 = np.einsum("ij,ij->i", z, z)
     return np.maximum(np.exp(-d2 / (width * width)), _MIN_WEIGHT)
 

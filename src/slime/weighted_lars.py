@@ -140,6 +140,18 @@ class PathState:
     aborted: bool = False
 
 
+def _check_weights(weights: np.ndarray, n: int) -> np.ndarray:
+    """Observation weights as floats: n of them, finite, nonnegative, two positive."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValidationError("weights must be a vector with one entry per design row")
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise ValidationError("weights must be finite and nonnegative")
+    if int((w > 0).sum()) < 2:
+        raise DegenerateInputError("need at least two rows with positive weight")
+    return w
+
+
 def standardize(design: DesignMatrix, weights: np.ndarray,
                 *, scale_columns: bool = True) -> StandardizedDesign:
     """Fold in observation weights and standardize every column.
@@ -157,16 +169,7 @@ def standardize(design: DesignMatrix, weights: np.ndarray,
     Weights must be nonnegative and finite with at least two strictly
     positive entries; otherwise no meaningful regression exists.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (design.n_rows,):
-        raise ValidationError("weights must be a vector with one entry per design row")
-    if not np.isfinite(w).all():
-        raise ValidationError("weights must be finite")
-    if (w < 0).any():
-        raise ValidationError("weights must be nonnegative")
-    if int((w > 0).sum()) < 2:
-        raise DegenerateInputError("need at least two rows with positive weight")
-
+    w = _check_weights(weights, design.n_rows)
     sqrt_w = np.sqrt(w)
     total = w.sum()
     means = (w @ design.values) / total
@@ -409,15 +412,11 @@ def refit_least_squares(design: DesignMatrix, response: np.ndarray,
         raise ValidationError("selected features must be distinct")
 
     y = np.asarray(response, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if y.shape != (design.n_rows,) or w.shape != (design.n_rows,):
-        raise ValidationError("response and weights must match the design rows")
+    if y.shape != (design.n_rows,):
+        raise ValidationError("response length must match the design")
     if not np.isfinite(y).all():
         raise ValidationError("response must be finite")
-    if (w < 0).any() or not np.isfinite(w).all():
-        raise ValidationError("weights must be nonnegative and finite")
-    if int((w > 0).sum()) < 2:
-        raise DegenerateInputError("need at least two rows with positive weight")
+    w = _check_weights(weights, design.n_rows)
 
     sqrt_w = np.sqrt(w)
     a = np.empty((design.n_rows, len(cols) + 1))

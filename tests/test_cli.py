@@ -13,6 +13,7 @@ import pytest
 import slime
 from slime.cli import main
 from slime.errors import SlimeError
+from test_acceptance import SPOT_CHECKS
 
 LINEAR3 = ["--model", "builtin:linear:2,-1,0.5", "--instance", "1,2,3"]
 
@@ -66,20 +67,20 @@ def test_explain_reruns_are_byte_identical(capsys):
     assert first == second
 
 
-def test_explain_out_file_and_manifest_placement(capsys, tmp_path):
+def test_explain_out_file_and_manifest_placement(capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.delenv("SLIME_SEED", raising=False)
     out_path = tmp_path / "result.json"
-    code, out, _ = run_cli(
-        ["explain", *LINEAR3, "--n0", "200", "--k", "2",
-         "--out", str(out_path)],
-        capsys)
+    argv = ["explain", *LINEAR3, "--n0", "200", "--k", "2",
+            "--out", str(out_path)]
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == ""
     record = json.loads(out_path.read_text(encoding="utf-8"))
     assert record["final_n"] == 200
     sidecar = tmp_path / "result.json.manifest.json"
     manifest = json.loads(sidecar.read_text(encoding="utf-8"))
-    assert manifest["options"]["command"] == "explain"
-    assert manifest["options"]["n0"] == 200
+    assert manifest["argv"] == [*argv, "--seed", "0"]
 
 
 def test_explain_lime_uses_n_flag(capsys):
@@ -103,14 +104,25 @@ def test_explain_via_module_subprocess_matches_in_process(capsys, tmp_path):
 
 # ---------------------------------------------------------------- manifests
 
-def test_manifest_replay_reproduces_output(capsys, tmp_path):
-    manifest = tmp_path / "run.manifest.json"
-    argv = ["explain", *LINEAR3, "--n0", "250", "--k", "3", "--seed", "6",
-            "--manifest", str(manifest)]
-    _, original, _ = run_cli(argv, capsys)
-    code, replayed, _ = run_cli(["--from-manifest", str(manifest)], capsys)
-    assert code == 0
-    assert replayed == original
+def test_manifest_replay_reproduces_output(capsys, tmp_path, monkeypatch):
+    # The last case takes its seed from SLIME_SEED and is replayed without it.
+    cases = [(argv, None) for _, argv in SPOT_CHECKS]
+    cases.append((["explain", *LINEAR3, "--k", "2", "--n0", "200"], "7"))
+    for i, (argv, env_seed) in enumerate(cases):
+        manifest = tmp_path / f"run-{i}.manifest.json"
+        if env_seed is None:
+            monkeypatch.delenv("SLIME_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SLIME_SEED", env_seed)
+        code, original, _ = run_cli([*argv, "--manifest", str(manifest)],
+                                    capsys)
+        assert code == 0, argv
+        recorded = manifest.read_bytes()
+        monkeypatch.delenv("SLIME_SEED", raising=False)
+        code, replayed, _ = run_cli(["--from-manifest", str(manifest)], capsys)
+        assert code == 0, argv
+        assert replayed == original, argv
+        assert manifest.read_bytes() == recorded, argv
 
 
 def test_from_manifest_rejects_extra_flags(capsys, tmp_path):
@@ -127,20 +139,32 @@ def test_from_manifest_missing_or_malformed(capsys, tmp_path):
     code, _, err = run_cli(["--from-manifest", str(tmp_path / "nope.json")],
                            capsys)
     assert code == 2 and "cannot read manifest" in err
-    manifest = tmp_path / "run.manifest.json"
-    run_cli(["explain", *LINEAR3, "--manifest", str(manifest)], capsys)
-    recorded = json.loads(manifest.read_text(encoding="utf-8"))
-    del recorded["options"]["scales"]
     bad = tmp_path / "bad.json"
+    old_format = {"package_version": "0.1.0",
+                  "options": {"command": "explain", "model": "builtin:mars"}}
     for text, message in [
-            ("{}", "lacks a recorded command"),
-            ("[1, 2]", "lacks a recorded command"),
-            ('{"options": {"command": ["explain"]}}', "unknown command"),
-            ('{"options": {"command": "explain"}}', "lacks option 'model'"),
-            (json.dumps(recorded), "lacks option 'scales'")]:
+            ("{", "not valid JSON"),
+            ("{}", "lacks a recorded command line"),
+            ("[1, 2]", "lacks a recorded command line"),
+            ('{"argv": "explain"}', "lacks a recorded command line"),
+            ('{"argv": ["explain", 3]}', "lacks a recorded command line"),
+            (json.dumps(old_format), "lacks a recorded command line"),
+            (json.dumps({"argv": ["--from-manifest", "other.json"]}),
+             "cannot replay another manifest")]:
         bad.write_text(text, encoding="utf-8")
         code, _, err = run_cli(["--from-manifest", str(bad)], capsys)
         assert code == 2 and message in err, text
+    # A recorded command line is parsed like a typed one.
+    for argv in (["explain", *LINEAR3, "--n0", "abc"],
+                 ["explain", *LINEAR3, "--method", "nonsense"],
+                 ["explain", *LINEAR3, "--k", "2.5"],
+                 ["explain", *LINEAR3, "--multiple-testing", "yes"],
+                 ["explain", "--instance", "1,2,3"]):
+        bad.write_text(json.dumps({"argv": argv}), encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            main(["--from-manifest", str(bad)])
+        assert info.value.code == 2, argv
+        assert "usage:" in capsys.readouterr().err, argv
 
 
 # --------------------------------------------------------------- exit codes
@@ -268,7 +292,7 @@ def test_bench_json_report_and_files(capsys, tmp_path):
     raw_lines = (report_dir / "raw.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(raw_lines) == 3
     manifest = json.loads((report_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["options"]["command"] == "bench"
+    assert manifest["argv"] == [*BENCH_ARGS, "--report", str(report_dir)]
 
 
 def test_bench_reruns_and_workers_are_byte_identical(capsys):
