@@ -14,7 +14,8 @@ stdout carries only the requested output (JSON or a plain table) so that
 reruns with the same flags are byte-identical; all diagnostics go to stderr.
 Every run also records a manifest file holding its command line, seed
 included, and ``--from-manifest`` parses that command line again to replay
-the run exactly.
+the run exactly.  A ``--scales-csv`` file is recorded by its sha256, and a
+replay refuses a file whose contents changed.
 
 Exit codes: 0 success, 1 reproduction failure, 2 invalid input or flags,
 3 model query failure.
@@ -23,6 +24,7 @@ Exit codes: 0 success, 1 reproduction failure, 2 invalid input or flags,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -157,15 +159,18 @@ def _manifest_path(args: argparse.Namespace) -> Path:
     return Path(_DEFAULT_MANIFEST)
 
 
-def _write_manifest(argv: list[str], path: Path) -> None:
+def _write_manifest(argv: list[str], path: Path, scales_sha256: str | None) -> None:
     manifest = {"package_version": __version__, "argv": argv}
+    if scales_sha256 is not None:
+        manifest["scales_csv_sha256"] = scales_sha256
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
 
 
-def _load_manifest(path: str) -> list[str]:
-    """The recorded command line; the caller parses it like a typed one."""
+def _load_manifest(path: str) -> tuple[list[str], object]:
+    """The recorded command line, which the caller parses like a typed one,
+    and the recorded ``--scales-csv`` digest (None when absent)."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -175,7 +180,14 @@ def _load_manifest(path: str) -> list[str]:
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise ValidationError("manifest lacks a recorded command line")
-    return argv
+    return argv, manifest.get("scales_csv_sha256")
+
+
+def _sha256(path: str) -> str:
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as exc:
+        raise ValidationError(f"cannot read background file {path}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -312,11 +324,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     try:
-        if args.from_manifest is not None:
+        replay = args.from_manifest
+        if replay is not None:
             if args.command is not None:
                 raise ValidationError(
                     "--from-manifest cannot be combined with other flags")
-            argv = _load_manifest(args.from_manifest)
+            argv, recorded_sha256 = _load_manifest(replay)
             args = parser.parse_args(argv)
             if args.from_manifest is not None:
                 raise ValidationError("a manifest cannot replay another manifest")
@@ -327,9 +340,17 @@ def main(argv: list[str] | None = None) -> int:
             # Record the seed actually used so a replay needs no environment.
             args.seed = _env_seed()
             argv += ["--seed", str(args.seed)]
+        scales_csv = getattr(args, "scales_csv", None)
+        scales_sha256 = None if scales_csv is None else _sha256(scales_csv)
+        if replay is not None and scales_csv is not None \
+                and scales_sha256 != recorded_sha256:
+            # Same command line, other scales: the replay would not reproduce.
+            raise ValidationError(
+                f"--scales-csv {scales_csv} has sha256 {scales_sha256}, "
+                f"but {replay} recorded {recorded_sha256 or 'no digest'}")
         text, code = _DISPATCH[args.command](args)
         _emit(text, args.out)
-        _write_manifest(argv, _manifest_path(args))
+        _write_manifest(argv, _manifest_path(args), scales_sha256)
         return code
     except (ValidationError, DegenerateInputError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

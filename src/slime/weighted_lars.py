@@ -7,11 +7,15 @@ transformed data the plain LARS recursion traces the weighted LASSO
 coefficient path, and the inner product of a column with the residual is
 exactly the quantity the entry-stability test reasons about.
 
-The solver walks the path breakpoint by breakpoint.  Before every variable
-entry an optional observer is shown the current residual and the remaining
-candidates ranked by absolute correlation; it may vote to abort, which is how
-the adaptive explainer interrupts a path whose next entry is statistically
-undecided.
+The solver walks the path breakpoint by breakpoint in covariance form
+(Efron, Hastie, Johnstone & Tibshirani 2004, section 7): standardization
+forms the p x p Gram matrix of the transformed columns once, and every step
+works on it and on the correlations with the response, never on the n x p
+base.  The base is read only to materialize the residual: before each entry
+an optional observer is shown it with the remaining candidates ranked by
+absolute correlation, and the returned state carries the final one.  The
+observer may vote to abort, which is how the adaptive explainer interrupts a
+path whose next entry is statistically undecided.
 """
 
 from __future__ import annotations
@@ -81,15 +85,17 @@ class DesignMatrix:
 class StandardizedDesign:
     """Design after weight folding, weighted centering and norm scaling.
 
-    ``base`` holds the transformed values for the retained columns only.
-    ``col_means`` are the weighted means that were removed and ``col_norms``
-    the Euclidean norms divided out, both aligned with ``base``.  Columns
+    ``base`` holds the transformed values for the retained columns only and
+    ``gram`` their p x p Gram matrix ``base.T @ base``.  ``col_means`` are
+    the weighted means that were removed and ``col_norms`` the Euclidean
+    norms divided out, both aligned with ``base``.  Columns
     whose norm fell below the drop threshold are listed in ``dropped_cols``
     and excluded from the path.  ``retained_idx`` maps each base column back
     to its position in the original design.
     """
 
     base: DesignMatrix
+    gram: np.ndarray
     col_means: np.ndarray
     col_norms: np.ndarray
     dropped_cols: tuple[str, ...]
@@ -159,7 +165,8 @@ def standardize(design: DesignMatrix, weights: np.ndarray,
     Row i is scaled by sqrt(weights[i]); each column is then centered by its
     weighted mean (so the scaled column is orthogonal to the scaled intercept)
     and divided by its Euclidean norm.  Columns that become numerically zero
-    are dropped rather than producing garbage directions.
+    are dropped rather than producing garbage directions.  The Gram matrix of
+    the retained columns is formed here, once, for :func:`lars_lasso_path`.
 
     With ``scale_columns=False`` the centered columns keep their natural
     norms.  Entry order on such a design is driven by inner products rather
@@ -170,12 +177,14 @@ def standardize(design: DesignMatrix, weights: np.ndarray,
     positive entries; otherwise no meaningful regression exists.
     """
     w = _check_weights(weights, design.n_rows)
-    sqrt_w = np.sqrt(w)
-    total = w.sum()
-    means = (w @ design.values) / total
-    transformed = design.values - means
-    transformed *= sqrt_w[:, None]
-    norms = np.linalg.norm(transformed, axis=0)
+    means = (w @ design.values) / w.sum()
+    # Fortran order keeps every column contiguous: the entry gate reads the
+    # base one column at a time, and BLAS sums in a layout-dependent order,
+    # so the walk's output bytes depend on the layout.
+    transformed = np.subtract(design.values, means, order="F")
+    transformed *= np.sqrt(w)[:, None]
+    gram = transformed.T @ transformed
+    norms = np.sqrt(np.diag(gram))
 
     keep = norms >= _TOL
     retained_idx = np.flatnonzero(keep)
@@ -185,14 +194,13 @@ def standardize(design: DesignMatrix, weights: np.ndarray,
     kept_names = tuple(design.column_names[i] for i in retained_idx)
 
     divisor = norms[retained_idx] if scale_columns else np.ones(retained_idx.size)
-    # The fancy index yields a Fortran-ordered copy; BLAS products and column
-    # norms sum in a layout-dependent order, so the path's bytes depend on it.
-    values = transformed[:, retained_idx]
+    values = transformed[:, retained_idx] if dropped else transformed
     del transformed
     values /= divisor
     base = DesignMatrix(values=values, column_names=kept_names)
     return StandardizedDesign(
         base=base,
+        gram=gram[np.ix_(retained_idx, retained_idx)] / np.outer(divisor, divisor),
         col_means=means[retained_idx],
         col_norms=divisor,
         dropped_cols=dropped,
@@ -233,6 +241,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
     returned state ``aborted``.
     """
     X = design.base.values
+    gram = design.gram
     names = design.base.column_names
     n, m = X.shape
     y = np.asarray(response, dtype=float)
@@ -245,7 +254,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
             f"max_active must lie in [1, min(n - 1, p)] = [1, {min(n - 1, m)}], got {max_active}")
 
     beta = np.zeros(m)
-    r = y.copy()
+    xty = X.T @ y
     active: list[int] = []
     entry_events: list[tuple[int, str, float]] = []
     drop_events: list[tuple[int, str]] = []
@@ -266,7 +275,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
             beta=expand(beta), lam=lam,
             active=tuple(names[j] for j in active)))
 
-    c = X.T @ r
+    c = xty
     record(c)
 
     while True:
@@ -284,12 +293,12 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
                 break  # residual carries no further signal
             ranked = sorted(inactive, key=lambda j: (-abs_c[j], j))
             if observer is not None:
-                r_view = r[:]
-                r_view.flags.writeable = False
+                r = y - X @ beta
+                r.flags.writeable = False
                 ctx = EntryContext(
                     step=step + 1,
                     n_active=len(active),
-                    residual=r_view,
+                    residual=r,
                     candidates=tuple(
                         EntryCandidate(index=j, name=names[j], c_hat=float(c[j] / n))
                         for j in ranked),
@@ -307,10 +316,9 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         idx = np.asarray(active, dtype=int)
         signs = np.sign(c[idx])
         signs[signs == 0] = 1.0
-        XA = X[:, idx] * signs
-        gram = XA.T @ XA
         try:
-            chol = scipy.linalg.cho_factor(gram, lower=True)
+            chol = scipy.linalg.cho_factor(
+                gram[np.ix_(idx, idx)] * np.outer(signs, signs), lower=True)
         except scipy.linalg.LinAlgError:
             raise SingularityError(
                 "active feature set has a rank-deficient Gram matrix",
@@ -322,9 +330,8 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
                 "active feature set has a numerically singular Gram matrix",
                 features=tuple(names[j] for j in active))
         aa = 1.0 / np.sqrt(denom)
-        w_dir = aa * ga_inv_one
-        u = XA @ w_dir                       # unit equiangular vector
-        a = X.T @ u
+        d = signs * aa * ga_inv_one          # coefficient direction for active columns
+        a = gram[:, idx] @ d                 # correlations with the unit equiangular vector
         cmax = float(abs_c[idx].max())
 
         # Step to the next tie among inactive candidates.  A just-dropped
@@ -349,7 +356,6 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         gamma = min(gamma_entry, gamma_ls)
 
         dropped_now: list[int] = []
-        d = signs * w_dir                    # coefficient direction for active columns
         crossing = -beta[idx] / np.where(d != 0, d, np.nan)
         crossing = np.where(np.isfinite(crossing), crossing, np.inf)
         ahead = crossing[crossing > _TOL * (1.0 + min(gamma, gamma_ls))]
@@ -374,8 +380,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         elif gamma > _TOL * (1.0 + cmax):
             just_dropped = set()
 
-        r = y - X @ beta                     # recompute: keeps breakpoints exact
-        c = X.T @ r
+        c = xty - gram @ beta                # from scratch: keeps breakpoints exact
         record(c)
 
         if gamma == gamma_ls and not dropped_now:
@@ -384,7 +389,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
     return PathState(
         active_set=[names[j] for j in active],
         beta=expand(beta),
-        residual=r,
+        residual=y - X @ beta,
         entry_events=entry_events,
         drop_events=drop_events,
         breakpoints=breakpoints,

@@ -1,5 +1,6 @@
 """Command-line checks: formats, exit codes, manifests, reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from slime.errors import SlimeError
 from test_acceptance import SPOT_CHECKS
 
 LINEAR3 = ["--model", "builtin:linear:2,-1,0.5", "--instance", "1,2,3"]
+BACKGROUND = "a,b,c\n1,2,3\n2,0,5\n0.5,1,4\n"
 
 
 @pytest.fixture(autouse=True)
@@ -105,9 +107,14 @@ def test_explain_via_module_subprocess_matches_in_process(capsys, tmp_path):
 # ---------------------------------------------------------------- manifests
 
 def test_manifest_replay_reproduces_output(capsys, tmp_path, monkeypatch):
-    # The last case takes its seed from SLIME_SEED and is replayed without it.
+    # One case takes its seed from SLIME_SEED and is replayed without it; the
+    # last one reads its scales from a CSV file, recorded by its digest.
+    background = tmp_path / "bg.csv"
+    background.write_text(BACKGROUND, encoding="utf-8")
     cases = [(argv, None) for _, argv in SPOT_CHECKS]
     cases.append((["explain", *LINEAR3, "--k", "2", "--n0", "200"], "7"))
+    cases.append((["explain", *LINEAR3, "--k", "2", "--n0", "200",
+                   "--scales-csv", str(background)], None))
     for i, (argv, env_seed) in enumerate(cases):
         manifest = tmp_path / f"run-{i}.manifest.json"
         if env_seed is None:
@@ -123,6 +130,8 @@ def test_manifest_replay_reproduces_output(capsys, tmp_path, monkeypatch):
         assert code == 0, argv
         assert replayed == original, argv
         assert manifest.read_bytes() == recorded, argv
+    assert json.loads(recorded)["scales_csv_sha256"] == \
+        hashlib.sha256(background.read_bytes()).hexdigest()
 
 
 def test_from_manifest_rejects_extra_flags(capsys, tmp_path):
@@ -165,6 +174,25 @@ def test_from_manifest_missing_or_malformed(capsys, tmp_path):
             main(["--from-manifest", str(bad)])
         assert info.value.code == 2, argv
         assert "usage:" in capsys.readouterr().err, argv
+    # A recorded --scales-csv file must still hold what it held.
+    background = tmp_path / "bg.csv"
+    background.write_text(BACKGROUND, encoding="utf-8")
+    recorded = tmp_path / "scales.manifest.json"
+    code, _, _ = run_cli(["explain", *LINEAR3, "--n0", "200", "--k", "2",
+                          "--scales-csv", str(background),
+                          "--manifest", str(recorded)], capsys)
+    assert code == 0
+    manifest = json.loads(recorded.read_text(encoding="utf-8"))
+    digest = manifest.pop("scales_csv_sha256")
+    background.write_text(BACKGROUND.replace("0.5,1,4", "0.5,1,9"),
+                          encoding="utf-8")
+    edited = hashlib.sha256(background.read_bytes()).hexdigest()
+    code, out, err = run_cli(["--from-manifest", str(recorded)], capsys)
+    assert code == 2 and out == ""
+    assert str(background) in err and digest in err and edited in err
+    bad.write_text(json.dumps(manifest), encoding="utf-8")
+    code, _, err = run_cli(["--from-manifest", str(bad)], capsys)
+    assert code == 2 and "recorded no digest" in err
 
 
 # --------------------------------------------------------------- exit codes

@@ -1,6 +1,7 @@
 """Path solver checks against closed forms and a coordinate-descent oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,23 @@ def test_standardize_base_is_fortran_ordered():
     for scale_columns in (True, False):
         std = standardize(design, w, scale_columns=scale_columns)
         assert std.base.values.flags.f_contiguous
+
+
+def test_standardize_peak_memory_is_one_copy_of_the_design():
+    # The base is the only n x p array standardize allocates when no column
+    # is dropped; everything else it builds is p x p or one row long.
+    rng = np.random.default_rng(0)
+    n, p = 20000, 50
+    design = make_design(rng.normal(size=(n, p)))
+    w = rng.uniform(0.5, 1.5, size=n)
+    tracemalloc.start()
+    try:
+        std = standardize(design, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert std.dropped_cols == ()
+    assert peak <= 1.25 * n * p * 8, f"peak {peak} bytes for a {n}x{p} design"
 
 
 def test_standardize_rejects_bad_weights():
@@ -295,6 +313,11 @@ def test_observer_sees_ranked_candidates_and_can_abort():
     assert len(state.active_set) == 1
     assert seen[0].step == 1 and seen[0].n_active == 0
     assert seen[1].step == 2 and seen[1].n_active == 1
+    # Entry s sees the state of breakpoint s - 1 (breakpoint 0 is beta = 0).
+    for ctx in seen:
+        beta = state.breakpoints[ctx.step - 1].beta[std.retained_idx]
+        np.testing.assert_allclose(ctx.residual, yt - std.base.values @ beta,
+                                   rtol=0, atol=1e-12)
 
 
 def test_entry_correlation_scale_is_mean_inner_product():
@@ -392,6 +415,8 @@ def test_path_invariants_hold_on_random_problems(seed, n, p):
         assert kkt_violation(Xs, yt, beta, bp.lam) <= 1e-7 * scale
         inactive = [j for j, name in enumerate(std.base.column_names)
                     if name not in bp.active]
+        c = Xs.T @ (yt - Xs @ beta)
+        # The walk steps on the Gram; the residual form must give its lambda.
+        assert abs(bp.lam - np.max(np.abs(c))) <= 1e-10 * scale
         if inactive:
-            c = Xs.T @ (yt - Xs @ beta)
             assert np.max(np.abs(c[inactive])) <= bp.lam + 1e-7 * scale
