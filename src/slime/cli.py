@@ -340,6 +340,15 @@ def main(argv: list[str] | None = None) -> int:
             # Record the seed actually used so a replay needs no environment.
             args.seed = _env_seed()
             argv += ["--seed", str(args.seed)]
+        # Record every relative path as an absolute one, so a replay from
+        # another directory reads and writes the files this run did.
+        for flag in ("--scales-csv", "--out", "--report", "--manifest"):
+            dest = flag[2:].replace("-", "_")
+            # The manifest's own path may be derived from --out or --report.
+            path = _manifest_path(args) if dest == "manifest" else getattr(args, dest, None)
+            if path and not os.path.isabs(path):
+                setattr(args, dest, os.path.abspath(path))
+                argv += [flag, getattr(args, dest)]
         scales_csv = getattr(args, "scales_csv", None)
         scales_sha256 = None if scales_csv is None else _sha256(scales_csv)
         if replay is not None and scales_csv is not None \

@@ -126,8 +126,8 @@ class _EntryGate:
         return decision.significant
 
     def _signed_column(self, candidate) -> np.ndarray:
-        column = self.design.base.values[:, candidate.index]
-        return -column if candidate.c_hat < 0 else column
+        column = self.design.column(candidate.index)
+        return np.negative(column, out=column) if candidate.c_hat < 0 else column
 
 
 def _walk(design: DesignMatrix, dataset: PerturbationDataset,
@@ -135,12 +135,12 @@ def _walk(design: DesignMatrix, dataset: PerturbationDataset,
     """One round: standardize the sample and walk its LASSO path.
 
     With a ``trace`` every entry is gated and its decision appended there.
-    The standardized copy and the gate die when the round returns, so they
+    The standardized design and the gate die when the round returns, so they
     are never alive while the next round grows the sample.
     """
-    std = standardize(design, dataset.weights)
+    std = standardize(design, dataset.weights, moments=dataset.moments)
     response = transform_response(dataset.y, dataset.weights)
-    max_active = min(config.k, std.base.n_cols, dataset.n - 1)
+    max_active = min(config.k, std.retained_idx.size, dataset.n - 1)
     gate = None if trace is None else _EntryGate(config, std, trace)
     return lars_lasso_path(std, response, max_active, observer=gate)
 
@@ -158,7 +158,8 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
     round_index = 0
     while True:
         # Rebinding releases the previous round's sample before standardize.
-        design = DesignMatrix(values=dataset.X, column_names=instance.feature_names)
+        # Sampled rows are finite by construction: no finiteness scan.
+        design = DesignMatrix._trusted(dataset.X, instance.feature_names)
         state = _walk(design, dataset, config, trace if gated and not capped else None)
         if not state.aborted:
             break
@@ -170,7 +171,10 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
         round_index += 1
         if config.reuse_samples:
             if recommended > dataset.n:
-                dataset = extend_dataset(model, dataset, recommended)
+                # The budget is reserved on the first growth; the rows it
+                # never fills are never touched.
+                dataset = extend_dataset(model, dataset, recommended,
+                                         capacity=config.n_max)
         else:
             round_seed = int(seed_sequence(config.seed, (0x5EED, round_index))
                              .generate_state(1, np.uint64)[0])

@@ -11,19 +11,28 @@ adaptive sample-growing loop cheap and reproducible.
 Kernel weights follow the usual locality kernel
 ``exp(-d^2 / width^2)`` with d the Euclidean distance measured in
 scale-normalized coordinates, so the instance itself would get weight 1.
+
+A dataset's rows pass through memory once after they are drawn: one blocked
+pass computes their kernel weights and adds their weighted moments about the
+instance (:class:`~slime.weighted_lars.WeightedMoments`) to the ones the
+dataset carries, so standardizing a grown sample costs p x p algebra plus
+the new rows.  The sample is the only n x p array: it lives in one C-order
+buffer, and growth writes the new rows into the buffer's spare rows, which
+the caller may reserve up front (``extend_dataset(..., capacity=)``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateInputError, ModelQueryError, ValidationError
 from .models import Model
+from .weighted_lars import WeightedMoments, row_blocks
 
 __all__ = [
     "InstanceSpec",
@@ -88,7 +97,11 @@ class PerturbationDataset:
     """Synthetic neighborhood: rows, model answers, kernel weights, lineage.
 
     ``seed`` and ``kernel_width`` are carried along so the dataset can be
-    extended later without re-querying existing rows.
+    extended later without re-querying existing rows.  ``moments`` holds
+    the weighted moments of the rows about the instance; ``build_dataset``
+    and ``extend_dataset`` fill it in.  ``_buffer``, when set, is the array
+    whose leading rows ``X`` views; its later rows are spare capacity for
+    growth.
     """
 
     X: np.ndarray
@@ -98,6 +111,8 @@ class PerturbationDataset:
     n: int
     instance: InstanceSpec
     kernel_width: float
+    moments: WeightedMoments | None = field(default=None, repr=False, compare=False)
+    _buffer: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.X.shape != (self.n, self.instance.n_features):
@@ -132,9 +147,12 @@ def _block_rows(seed: int, block: int, p: int) -> np.ndarray:
     return gen.standard_normal((_BLOCK, p))
 
 
-def _standard_rows(seed: int, start: int, stop: int, p: int) -> np.ndarray:
-    """Rows [start, stop) of the infinite standard-normal table for this seed."""
-    out = np.empty((stop - start, p))
+def _standard_rows(seed: int, start: int, stop: int, p: int,
+                   out: np.ndarray | None) -> np.ndarray:
+    """Rows [start, stop) of the infinite standard-normal table for this
+    seed, written into ``out`` when given."""
+    if out is None:
+        out = np.empty((stop - start, p))
     first = start // _BLOCK
     last = (stop - 1) // _BLOCK
     for block in range(first, last + 1):
@@ -146,17 +164,20 @@ def _standard_rows(seed: int, start: int, stop: int, p: int) -> np.ndarray:
 
 
 def gaussian_perturb(instance: InstanceSpec, n: int, seed: int, *,
-                     start: int = 0) -> np.ndarray:
+                     start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Draw perturbation rows ``start .. start+n-1`` around the instance.
 
     Deterministic in ``(seed, row index, p)``; the default ``start=0`` yields
-    the first n rows.  The instance itself is never injected.
+    the first n rows.  The instance itself is never injected.  With ``out``,
+    an (n, p) float array, the rows are written there and ``out`` returned.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
     if start < 0:
         raise ValidationError("start must be nonnegative")
-    z = _standard_rows(int(seed), start, start + n, instance.n_features)
+    if out is not None and out.shape != (n, instance.n_features):
+        raise ValidationError("out must have shape (n, p)")
+    z = _standard_rows(int(seed), start, start + n, instance.n_features, out)
     z *= instance.feature_scales
     z += instance.values
     return z
@@ -164,15 +185,31 @@ def gaussian_perturb(instance: InstanceSpec, n: int, seed: int, *,
 
 def kernel_weights(X: np.ndarray, instance: InstanceSpec, width: float) -> np.ndarray:
     """Locality weights ``exp(-d^2 / width^2)`` in scale-normalized coordinates."""
-    if not (width > 0 and math.isfinite(width)):
-        raise ValidationError("kernel width must be positive and finite")
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != instance.n_features:
         raise ValidationError("X must be 2-d with one column per feature")
-    z = X - instance.values
-    z /= instance.feature_scales
-    d2 = np.einsum("ij,ij->i", z, z)
-    return np.maximum(np.exp(-d2 / (width * width)), _MIN_WEIGHT)
+    return _weigh(X, instance, width, None)
+
+
+def _weigh(X: np.ndarray, instance: InstanceSpec, width: float,
+           moments: WeightedMoments | None) -> np.ndarray:
+    """Kernel weights of the rows of X, in one blocked pass that also adds
+    the rows to ``moments`` (about the instance) when given.
+
+    Each row's weight depends on that row alone, so the bytes do not depend
+    on the blocking or on which rows are weighed together.
+    """
+    if not (width > 0 and math.isfinite(width)):
+        raise ValidationError("kernel width must be positive and finite")
+    w = np.empty(X.shape[0])
+    for rows in row_blocks(X.shape[0]):
+        u = X[rows] - instance.values
+        z = u / instance.feature_scales
+        d2 = np.einsum("ij,ij->i", z, z)
+        w[rows] = np.maximum(np.exp(-d2 / (width * width)), _MIN_WEIGHT)
+        if moments is not None:
+            moments.add(u, w[rows])
+    return w
 
 
 def query_model(model: Model, X: np.ndarray) -> np.ndarray:
@@ -199,34 +236,48 @@ def build_dataset(model: Model, instance: InstanceSpec, n: int, seed: int,
     width = default_kernel_width(instance.n_features) if kernel_width is None else kernel_width
     X = gaussian_perturb(instance, n, seed)
     y = query_model(model, X)
-    w = kernel_weights(X, instance, width)
+    moments = WeightedMoments.about(instance.values)
+    w = _weigh(X, instance, width, moments)
     return PerturbationDataset(X=X, y=y, weights=w, seed=int(seed), n=n,
-                               instance=instance, kernel_width=float(width))
+                               instance=instance, kernel_width=float(width),
+                               moments=moments)
 
 
-def extend_dataset(model: Model, dataset: PerturbationDataset,
-                   new_n: int) -> PerturbationDataset:
+def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
+                   capacity: int = 0) -> PerturbationDataset:
     """Grow a dataset to ``new_n`` rows, querying the model only for new rows.
 
     The first ``dataset.n`` rows are reused bit for bit; the added rows are
     exactly those a fresh ``build_dataset(..., new_n, same seed)`` would have
-    produced, by the prefix property of the row generator.
+    produced, by the prefix property of the row generator.  They are written
+    into the spare rows of the dataset's buffer; when it has too few, a new
+    buffer of ``max(new_n, capacity)`` rows takes the old rows first.  Two
+    datasets may share a buffer: rows are a pure function of their index, so
+    a row written twice is written with the same bytes.
     """
     if new_n <= dataset.n:
         raise ValidationError(
             f"new_n must exceed the current {dataset.n} rows, got {new_n}")
-    X_new = gaussian_perturb(dataset.instance, new_n - dataset.n, dataset.seed,
-                             start=dataset.n)
+    n = dataset.n
+    buffer = dataset._buffer
+    if buffer is None or buffer.shape[0] < new_n:
+        buffer = np.empty((max(new_n, capacity), dataset.instance.n_features))
+        buffer[:n] = dataset.X
+    X_new = gaussian_perturb(dataset.instance, new_n - n, dataset.seed,
+                             start=n, out=buffer[n:new_n])
     y_new = query_model(model, X_new)
-    w_new = kernel_weights(X_new, dataset.instance, dataset.kernel_width)
+    moments = None if dataset.moments is None else dataset.moments.copy()
+    w_new = _weigh(X_new, dataset.instance, dataset.kernel_width, moments)
     return PerturbationDataset(
-        X=np.vstack([dataset.X, X_new]),
+        X=buffer[:new_n],
         y=np.concatenate([dataset.y, y_new]),
         weights=np.concatenate([dataset.weights, w_new]),
         seed=dataset.seed,
         n=new_n,
         instance=dataset.instance,
         kernel_width=dataset.kernel_width,
+        moments=moments,
+        _buffer=buffer,
     )
 
 

@@ -7,21 +7,31 @@ transformed data the plain LARS recursion traces the weighted LASSO
 coefficient path, and the inner product of a column with the residual is
 exactly the quantity the entry-stability test reasons about.
 
+Standardization works from weighted moments of the rows about a fixed shift
+(:class:`WeightedMoments`: the sums of w, w*u and w*u*u^T with u = x - shift).
+They add up across rows, so a sample that grows can carry them along and
+pay only for its new rows; standardizing is then p x p algebra: the weighted
+means, the norms and the Gram matrix of the transformed columns.  The
+transformed n x p matrix is never stored on the solver's path.  A column is
+built from the raw sample when it is needed, and ``StandardizedDesign.base``
+builds them all, lazily, for callers that want the whole matrix.
+
 The solver walks the path breakpoint by breakpoint in covariance form
-(Efron, Hastie, Johnstone & Tibshirani 2004, section 7): standardization
-forms the p x p Gram matrix of the transformed columns once, and every step
-works on it and on the correlations with the response, never on the n x p
-base.  The base is read only to materialize the residual: before each entry
-an optional observer is shown it with the remaining candidates ranked by
-absolute correlation, and the returned state carries the final one.  The
-observer may vote to abort, which is how the adaptive explainer interrupts a
-path whose next entry is statistically undecided.
+(Efron, Hastie, Johnstone & Tibshirani 2004, section 7): every step works on
+the Gram matrix and on the correlations with the response, which one
+blocked pass over the sample computes.  The residual is materialized only
+from the active columns: before each entry an optional observer is shown it
+with the remaining candidates ranked by absolute correlation, and the
+returned state carries the final one.  The observer may vote to abort,
+which is how the adaptive explainer interrupts a path whose next entry is
+statistically undecided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +41,7 @@ from .errors import DegenerateInputError, SingularityError, ValidationError
 __all__ = [
     "DesignMatrix",
     "StandardizedDesign",
+    "WeightedMoments",
     "EntryCandidate",
     "EntryContext",
     "PathBreakpoint",
@@ -45,6 +56,16 @@ __all__ = [
 # stops once no correlation exceeds it, and scaled by a step's size it
 # separates a real step from rounding noise.
 _TOL = 1e-12
+
+# Rows per block of the passes that stream an n x p sample: enough for BLAS
+# to run at speed, few enough that a block's temporaries are small next to
+# the sample.
+ROW_BLOCK = 4096
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """Slices of at most ``ROW_BLOCK`` rows that cover rows 0..n-1."""
+    return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -72,6 +93,16 @@ class DesignMatrix:
         if not np.isfinite(values).all():
             raise ValidationError("design values must be finite")
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray, column_names: tuple[str, ...]) -> "DesignMatrix":
+        """A design over values known to be a finite float matrix, such as
+        the sampler's rows, built without the checks meant for outside input
+        (the finiteness scan reads every entry)."""
+        design = object.__new__(cls)
+        object.__setattr__(design, "values", values)
+        object.__setattr__(design, "column_names", column_names)
+        return design
+
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
@@ -81,26 +112,125 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
+@dataclass
+class WeightedMoments:
+    """Running weighted sums of sample rows about a fixed ``shift``.
+
+    Over the rows added so far, with u = x - shift: ``total`` is the sum of
+    w, ``first`` the sum of w*u and ``second`` the sum of w*u*u^T.  The
+    shift keeps the sums well conditioned when the rows sit far from zero
+    but close together; the sampler shifts by the instance, the centre its
+    rows are drawn around.
+    """
+
+    shift: np.ndarray
+    total: float
+    first: np.ndarray
+    second: np.ndarray
+
+    @classmethod
+    def about(cls, shift: np.ndarray) -> "WeightedMoments":
+        """No rows yet."""
+        p = shift.size
+        return cls(shift=shift, total=0.0, first=np.zeros(p), second=np.zeros((p, p)))
+
+    @classmethod
+    def of(cls, X: np.ndarray, weights: np.ndarray, shift: np.ndarray) -> "WeightedMoments":
+        """The moments of every row of X, in one blocked pass."""
+        moments = cls.about(shift)
+        for rows in row_blocks(X.shape[0]):
+            moments.add(X[rows] - shift, weights[rows])
+        return moments
+
+    def add(self, u: np.ndarray, w: np.ndarray) -> None:
+        """Add rows ``u`` (already shifted) with weights ``w``."""
+        t = u * np.sqrt(w)[:, None]
+        self.second += t.T @ t
+        self.first += w @ u
+        self.total += float(w.sum())
+
+    def copy(self) -> "WeightedMoments":
+        return WeightedMoments(shift=self.shift, total=self.total,
+                               first=self.first.copy(), second=self.second.copy())
+
+
 @dataclass(frozen=True)
 class StandardizedDesign:
     """Design after weight folding, weighted centering and norm scaling.
 
-    ``base`` holds the transformed values for the retained columns only and
-    ``gram`` their p x p Gram matrix ``base.T @ base``.  ``col_means`` are
-    the weighted means that were removed and ``col_norms`` the Euclidean
-    norms divided out, both aligned with ``base``.  Columns
-    whose norm fell below the drop threshold are listed in ``dropped_cols``
-    and excluded from the path.  ``retained_idx`` maps each base column back
+    The transformed columns are not stored.  Column j is built on demand
+    from the raw ``sample`` as ``(x - col_means[j]) * sqrt_weights /
+    col_norms[j]``; ``gram`` is their p x p Gram matrix.  ``col_means`` and
+    ``col_norms`` (the weighted means removed and the Euclidean norms
+    divided out) are aligned with the retained columns.  Columns whose norm
+    fell below the drop threshold are listed in ``dropped_cols`` and
+    excluded from the path; ``retained_idx`` maps each retained column back
     to its position in the original design.
     """
 
-    base: DesignMatrix
+    sample: DesignMatrix
+    sqrt_weights: np.ndarray
     gram: np.ndarray
     col_means: np.ndarray
     col_norms: np.ndarray
     dropped_cols: tuple[str, ...]
     retained_idx: np.ndarray
-    original_names: tuple[str, ...]
+
+    @property
+    def original_names(self) -> tuple[str, ...]:
+        return self.sample.column_names
+
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        return tuple(self.original_names[i] for i in self.retained_idx)
+
+    @property
+    def n_rows(self) -> int:
+        return self.sample.n_rows
+
+    @cached_property
+    def base(self) -> DesignMatrix:
+        """Every retained column, built once, in Fortran order so that each
+        column is contiguous.  The path solver never reads it."""
+        values = self.sample.values
+        if self.dropped_cols:
+            values = values[:, self.retained_idx]
+        values = np.subtract(values, self.col_means, order="F")
+        values *= self.sqrt_weights[:, None]
+        values /= self.col_norms
+        return DesignMatrix._trusted(values, self.column_names)
+
+    def column(self, j: int) -> np.ndarray:
+        """Retained column j, a fresh array equal to ``base.values[:, j]``."""
+        column = self.sample.values[:, self.retained_idx[j]] - self.col_means[j]
+        column *= self.sqrt_weights
+        column /= self.col_norms[j]
+        return column
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """``base.values.T @ v``, from one blocked pass over the sample."""
+        sv = self.sqrt_weights * v
+        out = np.zeros(self.retained_idx.size)
+        for rows in row_blocks(self.n_rows):
+            block = self.sample.values[rows]
+            if self.dropped_cols:
+                block = block[:, self.retained_idx]
+            out += (block - self.col_means).T @ sv[rows]
+        return out / self.col_norms
+
+    def residual(self, v: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """``v - base.values @ beta``, reading only the columns where beta
+        is nonzero, a block of rows at a time (which also keeps the
+        temporaries in cache)."""
+        r = np.array(v, dtype=float)
+        active = np.flatnonzero(beta)
+        if active.size:
+            cols, means = self.retained_idx[active], self.col_means[active]
+            coef = beta[active] / self.col_norms[active]
+            for rows in row_blocks(self.n_rows):
+                centred = self.sample.values[rows][:, cols] - means
+                r[rows] -= self.sqrt_weights[rows] * (centred @ coef)
+        return r
 
 
 @dataclass(frozen=True)
@@ -158,15 +288,19 @@ def _check_weights(weights: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
-def standardize(design: DesignMatrix, weights: np.ndarray,
-                *, scale_columns: bool = True) -> StandardizedDesign:
+def standardize(design: DesignMatrix, weights: np.ndarray, *,
+                scale_columns: bool = True,
+                moments: WeightedMoments | None = None) -> StandardizedDesign:
     """Fold in observation weights and standardize every column.
 
     Row i is scaled by sqrt(weights[i]); each column is then centered by its
     weighted mean (so the scaled column is orthogonal to the scaled intercept)
     and divided by its Euclidean norm.  Columns that become numerically zero
     are dropped rather than producing garbage directions.  The Gram matrix of
-    the retained columns is formed here, once, for :func:`lars_lasso_path`.
+    the retained columns is formed here, once, for :func:`lars_lasso_path`,
+    from the weighted moments of the rows: ``moments`` when the caller has
+    accumulated them over exactly these rows and weights, else from one
+    blocked pass.
 
     With ``scale_columns=False`` the centered columns keep their natural
     norms.  Entry order on such a design is driven by inner products rather
@@ -177,35 +311,30 @@ def standardize(design: DesignMatrix, weights: np.ndarray,
     positive entries; otherwise no meaningful regression exists.
     """
     w = _check_weights(weights, design.n_rows)
-    means = (w @ design.values) / w.sum()
-    # Fortran order keeps every column contiguous: the entry gate reads the
-    # base one column at a time, and BLAS sums in a layout-dependent order,
-    # so the walk's output bytes depend on the layout.
-    transformed = np.subtract(design.values, means, order="F")
-    transformed *= np.sqrt(w)[:, None]
-    gram = transformed.T @ transformed
-    norms = np.sqrt(np.diag(gram))
+    if moments is None:
+        # About the first block's mean the sums are as accurate as about the
+        # weighted mean; a constant column still comes out zero to rounding.
+        moments = WeightedMoments.of(design.values, w,
+                                     design.values[:ROW_BLOCK].mean(axis=0))
+    means = moments.shift + moments.first / moments.total
+    gram = moments.second - np.outer(moments.first, moments.first) / moments.total
+    norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
 
     keep = norms >= _TOL
     retained_idx = np.flatnonzero(keep)
     if retained_idx.size == 0:
         raise DegenerateInputError("every column is constant under the given weights")
     dropped = tuple(name for name, k in zip(design.column_names, keep) if not k)
-    kept_names = tuple(design.column_names[i] for i in retained_idx)
 
     divisor = norms[retained_idx] if scale_columns else np.ones(retained_idx.size)
-    values = transformed[:, retained_idx] if dropped else transformed
-    del transformed
-    values /= divisor
-    base = DesignMatrix(values=values, column_names=kept_names)
     return StandardizedDesign(
-        base=base,
+        sample=design,
+        sqrt_weights=np.sqrt(w),
         gram=gram[np.ix_(retained_idx, retained_idx)] / np.outer(divisor, divisor),
         col_means=means[retained_idx],
         col_norms=divisor,
         dropped_cols=dropped,
         retained_idx=retained_idx,
-        original_names=design.column_names,
     )
 
 
@@ -240,10 +369,9 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
     inactive candidates; returning False abandons the walk and marks the
     returned state ``aborted``.
     """
-    X = design.base.values
     gram = design.gram
-    names = design.base.column_names
-    n, m = X.shape
+    names = design.column_names
+    n, m = design.n_rows, gram.shape[0]
     y = np.asarray(response, dtype=float)
     if y.shape != (n,):
         raise ValidationError("response length must match the design")
@@ -254,7 +382,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
             f"max_active must lie in [1, min(n - 1, p)] = [1, {min(n - 1, m)}], got {max_active}")
 
     beta = np.zeros(m)
-    xty = X.T @ y
+    xty = design.project(y)
     active: list[int] = []
     entry_events: list[tuple[int, str, float]] = []
     drop_events: list[tuple[int, str]] = []
@@ -293,7 +421,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
                 break  # residual carries no further signal
             ranked = sorted(inactive, key=lambda j: (-abs_c[j], j))
             if observer is not None:
-                r = y - X @ beta
+                r = design.residual(y, beta)
                 r.flags.writeable = False
                 ctx = EntryContext(
                     step=step + 1,
@@ -389,7 +517,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
     return PathState(
         active_set=[names[j] for j in active],
         beta=expand(beta),
-        residual=y - X @ beta,
+        residual=design.residual(y, beta),
         entry_events=entry_events,
         drop_events=drop_events,
         breakpoints=breakpoints,
@@ -426,7 +554,7 @@ def refit_least_squares(design: DesignMatrix, response: np.ndarray,
     sqrt_w = np.sqrt(w)
     a = np.empty((design.n_rows, len(cols) + 1))
     a[:, 0] = sqrt_w
-    a[:, 1:] = sqrt_w[:, None] * design.values[:, cols]
+    np.multiply(sqrt_w[:, None], design.values[:, cols], out=a[:, 1:])
     gram = a.T @ a
     rhs = a.T @ (sqrt_w * y)
     try:

@@ -134,6 +134,31 @@ def test_manifest_replay_reproduces_output(capsys, tmp_path, monkeypatch):
         hashlib.sha256(background.read_bytes()).hexdigest()
 
 
+def test_replay_from_another_directory_touches_the_recorded_files(
+        capsys, tmp_path, monkeypatch):
+    # Both directories hold the same bg.csv, so only where the replay
+    # reads and writes can tell them apart.
+    recorded, other = tmp_path / "a", tmp_path / "b"
+    for directory in (recorded, other):
+        directory.mkdir()
+        (directory / "bg.csv").write_text(BACKGROUND, encoding="utf-8")
+    monkeypatch.chdir(recorded)
+    code, _, _ = run_cli(["explain", *LINEAR3, "--k", "2", "--n0", "200",
+                          "--scales-csv", "bg.csv", "--out", "res.json",
+                          "--manifest", "m.json"], capsys)
+    assert code == 0
+    result = (recorded / "res.json").read_bytes()
+    manifest = (recorded / "m.json").read_bytes()
+    (recorded / "res.json").unlink()
+    monkeypatch.chdir(other)
+    code, out, err = run_cli(["--from-manifest", "../a/m.json"], capsys)
+    assert code == 0, err
+    assert out == ""
+    assert sorted(p.name for p in other.iterdir()) == ["bg.csv"]
+    assert (recorded / "res.json").read_bytes() == result
+    assert (recorded / "m.json").read_bytes() == manifest
+
+
 def test_from_manifest_rejects_extra_flags(capsys, tmp_path):
     manifest = tmp_path / "run.manifest.json"
     run_cli(["explain", *LINEAR3, "--n0", "200", "--k", "2",

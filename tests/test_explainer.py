@@ -1,17 +1,22 @@
-"""Explainer checks: determinism, gating, growth, caps, refit honesty."""
+"""Explainer checks: determinism, gating, growth, caps, refit honesty,
+memory, and metamorphic relations."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slime.explainer
 from oracles import weighted_ols
 from slime.errors import ValidationError
 from slime.explainer import (ExplainerConfig, Explanation, lime_explain,
                              slime_explain)
-from slime.models import LinearModel, MarsModel
+from slime.models import LinearModel, MarsModel, Model
 from slime.sampling import InstanceSpec, build_dataset, default_kernel_width
+from slime.weighted_lars import StandardizedDesign
 
 MARS_INSTANCE = InstanceSpec(values=np.array([0.51, 0.49, 0.5, 0.5, 0.5]),
                              feature_scales=np.full(5, 0.05))
@@ -149,10 +154,10 @@ def test_growth_releases_each_sample_before_the_next_standardize(monkeypatch):
     standardize = slime.explainer.standardize
     samples = []
 
-    def spy(design, weights):
+    def spy(design, weights, **kwargs):
         assert all(sample() is None for sample in samples)
         samples.append(weakref.ref(design.values))
-        return standardize(design, weights)
+        return standardize(design, weights, **kwargs)
 
     monkeypatch.setattr(slime.explainer, "standardize", spy)
     config = ExplainerConfig(n0=200, k=2, n_max=20000, seed=3)
@@ -247,3 +252,125 @@ def test_constant_response_selects_nothing():
         assert explanation.final_n == 100
         assert not explanation.capped
 
+
+# ------------------------------------------------------------------ memory
+
+def near_tied(p: int) -> LinearModel:
+    """x1..x8 hold four pairs (c, 0.995 c): the gate cannot settle them."""
+    coefficients = np.zeros(p)
+    coefficients[0:8:2] = [1.0, 0.9, 0.8, 0.7]
+    coefficients[1:8:2] = 0.995 * coefficients[0:8:2]
+    return LinearModel(coefficients)
+
+
+def test_explainers_never_build_the_standardized_base(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the explainer built the n x p standardized base")
+
+    monkeypatch.setattr(StandardizedDesign, "base", property(refuse))
+    instance = InstanceSpec(values=np.zeros(12))
+    for multiple_testing in (False, True):
+        config = ExplainerConfig(n0=200, k=4, n_max=6000, seed=1,
+                                 multiple_testing=multiple_testing)
+        explanation = slime_explain(near_tied(12), instance, config)
+        assert explanation.final_n > 200
+    lime_explain(near_tied(12), instance, config)
+
+
+def test_growing_explanation_holds_one_copy_of_its_sample():
+    # Growth writes new rows into spare rows reserved up to n_max, and no
+    # n x p standardized copy is made: the traced peak stays near the
+    # final sample's own bytes.
+    p, n_max = 50, 40000
+    config = ExplainerConfig(n0=1000, k=4, n_max=n_max, seed=2)
+    model, instance = near_tied(p), InstanceSpec(values=np.zeros(p))
+    tracemalloc.start()
+    try:
+        explanation = slime_explain(model, instance, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert explanation.capped and explanation.final_n == n_max
+    sample_bytes = n_max * p * 8
+    assert peak <= 1.5 * sample_bytes, f"peak {peak / sample_bytes:.2f}x the sample"
+
+
+# ------------------------------------------------------------- metamorphic
+
+class Transformed(Model):
+    """``a * inner(x - offset) + b``: the MARS benchmark moved by ``offset``
+    in input space, with an affine map on its output."""
+
+    def __init__(self, offset: float, a: float = 1.0, b: float = 0.0):
+        self.inner, self.offset, self.a, self.b = MarsModel(), offset, a, b
+        self.input_dim = 5
+
+    def predict_batch(self, X):
+        return self.a * self.inner.predict_batch(X - self.offset) + self.b
+
+
+def decisions(explanation: Explanation) -> list:
+    return [(d.step, d.n, d.compared, d.significant)
+            for d in explanation.test_trace]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(a=st.floats(0.01, 100.0), b=st.floats(-1e3, 1e3),
+       offset=st.floats(-1e3, 1e3), seed=st.integers(0, 2**16),
+       multiple_testing=st.booleans())
+def test_affine_response_keeps_selection_and_decisions(a, b, offset, seed,
+                                                       multiple_testing):
+    instance = InstanceSpec(values=MARS_INSTANCE.values + offset,
+                            feature_scales=MARS_INSTANCE.feature_scales)
+    config = ExplainerConfig(n0=300, k=3, n_max=5000, seed=seed,
+                             multiple_testing=multiple_testing)
+    plain = slime_explain(Transformed(offset), instance, config)
+    moved = slime_explain(Transformed(offset, a, b), instance, config)
+    assert moved.feature_names == plain.feature_names
+    assert decisions(moved) == decisions(plain)
+    assert moved.final_n == plain.final_n and moved.capped == plain.capped
+
+
+# Effective strengths |coefficient| * scale: 3.0, 1.8, 1.0, 0.45, 0.2.
+SEPARATED = np.array([3.0, -0.9, 4.0, 0.3, -0.1])
+SEPARATED_SCALES = np.array([1.0, 2.0, 0.25, 1.5, 2.0])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(order=st.permutations(range(5)), offset=st.floats(-1e3, 1e3),
+       seed=st.integers(0, 2**16))
+def test_permuting_features_permutes_the_selection(order, offset, seed):
+    order = np.array(order)
+    names = ("a", "b", "c", "d", "e")
+    config = ExplainerConfig(n0=1000, k=3, n_max=8000, seed=seed)
+    explanations = []
+    for perm in (np.arange(5), order):
+        instance = InstanceSpec(values=offset + np.arange(5.0)[perm],
+                                feature_names=[names[i] for i in perm],
+                                feature_scales=SEPARATED_SCALES[perm])
+        explanations.append(slime_explain(LinearModel(SEPARATED[perm]),
+                                          instance, config))
+    assert explanations[0].feature_names == ("a", "b", "c")
+    assert explanations[1].feature_names == explanations[0].feature_names
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(j=st.integers(0, 4), factor=st.floats(1e-3, 1e3),
+       offset=st.floats(-1e3, 1e3), seed=st.integers(0, 2**16))
+def test_rescaling_a_feature_with_its_scale_keeps_the_selection(j, factor,
+                                                                offset, seed):
+    values = offset + np.arange(5.0)
+    coefficients = SEPARATED.copy()
+    scales = SEPARATED_SCALES.copy()
+    config = ExplainerConfig(n0=300, k=3, n_max=5000, seed=seed)
+    plain = slime_explain(LinearModel(coefficients),
+                          InstanceSpec(values=values, feature_scales=scales),
+                          config)
+    values[j] *= factor
+    scales[j] *= factor
+    coefficients[j] /= factor
+    scaled = slime_explain(LinearModel(coefficients),
+                           InstanceSpec(values=values, feature_scales=scales),
+                           config)
+    assert scaled.feature_names == plain.feature_names
+    assert decisions(scaled) == decisions(plain)

@@ -208,6 +208,30 @@ def test_extend_reuses_rows_and_queries_only_new_ones():
     np.testing.assert_array_equal(d600.X[:100], d100.X)
 
 
+def test_weights_and_moments_survive_blocking_and_growth():
+    # Weights are computed 4096 rows at a time, as the rows arrive; growth
+    # that crosses a block boundary, into reserved rows or not, must leave
+    # the bytes of one kernel_weights call on the whole sample.
+    p = 7
+    spec = InstanceSpec(values=np.linspace(200.0, 1000.0, p),
+                        feature_scales=np.full(p, 0.05))
+    model = LinearModel(np.linspace(1.0, -1.0, p))
+    grown = build_dataset(model, spec, n=3000, seed=5)
+    for new_n, capacity in ((4095, 0), (4097, 9000), (5000, 9000), (9000, 0),
+                            (9001, 0)):
+        grown = extend_dataset(model, grown, new_n, capacity=capacity)
+        whole = kernel_weights(grown.X, spec, grown.kernel_width)
+        assert grown.weights.tobytes() == whole.tobytes(), new_n
+    direct = build_dataset(model, spec, n=9001, seed=5)
+    assert grown.X.tobytes() == direct.X.tobytes()
+    assert grown.weights.tobytes() == direct.weights.tobytes()
+    u = grown.X - spec.values
+    w = grown.weights
+    assert grown.moments.total == pytest.approx(w.sum(), rel=1e-13)
+    np.testing.assert_allclose(grown.moments.first, w @ u, rtol=1e-11)
+    np.testing.assert_allclose(grown.moments.second, (u.T * w) @ u, rtol=1e-11)
+
+
 def test_extend_requires_growth():
     model = CountingLinear([1.0, 1.0])
     dataset = build_dataset(model, spec2(), n=50, seed=1)
