@@ -141,13 +141,18 @@ def repeat_explanations(model: Model, instance: InstanceSpec,
             except Exception as exc:   # noqa: BLE001 - collected and reported
                 errors[i] = f"rep {i}: {exc}"
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
             futures = {i: pool.submit(run_one, i) for i in range(reps)}
             for i, future in futures.items():
                 try:
                     results[i] = future.result()
                 except Exception as exc:   # noqa: BLE001
                     errors[i] = f"rep {i}: {exc}"
+        finally:
+            # An interrupt that escapes must not wait for the queued
+            # repetitions; on success every future is done already.
+            pool.shutdown(cancel_futures=True)
 
     ordered = [results[i] for i in sorted(results)]
     if len(ordered) < 2:
@@ -281,16 +286,14 @@ ORDERING_REPRO_RUNS = 500
 ORDERING_REPRO_SEED = 0
 
 
-def reproduce_mars_stability(*, reps: int = MARS_REPRO_REPS,
-                             base_seed: int = MARS_REPRO_BASE_SEED,
-                             workers: int = 1) -> ReproResult:
+def reproduce_mars_stability(*, workers: int = 1) -> ReproResult:
     """Benchmark the builtin five-feature model with both methods.
 
     Runs the adaptive method (n0=1000, n_max=10000, alpha=0.05) and the
-    fixed-n baseline (n=1000) for ``reps`` repetitions each and checks that
-    the adaptive method keeps the position-wise average Jaccard at or above
-    0.95 everywhere while the baseline drops to 0.95 or below at position 2
-    or position 4.
+    fixed-n baseline (n=1000) for ``MARS_REPRO_REPS`` repetitions each and
+    checks that the adaptive method keeps the position-wise average Jaccard
+    at or above 0.95 everywhere while the baseline drops to 0.95 or below at
+    position 2 or position 4.
     """
     from .models import MarsModel
 
@@ -301,11 +304,12 @@ def reproduce_mars_stability(*, reps: int = MARS_REPRO_REPS,
     )
     config = ExplainerConfig(n0=1000, alpha=0.05, k=5, n_max=10000, seed=0)
     slime_report, _ = repeat_explanations(
-        model, instance, config, reps=reps, base_seed=base_seed,
-        method="slime", workers=workers)
+        model, instance, config, reps=MARS_REPRO_REPS,
+        base_seed=MARS_REPRO_BASE_SEED, method="slime", workers=workers)
     lime_report, _ = repeat_explanations(
-        model, instance, config, reps=reps, base_seed=base_seed,
-        method="lime", lime_n=1000, workers=workers)
+        model, instance, config, reps=MARS_REPRO_REPS,
+        base_seed=MARS_REPRO_BASE_SEED, method="lime", lime_n=1000,
+        workers=workers)
 
     slime_j = {k: v for k, v in slime_report.positions}
     lime_j = {k: v for k, v in lime_report.positions}
@@ -321,17 +325,17 @@ def reproduce_mars_stability(*, reps: int = MARS_REPRO_REPS,
     return ReproResult(name="mars", passed=passed, checks=tuple(checks))
 
 
-def reproduce_lasso_ordering(*, runs: int = ORDERING_REPRO_RUNS,
-                             seed: int = ORDERING_REPRO_SEED) -> ReproResult:
+def reproduce_lasso_ordering() -> ReproResult:
     """Monte-Carlo check of plain LASSO entry-order instability.
 
-    With coefficients (1, 0.75, 0.7) and n=1000 noise-free rows per run the
-    two trailing coefficients are close enough that the path swaps their
-    entry order in a nontrivial fraction of runs, while the leading
-    coefficient always enters first.
+    With coefficients (1, 0.75, 0.7) and ``ORDERING_REPRO_RUNS`` runs of
+    n=1000 noise-free rows the two trailing coefficients are close enough
+    that the path swaps their entry order in a nontrivial fraction of runs,
+    while the leading coefficient always enters first.
     """
     histogram = lasso_ordering_experiment(
-        ORDERING_REPRO_COEFFS, n=ORDERING_REPRO_N, runs=runs, seed=seed)
+        ORDERING_REPRO_COEFFS, n=ORDERING_REPRO_N, runs=ORDERING_REPRO_RUNS,
+        seed=ORDERING_REPRO_SEED)
     total = sum(histogram.values())
     swapped = histogram.get(("x1", "x3", "x2"), 0) / total
     first = sum(v for order, v in histogram.items() if order[0] == "x1") / total

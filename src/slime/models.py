@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModelQueryError, ValidationError
+from .weighted_lars import all_finite
 
 __all__ = [
     "Model",
@@ -44,6 +45,10 @@ __all__ = [
 
 MAX_ROWS_PER_REQUEST = 1000
 _EXCERPT_LEN = 300
+# Seconds an ``exec:`` child may take to read one request and answer it.
+# A child that takes longer is killed, so a model that never answers fails
+# the run instead of hanging it.
+REQUEST_TIMEOUT_S = 60.0
 
 
 class Model:
@@ -72,7 +77,7 @@ def _as_matrix(X: np.ndarray, input_dim: int) -> np.ndarray:
     if X.shape[1] != input_dim:
         raise ValidationError(
             f"model expects {input_dim} features per row, got {X.shape[1]}")
-    if not np.isfinite(X).all():
+    if not all_finite(X):
         raise ValidationError("prediction input must be finite")
     return X
 
@@ -284,7 +289,7 @@ class ExpressionModel(Model):
         if X.shape[1] < self.input_dim:
             raise ValidationError(
                 f"expression uses x{self.input_dim} but input has {X.shape[1]} features")
-        if not np.isfinite(X).all():
+        if not all_finite(X):
             raise ValidationError("prediction input must be finite")
         out = np.asarray(_eval_node(self._ast, X), dtype=float)
         if not np.isfinite(out).all():
@@ -345,13 +350,33 @@ class SubprocessModel(Model):
         # tolist() yields Python floats, which json.dumps writes at repr
         # precision (17 significant digits when needed): exact round trip.
         payload = json.dumps({"instances": rows.tolist()})
+        # The watchdog covers the write too: a request larger than the pipe
+        # buffer blocks until the child reads it.  Killing the child ends
+        # either wait, with a broken pipe or end of file.
+        expired = threading.Event()
+
+        def expire():
+            expired.set()
+            child.kill()
+
+        watchdog = threading.Timer(REQUEST_TIMEOUT_S, expire)
+        watchdog.start()
         try:
             child.stdin.write(payload + "\n")
             child.stdin.flush()
             line = child.stdout.readline()
         except (BrokenPipeError, OSError) as exc:
+            if not expired.is_set():
+                raise ModelQueryError(
+                    f"model process pipe failed: {exc}", batch_index=batch_index) from exc
+        finally:
+            watchdog.cancel()
+            watchdog.join()
+        if expired.is_set():
+            self.close()
             raise ModelQueryError(
-                f"model process pipe failed: {exc}", batch_index=batch_index) from exc
+                f"model process did not answer within {REQUEST_TIMEOUT_S:g} s; killed it",
+                batch_index=batch_index)
         if not line:
             raise ModelQueryError(
                 "model process closed its output before answering",

@@ -16,9 +16,9 @@ A dataset's rows pass through memory once after they are drawn: one blocked
 pass computes their kernel weights and adds their weighted moments about the
 instance (:class:`~slime.weighted_lars.WeightedMoments`) to the ones the
 dataset carries, so standardizing a grown sample costs p x p algebra plus
-the new rows.  The sample is the only n x p array: it lives in one C-order
-buffer, and growth writes the new rows into the buffer's spare rows, which
-the caller may reserve up front (``extend_dataset(..., capacity=)``).
+the new rows.  The sample lives in one C-order buffer, and growth writes
+the new rows into the buffer's spare rows, which the caller may reserve up
+front (``extend_dataset(..., capacity=)``).
 """
 
 from __future__ import annotations
@@ -206,6 +206,7 @@ def _weigh(X: np.ndarray, instance: InstanceSpec, width: float,
         u = X[rows] - instance.values
         z = u / instance.feature_scales
         d2 = np.einsum("ij,ij->i", z, z)
+        del z   # so the moments' weighted block reuses its memory
         w[rows] = np.maximum(np.exp(-d2 / (width * width)), _MIN_WEIGHT)
         if moments is not None:
             moments.add(u, w[rows])

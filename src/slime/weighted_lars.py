@@ -68,6 +68,12 @@ def row_blocks(n: int) -> Iterator[slice]:
     return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """``np.isfinite(values).all()`` for a 2-d array, scanned a block of rows
+    at a time so that no mask as large as the array is built."""
+    return all(np.isfinite(values[rows]).all() for rows in row_blocks(values.shape[0]))
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """A dense feature matrix with named columns, immutable once built."""
@@ -90,7 +96,7 @@ class DesignMatrix:
             raise ValidationError("column_names length must match the number of columns")
         if len(set(self.column_names)) != p:
             raise ValidationError("column names must be unique")
-        if not np.isfinite(values).all():
+        if not all_finite(values):
             raise ValidationError("design values must be finite")
 
     @classmethod
@@ -551,10 +557,17 @@ def refit_least_squares(design: DesignMatrix, response: np.ndarray,
         raise ValidationError("response must be finite")
     w = _check_weights(weights, design.n_rows)
 
+    # The system stays uncentred because tests/test_golden_structure.py pins
+    # its rounding.  On "mars 0 top-two seed 1" the pinned coefficients lie
+    # 8.2e-12 (relative) from a long-double solve.  A refit centred through
+    # the weighted moments lands within 5e-15 of that solve, which moves
+    # them past the test's 1e-12 tolerance.  Each selected column is
+    # weighted straight into the system, without a copy of the columns.
     sqrt_w = np.sqrt(w)
     a = np.empty((design.n_rows, len(cols) + 1))
     a[:, 0] = sqrt_w
-    np.multiply(sqrt_w[:, None], design.values[:, cols], out=a[:, 1:])
+    for j, col in enumerate(cols, start=1):
+        np.multiply(sqrt_w, design.values[:, col], out=a[:, j])
     gram = a.T @ a
     rhs = a.T @ (sqrt_w * y)
     try:

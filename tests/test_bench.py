@@ -2,6 +2,8 @@
 
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -63,19 +65,25 @@ def test_positionwise_stability_validation():
 # --------------------------------------------------------------- harnesses
 
 class FlakyLinear(Model):
-    """Linear model that raises on chosen predict_batch call indices."""
+    """Linear model that raises ``error`` on chosen predict_batch call
+    indices and takes ``delay`` seconds to answer the others."""
 
-    def __init__(self, coefficients, fail_calls=()):
+    def __init__(self, coefficients, fail_calls=(), error=RuntimeError, delay=0.0):
         self.inner = LinearModel(coefficients)
         self.input_dim = self.inner.input_dim
         self.fail_calls = set(fail_calls)
+        self.error = error
+        self.delay = delay
         self.calls = 0
+        self._lock = threading.Lock()
 
     def predict_batch(self, X):
-        call = self.calls
-        self.calls += 1
+        with self._lock:
+            call = self.calls
+            self.calls += 1
         if call in self.fail_calls:
-            raise RuntimeError("injected outage")
+            raise self.error("injected outage")
+        time.sleep(self.delay)
         return self.inner.predict_batch(X)
 
 
@@ -134,6 +142,20 @@ def test_repeat_explanations_needs_two_successes():
     with pytest.raises(ValidationError, match="fewer than 2"):
         repeat_explanations(model, instance, fast_config(), reps=3,
                             base_seed=7, method="lime")
+
+
+def test_interrupting_a_pooled_bench_cancels_the_queued_repetitions():
+    # An interrupt escapes on the first query.  Only the repetitions already
+    # running (one per worker, plus one a worker picks up before the
+    # interrupt reaches the caller) may still query the model; the rest of
+    # the queue is cancelled instead of run.
+    model = FlakyLinear([3.0, 1.0], fail_calls={0}, error=KeyboardInterrupt,
+                        delay=0.2)
+    instance = InstanceSpec(values=np.zeros(2))
+    with pytest.raises(KeyboardInterrupt):
+        repeat_explanations(model, instance, fast_config(), reps=8,
+                            base_seed=7, method="lime", workers=2)
+    assert model.calls <= 4
 
 
 def test_repeat_explanations_validation():

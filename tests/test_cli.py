@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import slime
+from slime import models
 from slime.cli import main
 from slime.errors import SlimeError
 from test_acceptance import SPOT_CHECKS
@@ -260,14 +261,17 @@ def test_scales_flags_are_mutually_exclusive(capsys, tmp_path):
     assert "mutually exclusive" in err
 
 
-def test_model_errors_exit_three(capsys):
-    silent = "exec:%s -c \"import sys; sys.exit(0)\"" % sys.executable
-    code, _, err = run_cli(
-        ["explain", "--model", silent, "--instance", "1,2", "--n0", "50",
-         "--k", "2"],
-        capsys)
-    assert code == 3
-    assert err.startswith("model error:")
+def test_model_errors_exit_three(capsys, monkeypatch):
+    # A child that exits at once, and one that never answers in time.
+    monkeypatch.setattr(models, "REQUEST_TIMEOUT_S", 1.0)
+    for child in ("import sys; sys.exit(0)", "import time; time.sleep(100)"):
+        spec = "exec:%s -c \"%s\"" % (sys.executable, child)
+        code, _, err = run_cli(
+            ["explain", "--model", spec, "--instance", "1,2", "--n0", "50",
+             "--k", "2"],
+            capsys)
+        assert code == 3, child
+        assert err.startswith("model error:"), child
 
 
 def test_version_flag(capsys):

@@ -2,11 +2,14 @@
 
 import math
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import eval_linear, eval_mars
+from slime import models
 from slime.errors import ModelQueryError, ValidationError
 from slime.models import (MAX_ROWS_PER_REQUEST, BatchFileModel,
                           ExpressionError, ExpressionModel, LinearModel,
@@ -69,6 +72,25 @@ def test_linear_model():
         LinearModel([1.0, np.inf])
     with pytest.raises(ValidationError):
         LinearModel([1.0], intercept=np.nan)
+
+
+def test_builtin_prediction_builds_no_mask_as_large_as_its_input():
+    # The finiteness check scans a block of rows at a time, so the peak is
+    # a few prediction vectors, not an n x p boolean mask; it still reaches
+    # the last row.
+    n, p = 50000, 50
+    model = LinearModel(np.linspace(-1.0, 1.0, p))
+    X = np.random.default_rng(0).normal(size=(n, p))
+    tracemalloc.start()
+    try:
+        model.predict_batch(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * p / 4, f"peak {peak} bytes for a {n}x{p} input"
+    X[-1, -1] = np.inf
+    with pytest.raises(ValidationError, match="finite"):
+        model.predict_batch(X)
 
 
 # ------------------------------------------------------------- expressions
@@ -231,6 +253,23 @@ def test_subprocess_protocol_violations(tmp_path, source, fragment):
         with pytest.raises(ModelQueryError, match=fragment) as info:
             model.predict_batch(X)
     assert info.value.batch_index == 0
+
+
+@pytest.mark.parametrize("rows", [1, MAX_ROWS_PER_REQUEST])
+def test_subprocess_that_never_answers_is_killed(monkeypatch, rows):
+    # One row fits the pipe, so the wait is for the answer; a full request
+    # (about 180 KB) overfills the pipe, so the write itself waits.
+    monkeypatch.setattr(models, "REQUEST_TIMEOUT_S", 1.0)
+    model = SubprocessModel([sys.executable, "-c", "import time; time.sleep(100)"],
+                            input_dim=10)
+    child = model._ensure_child()
+    start = time.monotonic()
+    with pytest.raises(ModelQueryError, match="did not answer within 1 s") as info:
+        model.predict_batch(np.full((rows, 10), 1 / 3))
+    assert time.monotonic() - start < 10
+    assert info.value.batch_index == 0
+    assert_closed(child)
+    assert model._child is None
 
 
 def test_subprocess_missing_command():

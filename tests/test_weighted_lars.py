@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cd_lasso, kkt_violation, weighted_ols
 from slime.errors import (DegenerateInputError, SingularityError,
                           ValidationError)
-from slime.weighted_lars import (DesignMatrix, lars_lasso_path,
+from slime.weighted_lars import (ROW_BLOCK, DesignMatrix, lars_lasso_path,
                                  refit_least_squares, standardize,
                                  transform_response)
 
@@ -160,6 +161,10 @@ def test_design_matrix_validation():
         make_design([[1.0, 2.0], [3.0, 4.0]], names=("a", "a"))
     with pytest.raises(ValidationError):
         make_design([[np.nan], [1.0]])
+    late = np.zeros((ROW_BLOCK + 1, 1))
+    late[-1, 0] = np.inf        # past the finiteness scan's first block
+    with pytest.raises(ValidationError):
+        make_design(late)
 
 
 # ----------------------------------------------------- path vs oracle
@@ -365,6 +370,37 @@ def test_refit_recovers_exact_line():
                                            np.array([4.0, 1.0, 1.0]), ["x"])
     assert coefs[0] == pytest.approx(2.0, rel=1e-12)
     assert intercept == pytest.approx(1.0, rel=1e-12)
+
+
+def test_refit_builds_one_system_and_no_copy_of_its_columns():
+    # The weighted n x (k+1) system is the refit's only sample-sized array;
+    # the rest is a few vectors of n.  Its bytes, and so the solution's, are
+    # those of the C-ordered system built from a copy of the selected
+    # columns (the products' rounding depends on the layout).
+    n, p, k = 20000, 50, 10
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(n, p))
+    y = X[:, :k] @ np.arange(1.0, k + 1) + rng.normal(size=n)
+    w = rng.uniform(0.5, 1.5, size=n)
+    design = make_design(X)
+    cols = list(range(2 * k - 1, 0, -2))
+    tracemalloc.start()
+    try:
+        coefs, intercept = refit_least_squares(
+            design, y, w, [design.column_names[j] for j in cols])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    system = n * (k + 1) * 8
+    assert peak <= system + 4 * n * 8, f"peak {peak} bytes, system {system}"
+    sqrt_w = np.sqrt(w)
+    a = np.empty((n, k + 1))
+    a[:, 0] = sqrt_w
+    a[:, 1:] = sqrt_w[:, None] * X[:, cols]
+    want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a.T @ a, lower=True),
+                                  a.T @ (sqrt_w * y))
+    assert coefs.tobytes() == want[1:].tobytes()
+    assert intercept == want[0]
 
 
 def test_refit_rejects_bad_selections():
