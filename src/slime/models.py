@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import shlex
+import signal
 import subprocess
 import threading
 from dataclasses import dataclass
@@ -311,7 +313,9 @@ class SubprocessModel(Model):
 
     The child is started lazily and kept alive across calls; one request is
     in flight at a time (a lock serializes concurrent callers).  Requests
-    carry at most :data:`MAX_ROWS_PER_REQUEST` rows each.
+    carry at most :data:`MAX_ROWS_PER_REQUEST` rows each.  The child leads a
+    process group of its own, and a kill reaches the whole group: a process
+    the child started cannot keep its output open past a timeout.
     """
 
     def __init__(self, command: Sequence[str], input_dim: int):
@@ -331,7 +335,7 @@ class SubprocessModel(Model):
             try:
                 self._child = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    text=True, bufsize=1)
+                    text=True, bufsize=1, start_new_session=True)
             except OSError as exc:
                 raise ModelQueryError(f"could not start model process: {exc}") from exc
         return self._child
@@ -351,13 +355,13 @@ class SubprocessModel(Model):
         # precision (17 significant digits when needed): exact round trip.
         payload = json.dumps({"instances": rows.tolist()})
         # The watchdog covers the write too: a request larger than the pipe
-        # buffer blocks until the child reads it.  Killing the child ends
-        # either wait, with a broken pipe or end of file.
+        # buffer blocks until the child reads it.  Killing the child's
+        # process group ends either wait, with a broken pipe or end of file.
         expired = threading.Event()
 
         def expire():
             expired.set()
-            child.kill()
+            _kill_group(child)
 
         watchdog = threading.Timer(REQUEST_TIMEOUT_S, expire)
         watchdog.start()
@@ -413,9 +417,17 @@ class SubprocessModel(Model):
         try:
             child.wait(timeout=5)
         except subprocess.TimeoutExpired:
-            child.kill()
+            _kill_group(child)
             child.wait()
         child.stdout.close()
+
+
+def _kill_group(child: subprocess.Popen) -> None:
+    """SIGKILL the process group that ``child``, not yet reaped, leads."""
+    try:
+        os.killpg(child.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass   # every process of the group has exited
 
 
 class BatchFileModel(Model):

@@ -12,19 +12,32 @@ Kernel weights follow the usual locality kernel
 ``exp(-d^2 / width^2)`` with d the Euclidean distance measured in
 scale-normalized coordinates, so the instance itself would get weight 1.
 
-A dataset's rows pass through memory once after they are drawn: one blocked
-pass computes their kernel weights and adds their weighted moments about the
-instance (:class:`~slime.weighted_lars.WeightedMoments`) to the ones the
-dataset carries, so standardizing a grown sample costs p x p algebra plus
-the new rows.  The sample lives in one C-order buffer, and growth writes
-the new rows into the buffer's spare rows, which the caller may reserve up
-front (``extend_dataset(..., capacity=)``).
+New rows are made in one pass per block of 4096 rows, counted from the
+first new row: the pass draws rows straight into the dataset's buffer (from
+the block's first generator-block boundary to the next block's, so no
+generator block is drawn twice), computes the block's kernel weights and
+sums its weighted moments about the instance
+(:class:`~slime.weighted_lars.WeightedMoments`).  The calling
+thread adds those sums to the ones the dataset carries, in block order, so
+standardizing a grown sample costs p x p algebra plus the new rows.  When
+the new rows hold at least 2**20 entries and span more than one block, the
+blocks run on a thread pool with one thread per CPU the process may run on
+(its CPU affinity; ``taskset -c 0 slime ...`` keeps the pass on one
+thread); smaller passes run in the calling thread.  Rows, weights and
+moments are the same bytes whatever the number of CPUs.  The sample lives
+in one C-order buffer, and growth writes the new rows into the buffer's
+spare rows, which the caller may reserve up front
+(``extend_dataset(..., capacity=)``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ModelQueryError, ValidationError
 from .models import Model
-from .weighted_lars import WeightedMoments, row_blocks
+from .weighted_lars import ROW_BLOCK, WeightedMoments, row_blocks
 
 __all__ = [
     "InstanceSpec",
@@ -48,6 +61,10 @@ __all__ = [
 
 _BLOCK = 1024            # rows per generator block; fixed, part of the stream format
 _MIN_WEIGHT = np.finfo(float).tiny   # keep weights strictly positive even at extreme distance
+# New rows holding at least this many entries, over more than one ROW_BLOCK,
+# are drawn and weighed on a thread pool; below it a pool costs more than it
+# saves, and the blocks run in the calling thread.
+_POOL_MIN_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -142,25 +159,19 @@ def seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 
 
-def _block_rows(seed: int, block: int, p: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(seed_sequence(seed, (block,))))
-    return gen.standard_normal((_BLOCK, p))
-
-
-def _standard_rows(seed: int, start: int, stop: int, p: int,
-                   out: np.ndarray | None) -> np.ndarray:
-    """Rows [start, stop) of the infinite standard-normal table for this
-    seed, written into ``out`` when given."""
-    if out is None:
-        out = np.empty((stop - start, p))
-    first = start // _BLOCK
-    last = (stop - 1) // _BLOCK
-    for block in range(first, last + 1):
-        rows = _block_rows(seed, block, p)
-        lo = max(start, block * _BLOCK)
-        hi = min(stop, (block + 1) * _BLOCK)
-        out[lo - start:hi - start] = rows[lo - block * _BLOCK:hi - block * _BLOCK]
-    return out
+def _standard_rows(seed: int, start: int, stop: int, p: int, out: np.ndarray) -> None:
+    """Write rows [start, stop) of the infinite standard-normal table for this
+    seed into ``out``, a C-contiguous (stop - start, p) float array."""
+    for block in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
+        gen = np.random.Generator(np.random.Philox(seed_sequence(seed, (block,))))
+        first = block * _BLOCK
+        lo = max(start, first)
+        hi = min(stop, first + _BLOCK)
+        if lo == first:
+            # Leading rows of a block are a prefix of its stream: draw in place.
+            gen.standard_normal(out=out[lo - start:hi - start])
+        else:
+            out[lo - start:hi - start] = gen.standard_normal((hi - first, p))[lo - first:]
 
 
 def gaussian_perturb(instance: InstanceSpec, n: int, seed: int, *,
@@ -169,18 +180,22 @@ def gaussian_perturb(instance: InstanceSpec, n: int, seed: int, *,
 
     Deterministic in ``(seed, row index, p)``; the default ``start=0`` yields
     the first n rows.  The instance itself is never injected.  With ``out``,
-    an (n, p) float array, the rows are written there and ``out`` returned.
+    a C-contiguous (n, p) float array, the rows are written there and ``out``
+    returned.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
     if start < 0:
         raise ValidationError("start must be nonnegative")
-    if out is not None and out.shape != (n, instance.n_features):
-        raise ValidationError("out must have shape (n, p)")
-    z = _standard_rows(int(seed), start, start + n, instance.n_features, out)
-    z *= instance.feature_scales
-    z += instance.values
-    return z
+    p = instance.n_features
+    if out is None:
+        out = np.empty((n, p))
+    elif out.shape != (n, p) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValidationError("out must be a C-contiguous float array of shape (n, p)")
+    _standard_rows(int(seed), start, start + n, p, out)
+    out *= instance.feature_scales
+    out += instance.values
+    return out
 
 
 def kernel_weights(X: np.ndarray, instance: InstanceSpec, width: float) -> np.ndarray:
@@ -188,28 +203,109 @@ def kernel_weights(X: np.ndarray, instance: InstanceSpec, width: float) -> np.nd
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != instance.n_features:
         raise ValidationError("X must be 2-d with one column per feature")
-    return _weigh(X, instance, width, None)
+    _check_width(width)
+    w = np.empty(X.shape[0])
+    scratch = _scratch(X.shape[0], X.shape[1])
+    for rows in row_blocks(X.shape[0]):
+        _weigh(X[rows], instance, width, w[rows], scratch)
+    return w
 
 
-def _weigh(X: np.ndarray, instance: InstanceSpec, width: float,
-           moments: WeightedMoments | None) -> np.ndarray:
-    """Kernel weights of the rows of X, in one blocked pass that also adds
-    the rows to ``moments`` (about the instance) when given.
+def _check_width(width: float) -> None:
+    if not (width > 0 and math.isfinite(width)):
+        raise ValidationError("kernel width must be positive and finite")
+
+
+def _scratch(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Work space of :func:`_weigh` on the blocks of an n-row pass: one
+    ``ROW_BLOCK`` of shifted rows and one generator block of scale-normalized
+    rows."""
+    return np.empty((min(n, ROW_BLOCK), p)), np.empty((min(n, _BLOCK), p))
+
+
+def _weigh(rows: np.ndarray, instance: InstanceSpec, width: float, w: np.ndarray,
+           scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Write the kernel weights of at most ``ROW_BLOCK`` ``rows`` into ``w``
+    and return the rows shifted by the instance, which live in ``scratch``.
 
     Each row's weight depends on that row alone, so the bytes do not depend
     on the blocking or on which rows are weighed together.
     """
-    if not (width > 0 and math.isfinite(width)):
-        raise ValidationError("kernel width must be positive and finite")
-    w = np.empty(X.shape[0])
-    for rows in row_blocks(X.shape[0]):
-        u = X[rows] - instance.values
-        z = u / instance.feature_scales
+    u_space, z_space = scratch
+    u = np.subtract(rows, instance.values, out=u_space[:rows.shape[0]])
+    for lo in range(0, u.shape[0], _BLOCK):
+        part = u[lo:lo + _BLOCK]
+        z = np.divide(part, instance.feature_scales, out=z_space[:part.shape[0]])
         d2 = np.einsum("ij,ij->i", z, z)
-        del z   # so the moments' weighted block reuses its memory
-        w[rows] = np.maximum(np.exp(-d2 / (width * width)), _MIN_WEIGHT)
-        if moments is not None:
-            moments.add(u, w[rows])
+        w[lo:lo + z.shape[0]] = np.maximum(np.exp(-d2 / (width * width)), _MIN_WEIGHT)
+    return u
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _draw_and_weigh(instance: InstanceSpec, seed: int, width: float, X: np.ndarray,
+                    start: int, moments: WeightedMoments | None) -> np.ndarray:
+    """Fill ``X`` with rows ``start ..`` of the sample, return their kernel
+    weights and add their moments to ``moments`` when given.
+
+    One pass per block of ``ROW_BLOCK`` rows draws, weighs and sums the
+    block.  Large passes run the blocks on a thread pool sized to the CPUs
+    the process may use; the calling thread adds the sums in block order,
+    so the bytes do not depend on the number of threads.
+    """
+    _check_width(width)
+    n, p = X.shape
+    w = np.empty(n)
+    blocks = list(row_blocks(n))
+    # Block i draws from the first generator-block boundary at or after its
+    # first row up to block i+1's, so no generator block is drawn twice; its
+    # rows before that boundary come from block i-1's draw.
+    edges = [0] + [min(n, -(-(start + rows.start) // _BLOCK) * _BLOCK - start)
+                   for rows in blocks[1:]] + [n]
+    drawn = [threading.Event() for _ in blocks]
+    workers = min(_cpu_count(), len(blocks)) if X.size >= _POOL_MIN_ENTRIES else 1
+    # Scratch is allocated here, not in the workers: memory a worker thread
+    # frees stays in that thread's malloc arena.
+    spare = queue.SimpleQueue()
+    for _ in range(workers):
+        spare.put(_scratch(n, p))
+
+    def block(i: int) -> tuple[np.ndarray, np.ndarray, float]:
+        lo, hi = edges[i], edges[i + 1]
+        try:
+            if lo < hi:
+                gaussian_perturb(instance, hi - lo, seed, start=start + lo, out=X[lo:hi])
+        finally:
+            drawn[i].set()   # also on failure: block i+1 waits for it
+        if i > 0:
+            drawn[i - 1].wait()
+        rows = blocks[i]
+        scratch = spare.get()
+        try:
+            return WeightedMoments.block_sums(
+                _weigh(X[rows], instance, width, w[rows], scratch), w[rows])
+        finally:
+            spare.put(scratch)
+
+    def add_in_order(sums) -> None:
+        for part in sums:
+            if moments is not None:
+                moments.add(part)
+
+    if workers == 1:
+        add_in_order(map(block, range(len(blocks))))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            # The pool starts blocks in order, and none is cancelled, even
+            # after a failure: a block waits only for one started before it.
+            futures = [pool.submit(block, i) for i in range(len(blocks))]
+            add_in_order(future.result() for future in futures)
     return w
 
 
@@ -231,14 +327,14 @@ def query_model(model: Model, X: np.ndarray) -> np.ndarray:
 
 def build_dataset(model: Model, instance: InstanceSpec, n: int, seed: int,
                   kernel_width: float | None = None) -> PerturbationDataset:
-    """Sample n rows, query the model once, attach kernel weights."""
+    """Sample n rows, attach kernel weights, query the model once."""
     if n < 2:
         raise DegenerateInputError("a usable dataset needs at least 2 rows")
     width = default_kernel_width(instance.n_features) if kernel_width is None else kernel_width
-    X = gaussian_perturb(instance, n, seed)
-    y = query_model(model, X)
+    X = np.empty((n, instance.n_features))
     moments = WeightedMoments.about(instance.values)
-    w = _weigh(X, instance, width, moments)
+    w = _draw_and_weigh(instance, int(seed), width, X, 0, moments)
+    y = query_model(model, X)
     return PerturbationDataset(X=X, y=y, weights=w, seed=int(seed), n=n,
                                instance=instance, kernel_width=float(width),
                                moments=moments)
@@ -264,11 +360,11 @@ def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
     if buffer is None or buffer.shape[0] < new_n:
         buffer = np.empty((max(new_n, capacity), dataset.instance.n_features))
         buffer[:n] = dataset.X
-    X_new = gaussian_perturb(dataset.instance, new_n - n, dataset.seed,
-                             start=n, out=buffer[n:new_n])
-    y_new = query_model(model, X_new)
+    X_new = buffer[n:new_n]
     moments = None if dataset.moments is None else dataset.moments.copy()
-    w_new = _weigh(X_new, dataset.instance, dataset.kernel_width, moments)
+    w_new = _draw_and_weigh(dataset.instance, dataset.seed, dataset.kernel_width,
+                            X_new, n, moments)
+    y_new = query_model(model, X_new)
     return PerturbationDataset(
         X=buffer[:new_n],
         y=np.concatenate([dataset.y, y_new]),

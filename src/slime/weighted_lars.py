@@ -145,15 +145,25 @@ class WeightedMoments:
         """The moments of every row of X, in one blocked pass."""
         moments = cls.about(shift)
         for rows in row_blocks(X.shape[0]):
-            moments.add(X[rows] - shift, weights[rows])
+            moments.add(cls.block_sums(X[rows] - shift, weights[rows]))
         return moments
 
-    def add(self, u: np.ndarray, w: np.ndarray) -> None:
-        """Add rows ``u`` (already shifted) with weights ``w``."""
-        t = u * np.sqrt(w)[:, None]
-        self.second += t.T @ t
-        self.first += w @ u
-        self.total += float(w.sum())
+    @staticmethod
+    def block_sums(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The sums ``(second, first, total)`` of one block of rows ``u``
+        (already shifted) with weights ``w``.  Scales ``u`` by sqrt(w) in
+        place."""
+        first = w @ u
+        u *= np.sqrt(w)[:, None]
+        return u.T @ u, first, float(w.sum())
+
+    def add(self, sums: tuple[np.ndarray, np.ndarray, float]) -> None:
+        """Add the sums of a block, as :meth:`block_sums` returns them.
+        Blocks added in the same order give the same bytes."""
+        second, first, total = sums
+        self.second += second
+        self.first += first
+        self.total += total
 
     def copy(self) -> "WeightedMoments":
         return WeightedMoments(shift=self.shift, total=self.total,

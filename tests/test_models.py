@@ -272,6 +272,20 @@ def test_subprocess_that_never_answers_is_killed(monkeypatch, rows):
     assert model._child is None
 
 
+def test_subprocess_timeout_kills_what_the_child_started(monkeypatch):
+    # "; true" keeps sh from exec'ing sleep, so sleep is sh's own child and
+    # holds sh's stdout open: killing sh alone leaves the read waiting 6 s.
+    monkeypatch.setattr(models, "REQUEST_TIMEOUT_S", 1.0)
+    model = SubprocessModel(["sh", "-c", "sleep 6; true"], input_dim=2)
+    child = model._ensure_child()
+    start = time.monotonic()
+    with pytest.raises(ModelQueryError, match="did not answer within 1 s"):
+        model.predict_batch(np.zeros((1, 2)))
+    assert time.monotonic() - start < 4
+    assert_closed(child)
+    assert model._child is None
+
+
 def test_subprocess_missing_command():
     model = SubprocessModel(["/no/such/binary-here"], input_dim=2)
     with pytest.raises(ModelQueryError, match="could not start"):

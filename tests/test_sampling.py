@@ -1,10 +1,13 @@
 """Sampling checks: prefix-exact row streams, kernel algebra, CSV scales."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from slime import sampling
 from slime.errors import (DegenerateInputError, ModelQueryError,
                           ValidationError)
 from slime.models import LinearModel, Model
@@ -15,14 +18,18 @@ from slime.sampling import (InstanceSpec, PerturbationDataset, build_dataset,
 
 
 class CountingLinear(Model):
-    """Linear model that records every batch size it is asked for."""
+    """Linear model that records every batch it is asked for."""
 
     def __init__(self, coefficients):
         self.coefficients = np.asarray(coefficients, dtype=float)
-        self.batch_sizes = []
+        self.batches = []
+
+    @property
+    def batch_sizes(self):
+        return [X.shape[0] for X in self.batches]
 
     def predict_batch(self, X):
-        self.batch_sizes.append(X.shape[0])
+        self.batches.append(X.copy())
         return X @ self.coefficients
 
 
@@ -230,6 +237,125 @@ def test_weights_and_moments_survive_blocking_and_growth():
     assert grown.moments.total == pytest.approx(w.sum(), rel=1e-13)
     np.testing.assert_allclose(grown.moments.first, w @ u, rtol=1e-11)
     np.testing.assert_allclose(grown.moments.second, (u.T * w) @ u, rtol=1e-11)
+
+
+def _on_workers(monkeypatch, workers):
+    """Run the sampler as if the process had ``workers`` CPUs; returns a
+    list that records each draw as ``(thread, start, rows)``."""
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: workers)
+    draw = sampling.gaussian_perturb
+    draws = []
+
+    def recording(instance, n, seed, *, start, out):
+        draws.append((threading.current_thread(), start, n))
+        return draw(instance, n, seed, start=start, out=out)
+
+    monkeypatch.setattr(sampling, "gaussian_perturb", recording)
+    return draws
+
+
+def _sample_bytes(dataset):
+    m = dataset.moments
+    return tuple(np.asarray(a).tobytes() for a in
+                 (dataset.X, dataset.y, dataset.weights, m.first, m.second, m.total))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_large_passes_give_the_same_bytes_on_any_number_of_threads(monkeypatch, workers):
+    # p = 20: 60000 rows hold more than 2**20 entries, 3000 rows fewer.  The
+    # growth starts between generator blocks (3000 and 70000 are not
+    # multiples of 1024) and crosses 4096-row blocks counted from the start.
+    p = 20
+    spec = InstanceSpec(values=np.linspace(-300.0, 500.0, p),
+                        feature_scales=np.linspace(0.05, 2.0, p))
+    model = LinearModel(np.linspace(1.0, -1.0, p))
+
+    def run():
+        small = build_dataset(model, spec, n=3000, seed=8)
+        grown = extend_dataset(model, small, 70000)
+        reserved = extend_dataset(model, small, 70000, capacity=130000)
+        return [_sample_bytes(d) for d in (
+            build_dataset(model, spec, n=60000, seed=8), grown, reserved,
+            extend_dataset(model, reserved, 125001))]
+
+    on_own_cpus = run()   # as many workers as the process has CPUs
+    draws = _on_workers(monkeypatch, workers)
+    assert run() == on_own_cpus
+    assert on_own_cpus[1] == on_own_cpus[2]
+    on_main = {thread is threading.main_thread() for thread, _, _ in draws}
+    # Small passes always stay in the calling thread; large ones leave it
+    # exactly when there is more than one CPU.
+    assert on_main == ({True} if workers == 1 else {True, False})
+
+
+def test_more_threads_than_cpus_switching_often_keep_the_bytes(monkeypatch):
+    # A block weighed before its neighbour drew its leading rows, or a lost
+    # or reordered moment update, would change the bytes.
+    spec = InstanceSpec(values=np.array([3.0, -1.0, 0.5, 200.0, 7.0]),
+                        feature_scales=np.array([0.1, 1.0, 2.0, 0.05, 0.5]))
+    model = LinearModel(np.arange(1.0, 6.0))
+    small = build_dataset(model, spec, n=1000, seed=6)
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 1)
+    reference = _sample_bytes(extend_dataset(model, small, 300001))
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 8)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: result.append(_sample_bytes(extend_dataset(model, small, 300001))),
+            daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert result == [reference]
+
+
+def test_pool_queries_the_model_once_on_the_new_rows_and_leaves_no_thread(monkeypatch):
+    p = 20
+    spec = InstanceSpec(values=np.zeros(p))
+    model = CountingLinear(np.ones(p))
+    draws = _on_workers(monkeypatch, 4)
+    before = set(threading.enumerate())
+    built = build_dataset(model, spec, n=60000, seed=2)
+    grown = extend_dataset(model, built, 130000, capacity=140000)
+    assert set(threading.enumerate()) <= before
+    assert all(thread is not threading.main_thread() for thread, _, _ in draws)
+    # The draws tile the rows, and every one but a pass's first starts on a
+    # generator block (1024 rows): no generator block is drawn twice.
+    spans = sorted((start, start + n) for _, start, n in draws)
+    assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+    assert (spans[0][0], spans[-1][1]) == (0, 130000)
+    assert all(lo % 1024 == 0 for lo, _ in spans if lo not in (0, 60000))
+    assert [X.tobytes() for X in model.batches] == [grown.X[:60000].tobytes(),
+                                                    grown.X[60000:].tobytes()]
+
+
+def test_a_failing_block_propagates_and_leaves_no_thread(monkeypatch):
+    p = 20
+    spec = InstanceSpec(values=np.zeros(p))
+    model = CountingLinear(np.ones(p))
+    small = build_dataset(model, spec, n=3000, seed=4)
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 2)
+    draw = sampling.gaussian_perturb
+    lock = threading.Lock()
+    calls = []
+
+    def failing(instance, n, seed, *, start, out):
+        with lock:
+            calls.append(start)
+            if len(calls) == 3:
+                raise RuntimeError("block failed")
+        return draw(instance, n, seed, start=start, out=out)
+
+    monkeypatch.setattr(sampling, "gaussian_perturb", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="block failed"):
+        extend_dataset(model, small, 70000)
+    assert set(threading.enumerate()) <= before
+    assert model.batch_sizes == [3000]   # never queried on a partial sample
 
 
 def test_extend_requires_growth():
