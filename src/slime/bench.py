@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .explainer import Explanation, ExplainerConfig, lime_explain, slime_explain
 from .models import Model
-from .sampling import InstanceSpec, seed_sequence
+from .sampling import InstanceSpec, derived_seed, seed_sequence
 from .weighted_lars import DesignMatrix, lars_lasso_path, standardize, transform_response
 
 __all__ = [
@@ -125,45 +125,34 @@ def repeat_explanations(model: Model, instance: InstanceSpec,
     if workers < 1:
         raise ValidationError("workers must be at least 1")
 
-    def run_one(i: int) -> Explanation:
-        seed = int(seed_sequence(base_seed, (i,)).generate_state(1, np.uint64)[0])
-        seeded = replace(config, seed=seed)
-        if method == "lime":
-            return lime_explain(model, instance, seeded, n=lime_n)
-        return slime_explain(model, instance, seeded)
-
-    results: dict[int, Explanation] = {}
-    errors: dict[int, str] = {}
-    if workers == 1:
-        for i in range(reps):
-            try:
-                results[i] = run_one(i)
-            except Exception as exc:   # noqa: BLE001 - collected and reported
-                errors[i] = f"rep {i}: {exc}"
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
+    def run_one(i: int) -> Explanation | str:
         try:
-            futures = {i: pool.submit(run_one, i) for i in range(reps)}
-            for i, future in futures.items():
-                try:
-                    results[i] = future.result()
-                except Exception as exc:   # noqa: BLE001
-                    errors[i] = f"rep {i}: {exc}"
-        finally:
+            seeded = replace(config, seed=derived_seed(base_seed, (i,)))
+            if method == "lime":
+                return lime_explain(model, instance, seeded, n=lime_n)
+            return slime_explain(model, instance, seeded)
+        except Exception as exc:   # noqa: BLE001 - collected and reported
+            return f"rep {i}: {exc}"
+
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        each = map if pool is None else pool.map
+        outcomes = list(each(run_one, range(reps)))
+    finally:
+        if pool is not None:
             # An interrupt that escapes must not wait for the queued
             # repetitions; on success every future is done already.
             pool.shutdown(cancel_futures=True)
-
-    ordered = [results[i] for i in sorted(results)]
+    ordered = [out for out in outcomes if not isinstance(out, str)]
+    errors = [out for out in outcomes if isinstance(out, str)]
     if len(ordered) < 2:
         raise ValidationError(
             "fewer than 2 repetitions succeeded; cannot measure stability: "
-            + "; ".join(errors.values()))
+            + "; ".join(errors))
     runs = [exp.feature_names for exp in ordered]
     report = positionwise_stability(runs)
     if errors:
-        report = replace(report, incomplete=True,
-                         failures=tuple(errors[i] for i in sorted(errors)))
+        report = replace(report, incomplete=True, failures=tuple(errors))
     return report, ordered
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .models import Model
 from .sampling import (InstanceSpec, PerturbationDataset, build_dataset,
-                       extend_dataset, seed_sequence)
+                       derived_seed, extend_dataset)
 from .stability_testing import (DEFAULT_GROWTH_FACTOR, TestDecision,
                                 bonferroni_entry_test, entry_test,
                                 product_covariance)
@@ -176,9 +176,8 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
                 dataset = extend_dataset(model, dataset, recommended,
                                          capacity=config.n_max)
         else:
-            round_seed = int(seed_sequence(config.seed, (0x5EED, round_index))
-                             .generate_state(1, np.uint64)[0])
-            dataset = build_dataset(model, instance, recommended, round_seed,
+            dataset = build_dataset(model, instance, recommended,
+                                    derived_seed(config.seed, (0x5EED, round_index)),
                                     config.kernel_width)
         # If capped with recommended <= dataset.n (budget already reached),
         # the loop simply reruns ungated on the data it has.

@@ -47,9 +47,9 @@ __all__ = [
 
 MAX_ROWS_PER_REQUEST = 1000
 _EXCERPT_LEN = 300
-# Seconds an ``exec:`` child may take to read one request and answer it.
-# A child that takes longer is killed, so a model that never answers fails
-# the run instead of hanging it.
+# Seconds an ``exec:`` child may take to read one request and answer it,
+# and a batch-file command to finish.  A child that takes longer is killed,
+# so a model that never answers fails the run instead of hanging it.
 REQUEST_TIMEOUT_S = 60.0
 
 
@@ -434,7 +434,9 @@ class BatchFileModel(Model):
     """One-shot file handshake: write request CSV, run command, read response.
 
     The response file must be a CSV whose header contains a ``prediction``
-    column with one row per requested instance.
+    column with one row per requested instance.  The command runs in a
+    process group of its own, which is killed if it runs longer than
+    :data:`REQUEST_TIMEOUT_S`.
     """
 
     def __init__(self, command: Sequence[str], request_path: str | Path,
@@ -456,14 +458,29 @@ class BatchFileModel(Model):
             for row in X:
                 writer.writerow([repr(float(v)) for v in row])
         try:
-            completed = subprocess.run(
-                list(self.command), capture_output=True, text=True, check=False)
+            child = subprocess.Popen(
+                self.command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, start_new_session=True)
         except OSError as exc:
             raise ModelQueryError(f"could not run batch model command: {exc}") from exc
-        if completed.returncode != 0:
+        # A kill on expiry reaches the whole group, so a process the command
+        # started cannot hold its output open and keep the wait going.
+        with child:
+            try:
+                stdout, stderr = child.communicate(timeout=REQUEST_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                _kill_group(child)
+                child.communicate()
+                raise ModelQueryError(
+                    f"batch model command did not finish within {REQUEST_TIMEOUT_S:g} s;"
+                    " killed it") from None
+            except BaseException:   # an interrupt: leave no process behind
+                _kill_group(child)
+                raise
+        if child.returncode != 0:
             raise ModelQueryError(
-                f"batch model command exited with status {completed.returncode}",
-                payload_excerpt=_excerpt(completed.stderr or completed.stdout))
+                f"batch model command exited with status {child.returncode}",
+                payload_excerpt=_excerpt(stderr or stdout))
         try:
             with open(self.response_path, newline="", encoding="utf-8") as fh:
                 reader = csv.DictReader(fh)

@@ -12,22 +12,23 @@ Kernel weights follow the usual locality kernel
 ``exp(-d^2 / width^2)`` with d the Euclidean distance measured in
 scale-normalized coordinates, so the instance itself would get weight 1.
 
-New rows are made in one pass per block of 4096 rows, counted from the
-first new row: the pass draws rows straight into the dataset's buffer (from
-the block's first generator-block boundary to the next block's, so no
-generator block is drawn twice), computes the block's kernel weights and
-sums its weighted moments about the instance
-(:class:`~slime.weighted_lars.WeightedMoments`).  The calling
-thread adds those sums to the ones the dataset carries, in block order, so
-standardizing a grown sample costs p x p algebra plus the new rows.  When
-the new rows hold at least 2**20 entries and span more than one block, the
-blocks run on a thread pool with one thread per CPU the process may run on
-(its CPU affinity; ``taskset -c 0 slime ...`` keeps the pass on one
-thread); smaller passes run in the calling thread.  Rows, weights and
-moments are the same bytes whatever the number of CPUs.  The sample lives
-in one C-order buffer, and growth writes the new rows into the buffer's
-spare rows, which the caller may reserve up front
-(``extend_dataset(..., capacity=)``).
+New rows are made in two phases.  The draw phase writes them straight into
+the dataset's buffer, one call per block of 4096 rows counted from the
+first new row; each call but the first starts at the generator-block
+boundary at or after its block's first row, so no generator block is drawn
+twice.  The weigh phase splits the blocks into one contiguous run per
+worker and gives each block its kernel weights and its weighted moments
+about the instance (:class:`~slime.weighted_lars.WeightedMoments`); the
+calling thread adds those sums to the ones the dataset carries, in block
+order, so standardizing a grown sample costs p x p algebra plus the new
+rows.  When the new rows hold at least 2**20 entries and span more than one
+block, both phases run on a thread pool with one thread per CPU the process
+may run on (its CPU affinity; ``taskset -c 0 slime ...`` keeps the pass on
+one thread); smaller passes run in the calling thread.  Rows, weights and
+moments are the same bytes whatever the number of CPUs.  Building a dataset
+is its first growth, from no rows.  The sample lives in one C-order buffer,
+and growth writes the new rows into the buffer's spare rows, which the
+caller may reserve up front (``extend_dataset(..., capacity=)``).
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -159,6 +159,11 @@ def seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
 
 
+def derived_seed(seed: int, key: tuple[int, ...]) -> int:
+    """A fresh integer seed from the child stream ``key`` of ``seed``."""
+    return int(seed_sequence(seed, key).generate_state(1, np.uint64)[0])
+
+
 def _standard_rows(seed: int, start: int, stop: int, p: int, out: np.ndarray) -> None:
     """Write rows [start, stop) of the infinite standard-normal table for this
     seed into ``out``, a C-contiguous (stop - start, p) float array."""
@@ -254,58 +259,44 @@ def _draw_and_weigh(instance: InstanceSpec, seed: int, width: float, X: np.ndarr
     """Fill ``X`` with rows ``start ..`` of the sample, return their kernel
     weights and add their moments to ``moments`` when given.
 
-    One pass per block of ``ROW_BLOCK`` rows draws, weighs and sums the
-    block.  Large passes run the blocks on a thread pool sized to the CPUs
-    the process may use; the calling thread adds the sums in block order,
-    so the bytes do not depend on the number of threads.
+    Two phases: draw the rows in one call per block of ``ROW_BLOCK`` rows,
+    then weigh the blocks and sum their moments.  Large passes run each
+    phase on a thread pool sized to the CPUs the process may use; the
+    calling thread adds the sums in block order, so the bytes do not depend
+    on the number of threads.
     """
     _check_width(width)
     n, p = X.shape
     w = np.empty(n)
     blocks = list(row_blocks(n))
-    # Block i draws from the first generator-block boundary at or after its
-    # first row up to block i+1's, so no generator block is drawn twice; its
-    # rows before that boundary come from block i-1's draw.
+    # Each block's draw starts at the first generator-block boundary at or
+    # after its first row, so no generator block is drawn twice.
     edges = [0] + [min(n, -(-(start + rows.start) // _BLOCK) * _BLOCK - start)
                    for rows in blocks[1:]] + [n]
-    drawn = [threading.Event() for _ in blocks]
     workers = min(_cpu_count(), len(blocks)) if X.size >= _POOL_MIN_ENTRIES else 1
-    # Scratch is allocated here, not in the workers: memory a worker thread
-    # frees stays in that thread's malloc arena.
-    spare = queue.SimpleQueue()
-    for _ in range(workers):
-        spare.put(_scratch(n, p))
+    # One contiguous run of blocks per worker.  Scratch is allocated here,
+    # not in the workers: memory a worker thread frees stays in that
+    # thread's malloc arena.
+    cuts = [len(blocks) * k // workers for k in range(workers + 1)]
+    runs = [(blocks[lo:hi], _scratch(n, p)) for lo, hi in zip(cuts, cuts[1:])]
 
-    def block(i: int) -> tuple[np.ndarray, np.ndarray, float]:
-        lo, hi = edges[i], edges[i + 1]
-        try:
-            if lo < hi:
-                gaussian_perturb(instance, hi - lo, seed, start=start + lo, out=X[lo:hi])
-        finally:
-            drawn[i].set()   # also on failure: block i+1 waits for it
-        if i > 0:
-            drawn[i - 1].wait()
-        rows = blocks[i]
-        scratch = spare.get()
-        try:
-            return WeightedMoments.block_sums(
-                _weigh(X[rows], instance, width, w[rows], scratch), w[rows])
-        finally:
-            spare.put(scratch)
+    def draw(lo: int, hi: int) -> None:
+        if lo < hi:
+            gaussian_perturb(instance, hi - lo, seed, start=start + lo, out=X[lo:hi])
 
-    def add_in_order(sums) -> None:
-        for part in sums:
+    def weigh(run) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        run_blocks, scratch = run
+        return [WeightedMoments.block_sums(
+                    _weigh(X[rows], instance, width, w[rows], scratch), w[rows])
+                for rows in run_blocks]
+
+    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        each = map if pool is None else pool.map
+        list(each(draw, edges[:-1], edges[1:]))
+        for sums in each(weigh, runs):
             if moments is not None:
-                moments.add(part)
-
-    if workers == 1:
-        add_in_order(map(block, range(len(blocks))))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            # The pool starts blocks in order, and none is cancelled, even
-            # after a failure: a block waits only for one started before it.
-            futures = [pool.submit(block, i) for i in range(len(blocks))]
-            add_in_order(future.result() for future in futures)
+                for part in sums:
+                    moments.add(part)
     return w
 
 
@@ -327,17 +318,16 @@ def query_model(model: Model, X: np.ndarray) -> np.ndarray:
 
 def build_dataset(model: Model, instance: InstanceSpec, n: int, seed: int,
                   kernel_width: float | None = None) -> PerturbationDataset:
-    """Sample n rows, attach kernel weights, query the model once."""
+    """Sample n rows, attach kernel weights, query the model once: the first
+    growth of an empty dataset, with moments about the instance."""
     if n < 2:
         raise DegenerateInputError("a usable dataset needs at least 2 rows")
     width = default_kernel_width(instance.n_features) if kernel_width is None else kernel_width
-    X = np.empty((n, instance.n_features))
-    moments = WeightedMoments.about(instance.values)
-    w = _draw_and_weigh(instance, int(seed), width, X, 0, moments)
-    y = query_model(model, X)
-    return PerturbationDataset(X=X, y=y, weights=w, seed=int(seed), n=n,
-                               instance=instance, kernel_width=float(width),
-                               moments=moments)
+    empty = PerturbationDataset(X=np.empty((0, instance.n_features)), y=np.empty(0),
+                                weights=np.empty(0), seed=int(seed), n=0,
+                                instance=instance, kernel_width=float(width),
+                                moments=WeightedMoments.about(instance.values))
+    return extend_dataset(model, empty, n)
 
 
 def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,

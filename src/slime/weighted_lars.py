@@ -304,6 +304,16 @@ def _check_weights(weights: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
+def _check_response(response: np.ndarray, n: int) -> np.ndarray:
+    """The response as floats: n of them, all finite."""
+    y = np.asarray(response, dtype=float)
+    if y.shape != (n,):
+        raise ValidationError("response length must match the design")
+    if not np.isfinite(y).all():
+        raise ValidationError("response must be finite")
+    return y
+
+
 def standardize(design: DesignMatrix, weights: np.ndarray, *,
                 scale_columns: bool = True,
                 moments: WeightedMoments | None = None) -> StandardizedDesign:
@@ -388,11 +398,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
     gram = design.gram
     names = design.column_names
     n, m = design.n_rows, gram.shape[0]
-    y = np.asarray(response, dtype=float)
-    if y.shape != (n,):
-        raise ValidationError("response length must match the design")
-    if not np.isfinite(y).all():
-        raise ValidationError("response must be finite")
+    y = _check_response(response, n)
     if not (1 <= max_active <= min(n - 1, m)):
         raise ValidationError(
             f"max_active must lie in [1, min(n - 1, p)] = [1, {min(n - 1, m)}], got {max_active}")
@@ -560,11 +566,7 @@ def refit_least_squares(design: DesignMatrix, response: np.ndarray,
     if len(set(cols)) != len(cols):
         raise ValidationError("selected features must be distinct")
 
-    y = np.asarray(response, dtype=float)
-    if y.shape != (design.n_rows,):
-        raise ValidationError("response length must match the design")
-    if not np.isfinite(y).all():
-        raise ValidationError("response must be finite")
+    y = _check_response(response, design.n_rows)
     w = _check_weights(weights, design.n_rows)
 
     # The system stays uncentred because tests/test_golden_structure.py pins

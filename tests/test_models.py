@@ -1,6 +1,7 @@
 """Model handle checks: builtins, expression grammar, external protocols."""
 
 import math
+import os
 import sys
 import time
 import tracemalloc
@@ -358,6 +359,21 @@ def test_batch_file_command_failure(tmp_path):
     model = batch_model(tmp_path, bad)
     with pytest.raises(ModelQueryError, match="status 3"):
         model.predict_batch(np.zeros((2, 2)))
+
+
+def test_batch_file_command_that_never_finishes_is_killed(monkeypatch, tmp_path):
+    # sh writes its pid and becomes sleep: one child, whose pid is known.
+    monkeypatch.setattr(models, "REQUEST_TIMEOUT_S", 1.0)
+    pid_path = tmp_path / "pid"
+    command = ["sh", "-c", 'echo $$ > "$0"; exec sleep 30', str(pid_path)]
+    model = BatchFileModel(command, tmp_path / "request.csv",
+                           tmp_path / "response.csv", input_dim=2)
+    start = time.monotonic()
+    with pytest.raises(ModelQueryError, match="did not finish within 1 s"):
+        model.predict_batch(np.zeros((2, 2)))
+    assert time.monotonic() - start < 10
+    with pytest.raises(ProcessLookupError):
+        os.killpg(int(pid_path.read_text()), 0)
 
 
 def test_batch_file_validation(tmp_path):

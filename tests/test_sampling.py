@@ -15,6 +15,9 @@ from slime.sampling import (InstanceSpec, PerturbationDataset, build_dataset,
                             default_kernel_width, extend_dataset,
                             gaussian_perturb, kernel_weights, query_model,
                             scales_from_csv)
+from slime.weighted_lars import (DesignMatrix, lars_lasso_path,
+                                 refit_least_squares, standardize,
+                                 transform_response)
 
 
 class CountingLinear(Model):
@@ -356,6 +359,35 @@ def test_a_failing_block_propagates_and_leaves_no_thread(monkeypatch):
         extend_dataset(model, small, 70000)
     assert set(threading.enumerate()) <= before
     assert model.batch_sizes == [3000]   # never queried on a partial sample
+
+
+def test_a_dataset_made_without_moments_extends_and_explains_like_its_parent(monkeypatch):
+    # p = 20: growing 3000 rows to 70000 takes the pool; to 5000, not.
+    p = 20
+    spec = InstanceSpec(values=np.linspace(-3.0, 5.0, p),
+                        feature_scales=np.linspace(0.5, 2.0, p))
+    model = LinearModel(np.linspace(2.0, -1.0, p))
+    _on_workers(monkeypatch, 2)
+    parent = build_dataset(model, spec, n=3000, seed=9)
+    bare = PerturbationDataset(X=parent.X, y=parent.y, weights=parent.weights,
+                               seed=parent.seed, n=parent.n, instance=spec,
+                               kernel_width=parent.kernel_width)
+    for new_n in (5000, 70000):
+        want = extend_dataset(model, parent, new_n)
+        got = extend_dataset(model, bare, new_n)
+        assert got.moments is None
+        for a, b in ((got.X, want.X), (got.y, want.y), (got.weights, want.weights)):
+            assert a.tobytes() == b.tobytes(), new_n
+        fits = []
+        for dataset in (want, got):
+            design = DesignMatrix(values=dataset.X, column_names=spec.feature_names)
+            std = standardize(design, dataset.weights, moments=dataset.moments)
+            state = lars_lasso_path(
+                std, transform_response(dataset.y, dataset.weights), max_active=5)
+            coef, intercept = refit_least_squares(design, dataset.y, dataset.weights,
+                                                  state.active_set)
+            fits.append((state.active_set, coef.tobytes(), intercept))
+        assert fits[0] == fits[1], new_n
 
 
 def test_extend_requires_growth():
