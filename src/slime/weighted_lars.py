@@ -25,6 +25,10 @@ with the remaining candidates ranked by absolute correlation, and the
 returned state carries the final one.  The observer may vote to abort,
 which is how the adaptive explainer interrupts a path whose next entry is
 statistically undecided.
+
+The path's equiangular direction and the refit solve their positive-definite
+systems with numpy alone: a Cholesky factor, then a solve with the factor
+and one with its transpose.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateInputError, SingularityError, ValidationError
 
@@ -314,6 +317,16 @@ def _check_response(response: np.ndarray, n: int) -> np.ndarray:
     return y
 
 
+def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` for symmetric positive-definite ``a``: a Cholesky
+    factor, then one solve with it and one with its transpose.  Raises
+    ``np.linalg.LinAlgError`` when ``a`` is not positive definite, and
+    ``ValueError`` when ``a`` or ``b`` is not finite (an overflowed system
+    would otherwise factor into NaNs without an error)."""
+    low = np.linalg.cholesky(np.asarray_chkfinite(a))
+    return np.linalg.solve(low.T, np.linalg.solve(low, np.asarray_chkfinite(b)))
+
+
 def standardize(design: DesignMatrix, weights: np.ndarray, *,
                 scale_columns: bool = True,
                 moments: WeightedMoments | None = None) -> StandardizedDesign:
@@ -467,13 +480,12 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         signs = np.sign(c[idx])
         signs[signs == 0] = 1.0
         try:
-            chol = scipy.linalg.cho_factor(
-                gram[np.ix_(idx, idx)] * np.outer(signs, signs), lower=True)
-        except scipy.linalg.LinAlgError:
+            ga_inv_one = _spd_solve(gram[np.ix_(idx, idx)] * np.outer(signs, signs),
+                                    np.ones(len(active)))
+        except np.linalg.LinAlgError:
             raise SingularityError(
                 "active feature set has a rank-deficient Gram matrix",
                 features=tuple(names[j] for j in active)) from None
-        ga_inv_one = scipy.linalg.cho_solve(chol, np.ones(len(active)))
         denom = float(ga_inv_one.sum())
         if denom <= 0:
             raise SingularityError(
@@ -583,10 +595,9 @@ def refit_least_squares(design: DesignMatrix, response: np.ndarray,
     gram = a.T @ a
     rhs = a.T @ (sqrt_w * y)
     try:
-        chol = scipy.linalg.cho_factor(gram, lower=True)
-    except scipy.linalg.LinAlgError:
+        solution = _spd_solve(gram, rhs)
+    except np.linalg.LinAlgError:
         raise SingularityError(
             "weighted Gram matrix over the selected features is singular",
             features=tuple(selected)) from None
-    solution = scipy.linalg.cho_solve(chol, rhs)
     return solution[1:], float(solution[0])

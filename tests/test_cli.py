@@ -105,6 +105,21 @@ def test_explain_via_module_subprocess_matches_in_process(capsys, tmp_path):
     assert completed.stdout == expected
 
 
+def test_explain_runs_without_loading_scipy(tmp_path):
+    script = (
+        "import sys, slime, slime.cli\n"
+        "code = slime.cli.main(['explain', '--model', 'builtin:mars',"
+        " '--instance', '0.51,0.49,0.5,0.5,0.5', '--n0', '200', '--k', '2',"
+        " '--n-max', '800', '--seed', '1'])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        cwd=tmp_path, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(slime.__file__).parents[1])})
+    assert completed.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------- manifests
 
 def test_manifest_replay_reproduces_output(capsys, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,20 @@ def test_quantile_against_high_precision_oracle():
     for p in (1e-6, 0.001, 0.025, 0.05, 0.2, 0.4, 0.5, 0.6, 0.95, 0.999):
         assert normal_quantile(p) == pytest.approx(
             mp_normal_upper_quantile(p), abs=1e-11)
+
+
+def test_quantile_and_tail_have_small_relative_error_deep_in_the_tail():
+    """Outputs carry p-values near 1e-50, where an absolute tolerance sees
+    nothing: compare relative errors against 50-digit mpmath values."""
+    for p in (1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10, 1e-6, 1e-3,
+              0.05, 0.2, 0.4, 0.6, 0.9, 0.999, 1 - 1e-6):
+        assert normal_quantile(p) == pytest.approx(
+            mp_normal_upper_quantile(p), rel=1e-14, abs=0.0)
+    with mpmath.workdps(50):
+        for z in (-8.0, -1.0, 0.0, 0.5, 1.0, 2.0, 5.0, 8.0, 10.0, 15.0, 20.0,
+                  25.0, 30.0, 35.0, 37.0):
+            want = float(mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)) / 2)
+            assert normal_upper_tail(z) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_quantile_and_tail_are_mutually_inverse():

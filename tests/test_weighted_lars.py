@@ -5,16 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cd_lasso, kkt_violation, weighted_ols
 from slime.errors import (DegenerateInputError, SingularityError,
                           ValidationError)
-from slime.weighted_lars import (ROW_BLOCK, DesignMatrix, lars_lasso_path,
-                                 refit_least_squares, standardize,
-                                 transform_response)
+from slime.weighted_lars import (ROW_BLOCK, DesignMatrix, _spd_solve,
+                                 lars_lasso_path, refit_least_squares,
+                                 standardize, transform_response)
 
 
 def make_design(values, names=None):
@@ -397,8 +396,7 @@ def test_refit_builds_one_system_and_no_copy_of_its_columns():
     a = np.empty((n, k + 1))
     a[:, 0] = sqrt_w
     a[:, 1:] = sqrt_w[:, None] * X[:, cols]
-    want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a.T @ a, lower=True),
-                                  a.T @ (sqrt_w * y))
+    want = _spd_solve(a.T @ a, a.T @ (sqrt_w * y))
     assert coefs.tobytes() == want[1:].tobytes()
     assert intercept == want[0]
 
@@ -423,6 +421,34 @@ def test_refit_singular_selection_raises():
     with pytest.raises(SingularityError) as info:
         refit_least_squares(design, y, np.ones(4), ["a", "b"])
     assert info.value.features == ("a", "b")
+
+
+def test_near_collinear_columns_make_the_path_raise_and_name_the_active_set():
+    # b is a up to 1e-10 noise: once both have entered, the signed Gram of
+    # the active set is not numerically positive definite.
+    rng = np.random.default_rng(0)
+    n = 50
+    a = rng.normal(size=n)
+    b = a + 1e-10 * rng.normal(size=n)
+    c = rng.normal(size=n)
+    y = a + 0.5 * c + 0.1 * rng.normal(size=n)
+    design = make_design(np.column_stack([a, b, c]), names=("a", "b", "c"))
+    with pytest.raises(SingularityError,
+                       match="active feature set has a rank-deficient Gram matrix"
+                       ) as info:
+        run_path(design, y, np.ones(n))
+    assert info.value.features == ("b", "c", "a")
+
+
+def test_refit_whose_system_overflows_raises_instead_of_returning_nan():
+    # Finite values near 1e155 square past the float range in the uncentred
+    # system; the refit must not report NaN coefficients.
+    rng = np.random.default_rng(0)
+    values = 1e155 + 1e150 * rng.normal(size=(20, 2))
+    design = make_design(values, names=("a", "b"))
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        refit_least_squares(design, values.sum(axis=1) * 1e-155, np.ones(20),
+                            ["a", "b"])
 
 
 # ------------------------------------------------------------- invariants
