@@ -130,19 +130,21 @@ class _EntryGate:
         return np.negative(column, out=column) if candidate.c_hat < 0 else column
 
 
-def _walk(design: DesignMatrix, dataset: PerturbationDataset,
-          config: ExplainerConfig, trace: list[TestDecision] | None) -> PathState:
+def _walk(dataset: PerturbationDataset, config: ExplainerConfig,
+          trace: list[TestDecision] | None) -> tuple[StandardizedDesign, PathState]:
     """One round: standardize the sample and walk its LASSO path.
 
     With a ``trace`` every entry is gated and its decision appended there.
-    The standardized design and the gate die when the round returns, so they
-    are never alive while the next round grows the sample.
+    The gate dies when the round returns; the standardized design is handed
+    back for the refit.
     """
+    # Sampled rows are finite by construction: no finiteness scan.
+    design = DesignMatrix._trusted(dataset.X, dataset.instance.feature_names)
     std = standardize(design, dataset.weights, moments=dataset.moments)
     response = transform_response(dataset.y, dataset.weights)
     max_active = min(config.k, std.retained_idx.size, dataset.n - 1)
     gate = None if trace is None else _EntryGate(config, std, trace)
-    return lars_lasso_path(std, response, max_active, observer=gate)
+    return std, lars_lasso_path(std, response, max_active, observer=gate)
 
 
 def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
@@ -157,12 +159,12 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
     capped = False
     round_index = 0
     while True:
-        # Rebinding releases the previous round's sample before standardize.
-        # Sampled rows are finite by construction: no finiteness scan.
-        design = DesignMatrix._trusted(dataset.X, instance.feature_names)
-        state = _walk(design, dataset, config, trace if gated and not capped else None)
+        std, state = _walk(dataset, config, trace if gated and not capped else None)
         if not state.aborted:
             break
+        # The round's standardized design holds its sample: release it
+        # before the sample grows and the next round standardizes.
+        del std
         # An aborted walk ends on its failed decision.
         recommended = trace[-1].recommended_n
         if recommended > config.n_max:
@@ -183,15 +185,15 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
         # the loop simply reruns ungated on the data it has.
 
     names = state.active_set
+    y_mean = (dataset.weights @ dataset.y) / dataset.weights.sum()
     if names:
-        coef, intercept = refit_least_squares(design, dataset.y,
-                                              dataset.weights, names)
+        coef, intercept = refit_least_squares(std, state.xty, y_mean, names)
         selected = tuple((name, float(c)) for name, c in zip(names, coef))
     else:
         # Degenerate: nothing correlates with the response.  Report the
         # weighted mean as the intercept and no features.
         selected = ()
-        intercept = (dataset.weights @ dataset.y) / dataset.weights.sum()
+        intercept = y_mean
     return Explanation(selected=selected, intercept=float(intercept),
                        final_n=dataset.n, capped=capped,
                        test_trace=tuple(trace), seed=dataset.seed)

@@ -115,10 +115,10 @@ class PerturbationDataset:
 
     ``seed`` and ``kernel_width`` are carried along so the dataset can be
     extended later without re-querying existing rows.  ``moments`` holds
-    the weighted moments of the rows about the instance; ``build_dataset``
-    and ``extend_dataset`` fill it in.  ``_buffer``, when set, is the array
-    whose leading rows ``X`` views; its later rows are spare capacity for
-    growth.
+    the weighted moments of the rows about the instance: growth carries
+    them along, and a dataset made without them sums them from its rows.
+    ``_buffer``, when set, is the array whose leading rows ``X`` views; its
+    later rows are spare capacity for growth.
     """
 
     X: np.ndarray
@@ -140,6 +140,9 @@ class PerturbationDataset:
             raise ValidationError("responses must be finite")
         if (self.weights <= 0).any() or (self.weights > 1).any():
             raise ValidationError("weights must lie in (0, 1]")
+        if self.moments is None:
+            object.__setattr__(self, "moments", WeightedMoments.of(
+                self.X, self.weights, self.instance.values))
 
 
 def default_kernel_width(p: int) -> float:
@@ -255,9 +258,9 @@ def _cpu_count() -> int:
 
 
 def _draw_and_weigh(instance: InstanceSpec, seed: int, width: float, X: np.ndarray,
-                    start: int, moments: WeightedMoments | None) -> np.ndarray:
+                    start: int, moments: WeightedMoments) -> np.ndarray:
     """Fill ``X`` with rows ``start ..`` of the sample, return their kernel
-    weights and add their moments to ``moments`` when given.
+    weights and add their moments to ``moments``.
 
     Two phases: draw the rows in one call per block of ``ROW_BLOCK`` rows,
     then weigh the blocks and sum their moments.  Large passes run each
@@ -294,9 +297,8 @@ def _draw_and_weigh(instance: InstanceSpec, seed: int, width: float, X: np.ndarr
         each = map if pool is None else pool.map
         list(each(draw, edges[:-1], edges[1:]))
         for sums in each(weigh, runs):
-            if moments is not None:
-                for part in sums:
-                    moments.add(part)
+            for part in sums:
+                moments.add(part)
     return w
 
 
@@ -325,8 +327,7 @@ def build_dataset(model: Model, instance: InstanceSpec, n: int, seed: int,
     width = default_kernel_width(instance.n_features) if kernel_width is None else kernel_width
     empty = PerturbationDataset(X=np.empty((0, instance.n_features)), y=np.empty(0),
                                 weights=np.empty(0), seed=int(seed), n=0,
-                                instance=instance, kernel_width=float(width),
-                                moments=WeightedMoments.about(instance.values))
+                                instance=instance, kernel_width=float(width))
     return extend_dataset(model, empty, n)
 
 
@@ -351,7 +352,7 @@ def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
         buffer = np.empty((max(new_n, capacity), dataset.instance.n_features))
         buffer[:n] = dataset.X
     X_new = buffer[n:new_n]
-    moments = None if dataset.moments is None else dataset.moments.copy()
+    moments = dataset.moments.copy()
     w_new = _draw_and_weigh(dataset.instance, dataset.seed, dataset.kernel_width,
                             X_new, n, moments)
     y_new = query_model(model, X_new)

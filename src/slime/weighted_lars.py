@@ -26,9 +26,11 @@ returned state carries the final one.  The observer may vote to abort,
 which is how the adaptive explainer interrupts a path whose next entry is
 statistically undecided.
 
-The path's equiangular direction and the refit solve their positive-definite
-systems with numpy alone: a Cholesky factor, then a solve with the factor
-and one with its transpose.
+The refit after the path solves the selected block of the same Gram against
+the same correlations and reads no row of the sample.  The path's
+equiangular direction and the refit solve their positive-definite systems
+with numpy alone: a Cholesky factor, then a solve with the factor and one
+with its transpose.
 """
 
 from __future__ import annotations
@@ -292,6 +294,7 @@ class PathState:
     entry_events: list[tuple[int, str, float]]   # (step, feature, signed c_hat at entry)
     drop_events: list[tuple[int, str]]
     breakpoints: list[PathBreakpoint]
+    xty: np.ndarray               # each retained column's correlation with the response
     aborted: bool = False
 
 
@@ -357,6 +360,11 @@ def standardize(design: DesignMatrix, weights: np.ndarray, *,
                                      design.values[:ROW_BLOCK].mean(axis=0))
     means = moments.shift + moments.first / moments.total
     gram = moments.second - np.outer(moments.first, moments.first) / moments.total
+    if not (np.isfinite(means).all() and np.isfinite(gram).all()):
+        # A NaN norm would fail the drop test below and pass for a constant.
+        raise DegenerateInputError(
+            "the weighted moments are not finite: the sample's spread "
+            "overflows the float range")
     norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
 
     keep = norms >= _TOL
@@ -382,15 +390,9 @@ def transform_response(response: np.ndarray, weights: np.ndarray) -> np.ndarray:
     removing the weighted mean.  Pair with :func:`standardize` before calling
     :func:`lars_lasso_path`."""
     y = np.asarray(response, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if y.ndim != 1 or y.shape != w.shape:
-        raise ValidationError("response and weights must be 1-d vectors of equal length")
-    if not np.isfinite(y).all():
-        raise ValidationError("response must be finite")
-    total = w.sum()
-    if total <= 0:
-        raise DegenerateInputError("weights sum to zero")
-    return np.sqrt(w) * (y - (w @ y) / total)
+    w = _check_weights(weights, y.size)
+    y = _check_response(y, y.size)
+    return np.sqrt(w) * (y - (w @ y) / w.sum())
 
 
 def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
@@ -418,6 +420,8 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
 
     beta = np.zeros(m)
     xty = design.project(y)
+    if not np.isfinite(xty).all():
+        raise DegenerateInputError("the correlations with the response are not finite")
     active: list[int] = []
     entry_events: list[tuple[int, str, float]] = []
     drop_events: list[tuple[int, str]] = []
@@ -555,49 +559,40 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         entry_events=entry_events,
         drop_events=drop_events,
         breakpoints=breakpoints,
+        xty=xty,
         aborted=aborted,
     )
 
 
-def refit_least_squares(design: DesignMatrix, response: np.ndarray,
-                        weights: np.ndarray, selected: Sequence[str]
+def refit_least_squares(design: StandardizedDesign, xty: np.ndarray,
+                        response_mean: float, selected: Sequence[str]
                         ) -> tuple[np.ndarray, float]:
     """Weighted least squares on the original scale for the selected columns.
 
     Returns ``(coefficients, intercept)`` with coefficients aligned with
     ``selected``.  This is the final polish step: the path picks the features,
     the refit reports honest coefficients free of shrinkage.
+
+    Centred like the path, it reads no row of the sample: ``xty`` holds the
+    retained columns' correlations with the transformed response
+    (``PathState.xty``) and ``response_mean`` the weighted mean of y.  The
+    solve runs on the selected block of ``design.gram``; the column norms and
+    weighted means give back the original scale and the intercept.
     """
     if not selected:
         raise ValidationError("selected feature list must be non-empty")
-    name_to_idx = {name: i for i, name in enumerate(design.column_names)}
+    position = {name: j for j, name in enumerate(design.column_names)}
     try:
-        cols = [name_to_idx[name] for name in selected]
+        idx = [position[name] for name in selected]
     except KeyError as exc:
         raise ValidationError(f"unknown feature {exc.args[0]!r}") from None
-    if len(set(cols)) != len(cols):
+    if len(set(idx)) != len(idx):
         raise ValidationError("selected features must be distinct")
-
-    y = _check_response(response, design.n_rows)
-    w = _check_weights(weights, design.n_rows)
-
-    # The system stays uncentred because tests/test_golden_structure.py pins
-    # its rounding.  On "mars 0 top-two seed 1" the pinned coefficients lie
-    # 8.2e-12 (relative) from a long-double solve.  A refit centred through
-    # the weighted moments lands within 5e-15 of that solve, which moves
-    # them past the test's 1e-12 tolerance.  Each selected column is
-    # weighted straight into the system, without a copy of the columns.
-    sqrt_w = np.sqrt(w)
-    a = np.empty((design.n_rows, len(cols) + 1))
-    a[:, 0] = sqrt_w
-    for j, col in enumerate(cols, start=1):
-        np.multiply(sqrt_w, design.values[:, col], out=a[:, j])
-    gram = a.T @ a
-    rhs = a.T @ (sqrt_w * y)
     try:
-        solution = _spd_solve(gram, rhs)
+        b = _spd_solve(design.gram[np.ix_(idx, idx)], np.asarray(xty)[idx])
     except np.linalg.LinAlgError:
         raise SingularityError(
             "weighted Gram matrix over the selected features is singular",
             features=tuple(selected)) from None
-    return solution[1:], float(solution[0])
+    coef = b / design.col_norms[idx]
+    return coef, float(response_mean - design.col_means[idx] @ coef)

@@ -265,6 +265,35 @@ def test_validation_errors_exit_two(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_explain_far_from_zero_refits_without_overflow(capsys):
+    # Rows near 1e155 square past the float range; the centred refit never
+    # squares them.
+    code, out, _ = run_cli(
+        ["explain", "--model", "builtin:linear:1,1", "--instance", "1e155,1e155",
+         "--scales", "1e150", "--n0", "50", "--k", "2", "--n-max", "100",
+         "--format", "json"],
+        capsys)
+    assert code == 0
+    record = json.loads(out)
+    assert sorted(s["feature"] for s in record["selected"]) == ["x1", "x2"]
+    for s in record["selected"]:
+        assert abs(s["coefficient"] - 1.0) < 1e-10, s
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_moments_exit_two(capsys):
+    # A column's spread overflows its sum of squares, or its product with
+    # the response's spread: the run must stop instead of dropping that
+    # column as constant or gating on NaN.
+    for model, scales in (("1,1", "1e160,1"), ("1,1", "1e160"), ("1e50,1", "1e150,1")):
+        code, _, err = run_cli(
+            ["explain", "--model", f"builtin:linear:{model}", "--instance", "0,0",
+             "--scales", scales, "--n0", "50", "--k", "2", "--n-max", "100"],
+            capsys)
+        assert code == 2, scales
+        assert err.startswith("error:") and "not finite" in err, scales
+
+
 def test_scales_flags_are_mutually_exclusive(capsys, tmp_path):
     background = tmp_path / "bg.csv"
     background.write_text("a,b,c\n1,2,3\n4,5,6\n", encoding="utf-8")

@@ -120,6 +120,21 @@ def test_refit_matches_weighted_least_squares_oracle():
     assert explanation.intercept == pytest.approx(oracle_int, abs=1e-10)
 
 
+def test_refit_is_accurate_far_from_zero():
+    # Rows near (200, ..., 1000) spread by 0.05: the final round's weighted
+    # least squares, solved to 60 digits from the same rows, weights and
+    # answers.  An uncentred system misses x1 by 19% here.
+    instance = InstanceSpec(values=np.linspace(200.0, 1000.0, 5),
+                            feature_scales=np.full(5, 0.05))
+    explanation = slime_explain(MarsModel(), instance, ExplainerConfig(seed=20))
+    want = {"x3": 23999.888713007727, "x2": 4.426975943195013,
+            "x4": 4.036632792997143, "x5": 3.582877798053895,
+            "x1": -0.01663368950496429}
+    assert explanation.feature_names == tuple(want)
+    np.testing.assert_allclose(coefs(explanation), list(want.values()), rtol=1e-10)
+    assert explanation.intercept == pytest.approx(-7200552.843379402, rel=1e-10)
+
+
 # ---------------------------------------------------------- adaptive loop
 
 def test_slime_clear_gaps_need_no_growth():

@@ -1,12 +1,15 @@
 """Frozen structure of seeded explanations.
 
 The CLI's byte checks (c7) compare a run with itself.  This test compares
-today's runs with values recorded from the residual-form path walk, before
-the walk moved onto the Gram: which features are selected and in what order,
-where the sample stopped, every gate decision, and the refit coefficients to
-1e-12 relative.  The test statistic and p-value are left out on purpose;
-they come from floating-point sums that a change of algebra may move in
-their last digits without changing any decision.
+today's runs with frozen values.  Which features are selected and in what
+order, where the sample stopped and every gate decision were recorded from
+the residual-form path walk, before the walk moved onto the Gram.  The
+coefficients and intercepts are each case's own weighted least squares
+over its final sample, solved with mpmath at 50 digits from sums formed
+exactly in integers, and a run must land within 1e-12 relative of them.
+The test statistic and p-value are left out on purpose; they come from
+floating-point sums that a change of algebra may move in their last digits
+without changing any decision.
 
 It covers the ten c7 spot checks (explain runs replayed with ``--format
 json``, bench runs with ``--report`` so every repetition is visible) and

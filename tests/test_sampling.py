@@ -375,7 +375,6 @@ def test_a_dataset_made_without_moments_extends_and_explains_like_its_parent(mon
     for new_n in (5000, 70000):
         want = extend_dataset(model, parent, new_n)
         got = extend_dataset(model, bare, new_n)
-        assert got.moments is None
         for a, b in ((got.X, want.X), (got.y, want.y), (got.weights, want.weights)):
             assert a.tobytes() == b.tobytes(), new_n
         fits = []
@@ -384,7 +383,8 @@ def test_a_dataset_made_without_moments_extends_and_explains_like_its_parent(mon
             std = standardize(design, dataset.weights, moments=dataset.moments)
             state = lars_lasso_path(
                 std, transform_response(dataset.y, dataset.weights), max_active=5)
-            coef, intercept = refit_least_squares(design, dataset.y, dataset.weights,
+            y_mean = (dataset.weights @ dataset.y) / dataset.weights.sum()
+            coef, intercept = refit_least_squares(std, state.xty, y_mean,
                                                   state.active_set)
             fits.append((state.active_set, coef.tobytes(), intercept))
         assert fits[0] == fits[1], new_n
