@@ -25,9 +25,9 @@ from .sampling import (InstanceSpec, PerturbationDataset, build_dataset,
 from .stability_testing import (DEFAULT_GROWTH_FACTOR, TestDecision,
                                 bonferroni_entry_test, entry_test,
                                 product_covariance)
-from .weighted_lars import (DesignMatrix, EntryContext, PathState,
-                            StandardizedDesign, lars_lasso_path,
-                            refit_least_squares, standardize,
+from .weighted_lars import (DesignMatrix, EntryCandidate, EntryContext,
+                            EntryObserver, PathState, StandardizedDesign,
+                            lars_lasso_path, refit_least_squares, standardize,
                             transform_response)
 
 __all__ = ["ExplainerConfig", "Explanation", "lime_explain", "slime_explain"]
@@ -79,7 +79,8 @@ class Explanation:
     ``selected`` pairs each chosen feature, in selection order, with its
     refit coefficient.  ``test_trace`` holds every entry-test decision made
     along the way (empty for the plain explainer); ``capped`` records that
-    the sample budget cut the adaptive loop short.
+    the sample budget cut the adaptive loop short; ``seed`` is the config's
+    seed, which reproduces the run.
     """
 
     selected: tuple[tuple[str, float], ...]
@@ -94,40 +95,37 @@ class Explanation:
         return tuple(name for name, _ in self.selected)
 
 
-class _EntryGate:
-    """Observer that tests each entry and appends its decision to a trace."""
+def _entry_gate(config: ExplainerConfig, design: StandardizedDesign,
+                trace: list[TestDecision]) -> EntryObserver:
+    """Observer that tests each entry and appends its decision to ``trace``."""
 
-    def __init__(self, config: ExplainerConfig, design: StandardizedDesign,
-                 trace: list[TestDecision]):
-        self.config = config
-        self.design = design
-        self.trace = trace
+    def signed_column(candidate: EntryCandidate) -> np.ndarray:
+        # The negation rule: a negatively correlated candidate is compared
+        # through its sign-flipped column so every correlation is positive.
+        column = design.column(candidate.index)
+        return np.negative(column, out=column) if candidate.c_hat < 0 else column
 
-    def __call__(self, ctx: EntryContext) -> bool:
+    def gate(ctx: EntryContext) -> bool:
         if len(ctx.candidates) < 2:
             return True   # nothing to compete against: entry is forced
         top = ctx.candidates[0]
-        rivals = ctx.candidates[1:] if self.config.multiple_testing else ctx.candidates[1:2]
-        # The negation rule: a negatively correlated candidate is compared
-        # through its sign-flipped column so every correlation is positive.
-        top_col = self._signed_column(top)
-        covs = [product_covariance(ctx.residual, top_col, self._signed_column(rival))
+        rivals = ctx.candidates[1:] if config.multiple_testing else ctx.candidates[1:2]
+        top_col = signed_column(top)
+        covs = [product_covariance(ctx.residual, top_col, signed_column(rival))
                 for rival in rivals]
-        if self.config.multiple_testing:
+        if config.multiple_testing:
             decision = bonferroni_entry_test(
-                covs, self.config.alpha,
+                covs, config.alpha,
                 compared_names=[(top.name, rival.name) for rival in rivals],
-                step=ctx.step, growth_factor=self.config.growth_factor)
+                step=ctx.step, growth_factor=config.growth_factor)
         else:
             decision = entry_test(
-                covs[0], self.config.alpha, compared=(top.name, rivals[0].name),
-                step=ctx.step, growth_factor=self.config.growth_factor)
-        self.trace.append(decision)
+                covs[0], config.alpha, compared=(top.name, rivals[0].name),
+                step=ctx.step, growth_factor=config.growth_factor)
+        trace.append(decision)
         return decision.significant
 
-    def _signed_column(self, candidate) -> np.ndarray:
-        column = self.design.column(candidate.index)
-        return np.negative(column, out=column) if candidate.c_hat < 0 else column
+    return gate
 
 
 def _walk(dataset: PerturbationDataset, config: ExplainerConfig,
@@ -143,7 +141,7 @@ def _walk(dataset: PerturbationDataset, config: ExplainerConfig,
     std = standardize(design, dataset.weights, moments=dataset.moments)
     response = transform_response(dataset.y, dataset.weights)
     max_active = min(config.k, std.retained_idx.size, dataset.n - 1)
-    gate = None if trace is None else _EntryGate(config, std, trace)
+    gate = None if trace is None else _entry_gate(config, std, trace)
     return std, lars_lasso_path(std, response, max_active, observer=gate)
 
 
@@ -196,7 +194,7 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
         intercept = y_mean
     return Explanation(selected=selected, intercept=float(intercept),
                        final_n=dataset.n, capped=capped,
-                       test_trace=tuple(trace), seed=dataset.seed)
+                       test_trace=tuple(trace), seed=config.seed)
 
 
 def lime_explain(model: Model, instance: InstanceSpec,

@@ -137,6 +137,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^()])")
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+# Binary operators, loosest-binding level first; each level is left associative.
+_BINARY_LEVELS = ("+-", "*/")
+_BINARY_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                  "/": np.divide, "^": np.power}
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
@@ -183,23 +187,17 @@ class _Parser:
             raise ExpressionError(f"unexpected token {text!r}", col)
         return node
 
-    def expr(self):
-        node = self.term()
+    def expr(self, level: int = 0):
+        """A left-associative chain of ``_BINARY_LEVELS[level]`` operators
+        over operands one level tighter (unary expressions past the last)."""
+        if level == len(_BINARY_LEVELS):
+            return self.unary()
+        node = self.expr(level + 1)
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
+            if kind == "op" and text in _BINARY_LEVELS[level]:
                 self.advance()
-                node = ("bin", text, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = ("bin", text, node, self.unary())
+                node = ("bin", text, node, self.expr(level + 1))
             else:
                 return node
 
@@ -254,19 +252,7 @@ def _eval_node(node, X: np.ndarray) -> np.ndarray:
     if tag == "call":
         return _FUNCTIONS[node[1]](_eval_node(node[2], X))
     _, op, left, right = node
-    a = _eval_node(left, X)
-    b = _eval_node(right, X)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return a / b
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.power(a, b)
+    return _BINARY_UFUNCS[op](_eval_node(left, X), _eval_node(right, X))
 
 
 class ExpressionModel(Model):
@@ -293,7 +279,9 @@ class ExpressionModel(Model):
                 f"expression uses x{self.input_dim} but input has {X.shape[1]} features")
         if not all_finite(X):
             raise ValidationError("prediction input must be finite")
-        out = np.asarray(_eval_node(self._ast, X), dtype=float)
+        # Overflow, 0/0 and the like surface as the non-finite check below.
+        with np.errstate(all="ignore"):
+            out = np.asarray(_eval_node(self._ast, X), dtype=float)
         if not np.isfinite(out).all():
             raise ModelQueryError("expression produced a non-finite prediction")
         return out

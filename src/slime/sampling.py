@@ -339,7 +339,8 @@ def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
     exactly those a fresh ``build_dataset(..., new_n, same seed)`` would have
     produced, by the prefix property of the row generator.  They are written
     into the spare rows of the dataset's buffer; when it has too few, a new
-    buffer of ``max(new_n, capacity)`` rows takes the old rows first.  Two
+    buffer of ``max(new_n, capacity)`` rows takes the old rows first (of
+    ``new_n`` rows when the larger one cannot be allocated).  Two
     datasets may share a buffer: rows are a pure function of their index, so
     a row written twice is written with the same bytes.
     """
@@ -349,7 +350,11 @@ def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
     n = dataset.n
     buffer = dataset._buffer
     if buffer is None or buffer.shape[0] < new_n:
-        buffer = np.empty((max(new_n, capacity), dataset.instance.n_features))
+        p = dataset.instance.n_features
+        try:
+            buffer = np.empty((max(new_n, capacity), p))
+        except MemoryError:   # a budget too large to reserve is not reserved
+            buffer = np.empty((new_n, p))
         buffer[:n] = dataset.X
     X_new = buffer[n:new_n]
     moments = dataset.moments.copy()

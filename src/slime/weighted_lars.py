@@ -20,11 +20,10 @@ The solver walks the path breakpoint by breakpoint in covariance form
 (Efron, Hastie, Johnstone & Tibshirani 2004, section 7): every step works on
 the Gram matrix and on the correlations with the response, which one
 blocked pass over the sample computes.  The residual is materialized only
-from the active columns: before each entry an optional observer is shown it
-with the remaining candidates ranked by absolute correlation, and the
-returned state carries the final one.  The observer may vote to abort,
-which is how the adaptive explainer interrupts a path whose next entry is
-statistically undecided.
+for an optional observer, from the active columns: before each entry the
+observer is shown it with the remaining candidates ranked by absolute
+correlation.  The observer may vote to abort, which is how the adaptive
+explainer interrupts a path whose next entry is statistically undecided.
 
 The refit after the path solves the selected block of the same Gram against
 the same correlations and reads no row of the sample.  The path's
@@ -157,10 +156,11 @@ class WeightedMoments:
     def block_sums(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """The sums ``(second, first, total)`` of one block of rows ``u``
         (already shifted) with weights ``w``.  Scales ``u`` by sqrt(w) in
-        place."""
-        first = w @ u
-        u *= np.sqrt(w)[:, None]
-        return u.T @ u, first, float(w.sum())
+        place.  An overflow is left for :func:`standardize` to report."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = w @ u
+            u *= np.sqrt(w)[:, None]
+            return u.T @ u, first, float(w.sum())
 
     def add(self, sums: tuple[np.ndarray, np.ndarray, float]) -> None:
         """Add the sums of a block, as :meth:`block_sums` returns them.
@@ -229,15 +229,17 @@ class StandardizedDesign:
         return column
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """``base.values.T @ v``, from one blocked pass over the sample."""
+        """``base.values.T @ v``, from one blocked pass over the sample.  An
+        overflow is left for the caller's finiteness check to report."""
         sv = self.sqrt_weights * v
         out = np.zeros(self.retained_idx.size)
-        for rows in row_blocks(self.n_rows):
-            block = self.sample.values[rows]
-            if self.dropped_cols:
-                block = block[:, self.retained_idx]
-            out += (block - self.col_means).T @ sv[rows]
-        return out / self.col_norms
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in row_blocks(self.n_rows):
+                block = self.sample.values[rows]
+                if self.dropped_cols:
+                    block = block[:, self.retained_idx]
+                out += (block - self.col_means).T @ sv[rows]
+            return out / self.col_norms
 
     def residual(self, v: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """``v - base.values @ beta``, reading only the columns where beta
@@ -290,7 +292,6 @@ class PathState:
 
     active_set: list[str]
     beta: np.ndarray
-    residual: np.ndarray
     entry_events: list[tuple[int, str, float]]   # (step, feature, signed c_hat at entry)
     drop_events: list[tuple[int, str]]
     breakpoints: list[PathBreakpoint]
@@ -320,14 +321,17 @@ def _check_response(response: np.ndarray, n: int) -> np.ndarray:
     return y
 
 
-def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _spd_solve(a: np.ndarray, b: np.ndarray, message: str,
+               features: tuple[str, ...]) -> np.ndarray:
     """Solve ``a x = b`` for symmetric positive-definite ``a``: a Cholesky
     factor, then one solve with it and one with its transpose.  Raises
-    ``np.linalg.LinAlgError`` when ``a`` is not positive definite, and
-    ``ValueError`` when ``a`` or ``b`` is not finite (an overflowed system
-    would otherwise factor into NaNs without an error)."""
-    low = np.linalg.cholesky(np.asarray_chkfinite(a))
-    return np.linalg.solve(low.T, np.linalg.solve(low, np.asarray_chkfinite(b)))
+    ``SingularityError(message, features=features)`` when ``a`` is not
+    positive definite."""
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise SingularityError(message, features=features) from None
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
 def standardize(design: DesignMatrix, weights: np.ndarray, *,
@@ -358,8 +362,9 @@ def standardize(design: DesignMatrix, weights: np.ndarray, *,
         # weighted mean; a constant column still comes out zero to rounding.
         moments = WeightedMoments.of(design.values, w,
                                      design.values[:ROW_BLOCK].mean(axis=0))
-    means = moments.shift + moments.first / moments.total
-    gram = moments.second - np.outer(moments.first, moments.first) / moments.total
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = moments.shift + moments.first / moments.total
+        gram = moments.second - np.outer(moments.first, moments.first) / moments.total
     if not (np.isfinite(means).all() and np.isfinite(gram).all()):
         # A NaN norm would fail the drop test below and pass for a constant.
         raise DegenerateInputError(
@@ -483,13 +488,10 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         idx = np.asarray(active, dtype=int)
         signs = np.sign(c[idx])
         signs[signs == 0] = 1.0
-        try:
-            ga_inv_one = _spd_solve(gram[np.ix_(idx, idx)] * np.outer(signs, signs),
-                                    np.ones(len(active)))
-        except np.linalg.LinAlgError:
-            raise SingularityError(
-                "active feature set has a rank-deficient Gram matrix",
-                features=tuple(names[j] for j in active)) from None
+        ga_inv_one = _spd_solve(gram[np.ix_(idx, idx)] * np.outer(signs, signs),
+                                np.ones(len(active)),
+                                "active feature set has a rank-deficient Gram matrix",
+                                tuple(names[j] for j in active))
         denom = float(ga_inv_one.sum())
         if denom <= 0:
             raise SingularityError(
@@ -555,7 +557,6 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
     return PathState(
         active_set=[names[j] for j in active],
         beta=expand(beta),
-        residual=design.residual(y, beta),
         entry_events=entry_events,
         drop_events=drop_events,
         breakpoints=breakpoints,
@@ -577,8 +578,15 @@ def refit_least_squares(design: StandardizedDesign, xty: np.ndarray,
     retained columns' correlations with the transformed response
     (``PathState.xty``) and ``response_mean`` the weighted mean of y.  The
     solve runs on the selected block of ``design.gram``; the column norms and
-    weighted means give back the original scale and the intercept.
+    weighted means give back the original scale and the intercept.  ``xty``
+    must be finite with one entry per retained column, and ``response_mean``
+    finite.
     """
+    xty = np.asarray(xty, dtype=float)
+    if xty.shape != design.col_norms.shape or not (
+            np.isfinite(xty).all() and np.isfinite(response_mean)):
+        raise ValidationError("xty must hold one finite entry per retained column "
+                              "and response_mean must be finite")
     if not selected:
         raise ValidationError("selected feature list must be non-empty")
     position = {name: j for j, name in enumerate(design.column_names)}
@@ -588,11 +596,8 @@ def refit_least_squares(design: StandardizedDesign, xty: np.ndarray,
         raise ValidationError(f"unknown feature {exc.args[0]!r}") from None
     if len(set(idx)) != len(idx):
         raise ValidationError("selected features must be distinct")
-    try:
-        b = _spd_solve(design.gram[np.ix_(idx, idx)], np.asarray(xty)[idx])
-    except np.linalg.LinAlgError:
-        raise SingularityError(
-            "weighted Gram matrix over the selected features is singular",
-            features=tuple(selected)) from None
+    b = _spd_solve(design.gram[np.ix_(idx, idx)], xty[idx],
+                   "weighted Gram matrix over the selected features is singular",
+                   tuple(selected))
     coef = b / design.col_norms[idx]
     return coef, float(response_mean - design.col_means[idx] @ coef)

@@ -95,6 +95,41 @@ def test_explain_lime_uses_n_flag(capsys):
     assert json.loads(out)["final_n"] == 80
 
 
+MARS_ARGS = ["--model", "builtin:mars", "--instance", "0.51,0.49,0.5,0.5,0.5",
+             "--scales", "0.05"]
+
+
+def test_no_reuse_reports_the_seed_that_reproduces_the_run(capsys, tmp_path):
+    code, out, _ = run_cli(["explain", *MARS_ARGS, "--seed", "3", "--no-reuse"], capsys)
+    assert code == 0
+    assert json.loads(out)["seed"] == 3
+    # A repetition that grew on fresh rows, replayed from its reported seed.
+    flags = [*MARS_ARGS, "--n0", "200", "--n-max", "2000", "--k", "3", "--no-reuse"]
+    report_dir = tmp_path / "report"
+    code, _, _ = run_cli(["bench", *flags, "--reps", "3", "--seed", "1",
+                          "--report", str(report_dir)], capsys)
+    assert code == 0
+    raw = [json.loads(line) for line in
+           (report_dir / "raw.jsonl").read_text(encoding="utf-8").splitlines()]
+    grown = next(line for line in raw if line["final_n"] > 200)
+    code, out, _ = run_cli(["explain", *flags, "--seed", str(grown["seed"])], capsys)
+    assert code == 0
+    assert json.loads(out) == grown
+
+
+def test_budget_too_large_to_reserve_runs_like_one_that_fits(capsys):
+    # 1e9 rows of 5 features would be 37 GB: the run must not try to hold
+    # them before it knows it needs them.
+    outputs = []
+    for n_max in ("1000000", "1000000000"):
+        code, out, err = run_cli(["explain", *MARS_ARGS, "--n-max", n_max,
+                                  "--seed", "1"], capsys)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["capped"] is False
+
+
 def test_explain_via_module_subprocess_matches_in_process(capsys, tmp_path):
     argv = ["explain", *LINEAR3, "--n0", "200", "--k", "3", "--seed", "2"]
     _, expected, _ = run_cli(argv, capsys)
@@ -292,6 +327,21 @@ def test_overflowing_moments_exit_two(capsys):
             capsys)
         assert code == 2, scales
         assert err.startswith("error:") and "not finite" in err, scales
+
+
+def test_overflowing_moments_print_only_the_error(tmp_path):
+    # The overflow is reported once, as the error: numpy's own warnings are
+    # not printed ahead of it, also when the sums run on a worker thread.
+    for model, scales in (("1,1", "1e160,1"), ("1,1", "1e160"), ("1e50,1", "1e150,1")):
+        completed = subprocess.run(
+            [sys.executable, "-m", "slime.cli", "explain",
+             "--model", f"builtin:linear:{model}", "--instance", "0,0",
+             "--scales", scales, "--n0", "50", "--k", "2", "--n-max", "100"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(slime.__file__).parents[1])})
+        assert completed.returncode == 2, scales
+        lines = completed.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), completed.stderr
 
 
 def test_scales_flags_are_mutually_exclusive(capsys, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import cd_lasso, kkt_violation, weighted_ols
 from slime.errors import (DegenerateInputError, SingularityError,
                           ValidationError)
-from slime.weighted_lars import (ROW_BLOCK, DesignMatrix,
+from slime.weighted_lars import (ROW_BLOCK, DesignMatrix, StandardizedDesign,
                                  lars_lasso_path, refit_least_squares,
                                  standardize, transform_response)
 
@@ -223,11 +223,7 @@ def test_breakpoints_keep_active_correlations_tied():
 
 def test_residual_consistent_and_penalty_monotone():
     design, y, w = random_problem(15)
-    std, yt, state = run_path(design, y, w)
-    Xs = std.base.values
-    np.testing.assert_allclose(state.residual,
-                               yt - Xs @ state.beta[std.retained_idx],
-                               atol=1e-10)
+    _, _, state = run_path(design, y, w)
     lams = [bp.lam for bp in state.breakpoints]
     assert all(a >= b - 1e-12 * (1.0 + abs(a)) for a, b in zip(lams, lams[1:]))
 
@@ -272,7 +268,8 @@ def test_single_column_path_reaches_least_squares():
     std, yt, state = run_path(design, y, np.ones(4), max_active=1)
     # unit-norm column, so the coefficient is <x, y> = 2 * ||centered x||
     assert state.beta[0] == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-12)
-    assert np.linalg.norm(state.residual) == pytest.approx(0.0, abs=1e-12)
+    residual = yt - std.base.values @ state.beta[std.retained_idx]
+    assert np.linalg.norm(residual) == pytest.approx(0.0, abs=1e-12)
     assert state.active_set == ["x0"]
 
 
@@ -326,6 +323,33 @@ def test_observer_sees_ranked_candidates_and_can_abort():
         beta = state.breakpoints[ctx.step - 1].beta[std.retained_idx]
         np.testing.assert_allclose(ctx.residual, yt - std.base.values @ beta,
                                    rtol=0, atol=1e-12)
+
+
+def test_path_builds_the_residual_only_for_its_observer(monkeypatch):
+    # The residual is an n-long pass over the active columns: a walk builds
+    # it once per observer call and never for itself.
+    calls = []
+    residual = StandardizedDesign.residual
+
+    def counted(self, v, beta):
+        calls.append(1)
+        return residual(self, v, beta)
+
+    monkeypatch.setattr(StandardizedDesign, "residual", counted)
+    design, y, w = random_problem(0)
+    seen = []
+
+    def watch(ctx):
+        seen.append(ctx)
+        return ctx.step < limit
+
+    for limit, observer in ((None, None), (99, watch), (2, watch)):
+        calls.clear()
+        seen.clear()
+        _, _, state = run_path(design, y, w, max_active=4, observer=observer)
+        assert state.aborted == (limit == 2)
+        assert len(calls) == len(seen) == (len(state.entry_events) + state.aborted
+                                           if observer else 0)
 
 
 def test_entry_correlation_scale_is_mean_inner_product():
@@ -421,6 +445,19 @@ def test_refit_rejects_bad_selections():
         refit(design, y, w, ["a", "z"])
     with pytest.raises(ValidationError):
         refit(design, y, w, ["a", "a"])
+
+
+def test_refit_rejects_a_malformed_xty():
+    design, y, w = random_problem(4, p=4)
+    std = standardize(design, w)
+    xty = std.project(transform_response(y, w))
+    y_mean = (w @ y) / w.sum()
+    nan = xty.copy()
+    nan[1] = np.nan
+    for bad_xty, bad_mean in ((np.append(xty, 1.0), y_mean), (xty[:2], y_mean),
+                              (nan, y_mean), (xty, np.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            refit_least_squares(std, bad_xty, bad_mean, ["x0", "x1"])
 
 
 def test_refit_singular_selection_raises():
