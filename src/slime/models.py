@@ -19,11 +19,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+import queue
 import re
+import select
 import shlex
 import signal
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -47,10 +50,11 @@ __all__ = [
 
 MAX_ROWS_PER_REQUEST = 1000
 _EXCERPT_LEN = 300
-# Seconds an ``exec:`` child may take to read one request and answer it,
-# and a batch-file command to finish.  A child that takes longer is killed,
-# so a model that never answers fails the run instead of hanging it.
+# Seconds an ``exec:`` child may take for each answer, and a batch-file
+# command to finish.  A child that takes longer is killed, so a model that
+# never answers fails the run instead of hanging it.
 REQUEST_TIMEOUT_S = 60.0
+_READ_BYTES = 1 << 16
 
 
 class Model:
@@ -299,11 +303,15 @@ def _excerpt(text: str) -> str:
 class SubprocessModel(Model):
     """Child process answering line-delimited JSON prediction requests.
 
-    The child is started lazily and kept alive across calls; one request is
-    in flight at a time (a lock serializes concurrent callers).  Requests
-    carry at most :data:`MAX_ROWS_PER_REQUEST` rows each.  The child leads a
-    process group of its own, and a kill reaches the whole group: a process
-    the child started cannot keep its output open past a timeout.
+    The child is started lazily and kept alive across calls; a lock
+    serializes concurrent callers.  Requests carry at most
+    :data:`MAX_ROWS_PER_REQUEST` rows each.  Within one call the requests are
+    written in order while a helper thread reads the answers as they arrive,
+    so the child may receive a request before its earlier answers are read;
+    it answers each line in order.  After any failed request the child is
+    closed, and the next call starts a fresh one.  The child leads a process
+    group of its own, and a kill reaches the whole group: a process the child
+    started cannot keep its output open past a timeout.
     """
 
     def __init__(self, command: Sequence[str], input_dim: int):
@@ -314,6 +322,7 @@ class SubprocessModel(Model):
         self.command = tuple(command)
         self.input_dim = int(input_dim)
         self._child: subprocess.Popen | None = None
+        self._unread = bytearray()   # bytes the child wrote past its last answer
         self._lock = threading.Lock()
 
     def _ensure_child(self) -> subprocess.Popen:
@@ -323,76 +332,34 @@ class SubprocessModel(Model):
             try:
                 self._child = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    text=True, bufsize=1, start_new_session=True)
+                    start_new_session=True)
             except OSError as exc:
                 raise ModelQueryError(f"could not start model process: {exc}") from exc
+            self._unread = bytearray()
         return self._child
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = _as_matrix(X, self.input_dim)
-        chunks = []
+        starts = range(0, X.shape[0], MAX_ROWS_PER_REQUEST)
+        if not starts:
+            return np.empty(0)
         with self._lock:
-            for batch_index, start in enumerate(range(0, X.shape[0], MAX_ROWS_PER_REQUEST)):
-                rows = X[start:start + MAX_ROWS_PER_REQUEST]
-                chunks.append(self._request(rows, batch_index))
-        return np.concatenate(chunks) if chunks else np.empty(0)
-
-    def _request(self, rows: np.ndarray, batch_index: int) -> np.ndarray:
-        child = self._ensure_child()
-        # tolist() yields Python floats, which json.dumps writes at repr
-        # precision (17 significant digits when needed): exact round trip.
-        payload = json.dumps({"instances": rows.tolist()})
-        # The watchdog covers the write too: a request larger than the pipe
-        # buffer blocks until the child reads it.  Killing the child's
-        # process group ends either wait, with a broken pipe or end of file.
-        expired = threading.Event()
-
-        def expire():
-            expired.set()
-            _kill_group(child)
-
-        watchdog = threading.Timer(REQUEST_TIMEOUT_S, expire)
-        watchdog.start()
-        try:
-            child.stdin.write(payload + "\n")
-            child.stdin.flush()
-            line = child.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            if not expired.is_set():
-                raise ModelQueryError(
-                    f"model process pipe failed: {exc}", batch_index=batch_index) from exc
-        finally:
-            watchdog.cancel()
-            watchdog.join()
-        if expired.is_set():
-            self.close()
-            raise ModelQueryError(
-                f"model process did not answer within {REQUEST_TIMEOUT_S:g} s; killed it",
-                batch_index=batch_index)
-        if not line:
-            raise ModelQueryError(
-                "model process closed its output before answering",
-                batch_index=batch_index)
-        try:
-            reply = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ModelQueryError(
-                f"model reply is not valid JSON: {exc}",
-                batch_index=batch_index, payload_excerpt=_excerpt(line)) from exc
-        if not isinstance(reply, dict) or "predictions" not in reply:
-            raise ModelQueryError(
-                "model reply lacks a 'predictions' field",
-                batch_index=batch_index, payload_excerpt=_excerpt(line))
-        predictions = np.asarray(reply["predictions"], dtype=float)
-        if predictions.ndim != 1 or predictions.shape[0] != rows.shape[0]:
-            raise ModelQueryError(
-                f"expected {rows.shape[0]} predictions, got shape {predictions.shape}",
-                batch_index=batch_index, payload_excerpt=_excerpt(line))
-        if not np.isfinite(predictions).all():
-            raise ModelQueryError(
-                "model returned non-finite predictions",
-                batch_index=batch_index, payload_excerpt=_excerpt(line))
-        return predictions
+            child = self._ensure_child()
+            answers, sent, expired = queue.SimpleQueue(), threading.Event(), threading.Event()
+            reader = threading.Thread(
+                target=_read_answers, daemon=True,
+                args=(child, len(starts), self._unread, answers, sent, expired))
+            reader.start()
+            try:
+                predictions = _exchange(child, X, starts, answers, sent, expired)
+            except BaseException:
+                # Answers still in flight no longer match their requests.
+                _kill_group(child)
+                reader.join()
+                self.close()
+                raise
+            reader.join()
+            return predictions
 
     def close(self) -> None:
         child, self._child = self._child, None
@@ -408,6 +375,114 @@ class SubprocessModel(Model):
             _kill_group(child)
             child.wait()
         child.stdout.close()
+
+
+def _exchange(child: subprocess.Popen, X: np.ndarray, starts: range,
+              answers: queue.SimpleQueue, sent: threading.Event,
+              expired: threading.Event) -> np.ndarray:
+    """Write one request per row block in ``starts``, then parse the answers
+    that :func:`_read_answers` puts on ``answers``, in order."""
+    written, pipe_error = len(starts), None
+    try:
+        for batch_index, start in enumerate(starts):
+            # tolist() yields Python floats, which json.dumps writes at repr
+            # precision (17 significant digits when needed): exact round trip.
+            payload = json.dumps(
+                {"instances": X[start:start + MAX_ROWS_PER_REQUEST].tolist()})
+            child.stdin.write(payload.encode() + b"\n")
+            child.stdin.flush()
+    except OSError as exc:   # a broken pipe: the child is gone or was killed
+        written, pipe_error = batch_index, exc
+    finally:
+        sent.set()
+    chunks = [
+        _parse_answer(answers.get(), min(MAX_ROWS_PER_REQUEST, X.shape[0] - start),
+                      batch_index, expired)
+        for batch_index, start in enumerate(starts[:written])]
+    if pipe_error is not None:
+        if expired.is_set():
+            raise _timeout_error(written)
+        raise ModelQueryError(
+            f"model process pipe failed: {pipe_error}", batch_index=written) from pipe_error
+    return np.concatenate(chunks)
+
+
+def _read_answers(child: subprocess.Popen, count: int, pending: bytearray,
+                  answers: queue.SimpleQueue, sent: threading.Event,
+                  expired: threading.Event) -> None:
+    """Put the child's next ``count`` answer lines on ``answers`` in order,
+    each as soon as it is complete, then ``""`` as at end of file.
+
+    The child has :data:`REQUEST_TIMEOUT_S` for each answer, counted from the
+    one before, and as long again after its last answer for every request to
+    be written (``sent``), so a child that answers before it reads cannot
+    leave a write waiting.  On expiry ``expired`` is set and the child's
+    group killed, which ends a waiting write with a broken pipe.  Bytes read
+    past the last answer stay in ``pending`` for the next call.
+    """
+    fd = child.stdout.fileno()
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    try:
+        for _ in range(count):
+            deadline = time.monotonic() + REQUEST_TIMEOUT_S
+            while (end := pending.find(b"\n") + 1) == 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not poller.poll(remaining * 1000):
+                    expired.set()
+                    _kill_group(child)
+                    return
+                chunk = os.read(fd, _READ_BYTES)
+                if not chunk:   # end of file; a last line without newline still counts
+                    end = len(pending)
+                    break
+                pending += chunk
+            if end == 0:
+                return
+            answers.put(pending[:end].decode("utf-8", "replace"))
+            del pending[:end]
+        if not sent.wait(REQUEST_TIMEOUT_S):
+            expired.set()
+            _kill_group(child)
+    finally:
+        answers.put("")
+
+
+def _timeout_error(batch_index: int) -> ModelQueryError:
+    return ModelQueryError(
+        f"model process did not answer within {REQUEST_TIMEOUT_S:g} s; killed it",
+        batch_index=batch_index)
+
+
+def _parse_answer(line: str, rows: int, batch_index: int,
+                  expired: threading.Event) -> np.ndarray:
+    """Predictions in one answer ``line`` to a request of ``rows`` rows."""
+    if not line:
+        if expired.is_set():
+            raise _timeout_error(batch_index)
+        raise ModelQueryError(
+            "model process closed its output before answering",
+            batch_index=batch_index)
+    try:
+        reply = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ModelQueryError(
+            f"model reply is not valid JSON: {exc}",
+            batch_index=batch_index, payload_excerpt=_excerpt(line)) from exc
+    if not isinstance(reply, dict) or "predictions" not in reply:
+        raise ModelQueryError(
+            "model reply lacks a 'predictions' field",
+            batch_index=batch_index, payload_excerpt=_excerpt(line))
+    predictions = np.asarray(reply["predictions"], dtype=float)
+    if predictions.ndim != 1 or predictions.shape[0] != rows:
+        raise ModelQueryError(
+            f"expected {rows} predictions, got shape {predictions.shape}",
+            batch_index=batch_index, payload_excerpt=_excerpt(line))
+    if not np.isfinite(predictions).all():
+        raise ModelQueryError(
+            "model returned non-finite predictions",
+            batch_index=batch_index, payload_excerpt=_excerpt(line))
+    return predictions
 
 
 def _kill_group(child: subprocess.Popen) -> None:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,32 @@ def test_explain_runs_without_loading_scipy(tmp_path):
         cwd=tmp_path, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(slime.__file__).parents[1])})
     assert completed.stdout.splitlines()[-1] == "[]"
+
+
+EXEC_LINEAR_CHILD = """\
+import json, sys
+coefficients = [2.0, 1.9, 1.0, 0.95, 0.5]
+for line in sys.stdin:
+    rows = json.loads(line)["instances"]
+    preds = [sum(c * x for c, x in zip(coefficients, row)) for row in rows]
+    print(json.dumps({"predictions": preds}), flush=True)
+"""
+
+
+def test_explain_with_exec_model_prints_pinned_bytes(tmp_path):
+    # The model is queried for 1000 rows, then for 5000 rows as five
+    # requests in one call; the digest pins stdout, BLAS on one thread.
+    (tmp_path / "child.py").write_text(EXEC_LINEAR_CHILD, encoding="utf-8")
+    completed = subprocess.run(
+        [sys.executable, "-m", "slime.cli", "explain",
+         "--model", f"exec:{shlex.quote(sys.executable)} child.py",
+         "--instance", "0.5,-1,2,0.25,1", "--k", "4", "--n0", "1000",
+         "--n-max", "6000", "--seed", "1"],
+        capture_output=True, cwd=tmp_path, check=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": str(Path(slime.__file__).parents[1])})
+    assert hashlib.sha256(completed.stdout).hexdigest() == \
+        "149436d080eac758f622a1d5381b3d9ada35746cbdfb68817bed5cd1dcad854d"
 
 
 # ---------------------------------------------------------------- manifests

@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -256,6 +257,15 @@ def test_subprocess_protocol_violations(tmp_path, source, fragment):
     assert info.value.batch_index == 0
 
 
+def test_subprocess_undecodable_answer_is_a_query_error(tmp_path):
+    source = ("import sys\nfor line in sys.stdin:\n"
+              "    sys.stdout.buffer.write(b'\\xff\\n')\n    sys.stdout.flush()\n")
+    with child_model(tmp_path, source) as model:
+        with pytest.raises(ModelQueryError, match="not valid JSON") as info:
+            model.predict_batch(np.zeros((3, 2)))
+    assert info.value.batch_index == 0
+
+
 @pytest.mark.parametrize("rows", [1, MAX_ROWS_PER_REQUEST])
 def test_subprocess_that_never_answers_is_killed(monkeypatch, rows):
     # One row fits the pipe, so the wait is for the answer; a full request
@@ -264,6 +274,7 @@ def test_subprocess_that_never_answers_is_killed(monkeypatch, rows):
     model = SubprocessModel([sys.executable, "-c", "import time; time.sleep(100)"],
                             input_dim=10)
     child = model._ensure_child()
+    threads = threading.active_count()
     start = time.monotonic()
     with pytest.raises(ModelQueryError, match="did not answer within 1 s") as info:
         model.predict_batch(np.full((rows, 10), 1 / 3))
@@ -271,6 +282,128 @@ def test_subprocess_that_never_answers_is_killed(monkeypatch, rows):
     assert info.value.batch_index == 0
     assert_closed(child)
     assert model._child is None
+    assert threading.active_count() == threads
+
+
+CHILD_READS_TWO_BEFORE_ANSWERING = """\
+import json, sys
+def answer(line):
+    out = [row[0] for row in json.loads(line)["instances"]]
+    print(json.dumps({"predictions": out}), flush=True)
+first, second = sys.stdin.readline(), sys.stdin.readline()
+answer(first)
+answer(second)
+for line in sys.stdin:
+    answer(line)
+"""
+
+
+def test_subprocess_requests_overlap_the_answers(monkeypatch, tmp_path):
+    # The child answers request 0 only once request 1 has arrived, so a
+    # caller that waits for each answer before it writes the next request
+    # waits until the timeout.
+    monkeypatch.setattr(models, "REQUEST_TIMEOUT_S", 2.0)
+    X = np.arange(5000.0).reshape(2500, 2)
+    with child_model(tmp_path, CHILD_READS_TWO_BEFORE_ANSWERING) as model:
+        got = model.predict_batch(X)
+    np.testing.assert_array_equal(got, X[:, 0])
+
+
+def test_subprocess_large_requests_and_answers_cannot_deadlock(monkeypatch, tmp_path):
+    # Requests (about 180 KB) and answers (over 64 KB of padding) each
+    # overfill a pipe buffer: writing request i + 1 before reading answer i
+    # on one thread would leave parent and child both blocked on a write.
+    monkeypatch.setattr(models, "REQUEST_TIMEOUT_S", 10.0)
+    padded = CHILD_FIRST_COLUMN.replace(
+        '{"predictions": out}', '{"predictions": out, "padding": "x" * 70000}')
+    X = np.full((3 * MAX_ROWS_PER_REQUEST, 10), 1 / 3)
+    X[:, 0] = np.arange(X.shape[0])
+    start = time.monotonic()
+    with child_model(tmp_path, padded, input_dim=10) as model:
+        got = model.predict_batch(X)
+    assert time.monotonic() - start < 10
+    np.testing.assert_array_equal(got, X[:, 0])
+
+
+CHILD_BAD_SECOND_ANSWER = """\
+import json, sys
+for k, line in enumerate(sys.stdin):
+    out = [row[0] for row in json.loads(line)["instances"]]
+    print(json.dumps({"predictions": out}) if k == 0 else "not json", flush=True)
+"""
+
+
+def test_subprocess_failed_request_closes_the_child(tmp_path):
+    model = child_model(tmp_path, CHILD_BAD_SECOND_ANSWER)
+    X = np.arange(3000.0).reshape(1500, 2)
+    threads = threading.active_count()
+    first = model._ensure_child()
+    with pytest.raises(ModelQueryError, match="not valid JSON") as info:
+        model.predict_batch(X)
+    assert info.value.batch_index == 1
+    assert model._child is None
+    assert_closed(first)
+    assert threading.active_count() == threads
+    # the next call starts a fresh child, whose first answer is good
+    np.testing.assert_array_equal(model.predict_batch(X[:10]), X[:10, 0])
+    assert model._child.pid != first.pid
+    model.close()
+
+
+def test_subprocess_output_past_an_answer_is_the_next_answer(tmp_path):
+    # The pipe is one stream: a line written past the last answer of one
+    # call is not dropped but read as the first answer of the next.
+    extra = CHILD_FIRST_COLUMN.replace(
+        'print(json.dumps({"predictions": out}), flush=True)',
+        'print(json.dumps({"predictions": out}), flush=True)\n'
+        '    print(json.dumps({"predictions": [-1.0] * len(out)}), flush=True)')
+    X = np.array([[1.5, 0.0], [2.5, 0.0]])
+    with child_model(tmp_path, extra) as model:
+        np.testing.assert_array_equal(model.predict_batch(X), [1.5, 2.5])
+        time.sleep(0.2)   # let the extra line arrive
+        np.testing.assert_array_equal(model.predict_batch(X), [-1.0, -1.0])
+
+
+def test_subprocess_encoding_error_propagates_and_closes_the_child(monkeypatch, tmp_path):
+    class EncodeFailure(Exception):
+        pass
+
+    failure = EncodeFailure("second request")
+    dumps, calls = models.json.dumps, []
+
+    def failing_dumps(obj, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise failure
+        return dumps(obj, **kwargs)
+
+    model = child_model(tmp_path, CHILD_FIRST_COLUMN)
+    child = model._ensure_child()
+    threads = threading.active_count()
+    monkeypatch.setattr(models.json, "dumps", failing_dumps)
+    with pytest.raises(EncodeFailure) as info:
+        model.predict_batch(np.zeros((2500, 2)))
+    monkeypatch.undo()
+    assert info.value is failure
+    assert model._child is None
+    assert_closed(child)
+    assert threading.active_count() == threads
+
+
+def test_subprocess_that_answers_before_reading_is_killed(monkeypatch, tmp_path):
+    # An answer that comes before its request leaves the full request to
+    # wait on a pipe no one reads: the write is bounded by the timeout too.
+    monkeypatch.setattr(models, "REQUEST_TIMEOUT_S", 1.0)
+    early = ('import json, time\nprint(json.dumps({"predictions": []}), flush=True)\n'
+             'time.sleep(100)\n')
+    model = child_model(tmp_path, early, input_dim=10)
+    child = model._ensure_child()
+    start = time.monotonic()
+    with pytest.raises(ModelQueryError, match="did not answer within 1 s") as info:
+        model.predict_batch(np.full((MAX_ROWS_PER_REQUEST, 10), 1 / 3))
+    assert time.monotonic() - start < 10
+    assert info.value.batch_index == 0
+    assert_closed(child)
 
 
 def test_subprocess_timeout_kills_what_the_child_started(monkeypatch):
