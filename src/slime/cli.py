@@ -18,7 +18,7 @@ the run exactly.  A ``--scales-csv`` file is recorded by its sha256, and a
 replay refuses a file whose contents changed.
 
 Exit codes: 0 success, 1 reproduction failure, 2 invalid input or flags,
-3 model query failure.
+3 model query failure, 143 stopped by SIGTERM.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +325,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
+    # SIGTERM unwinds like an interrupt, so a running query and ``with
+    # model:`` kill an exec: child's process group before the exit.
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal) if on_main else None
     try:
         replay = args.from_manifest
         if replay is not None:
@@ -367,6 +373,13 @@ def main(argv: list[str] | None = None) -> int:
     except ModelQueryError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 if __name__ == "__main__":

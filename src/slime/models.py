@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import queue
 import re
 import select
 import shlex
@@ -305,13 +304,14 @@ class SubprocessModel(Model):
 
     The child is started lazily and kept alive across calls; a lock
     serializes concurrent callers.  Requests carry at most
-    :data:`MAX_ROWS_PER_REQUEST` rows each.  Within one call the requests are
-    written in order while a helper thread reads the answers as they arrive,
-    so the child may receive a request before its earlier answers are read;
-    it answers each line in order.  After any failed request the child is
-    closed, and the next call starts a fresh one.  The child leads a process
-    group of its own, and a kill reaches the whole group: a process the child
-    started cannot keep its output open past a timeout.
+    :data:`MAX_ROWS_PER_REQUEST` rows each.  Within one call a single poll
+    loop on the calling thread writes the requests in order and reads the
+    answers as they arrive, so the child may receive a request before its
+    earlier answers are read; it answers each line in order.  After any
+    failed request the child is closed, and the next call starts a fresh
+    one.  The child leads a process group of its own, and a kill reaches the
+    whole group: a process the child started cannot keep its output open
+    past a timeout.
     """
 
     def __init__(self, command: Sequence[str], input_dim: int):
@@ -332,9 +332,11 @@ class SubprocessModel(Model):
             try:
                 self._child = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    start_new_session=True)
+                    bufsize=0, start_new_session=True)
             except OSError as exc:
                 raise ModelQueryError(f"could not start model process: {exc}") from exc
+            # A write takes what the pipe has room for and never waits.
+            os.set_blocking(self._child.stdin.fileno(), False)
             self._unread = bytearray()
         return self._child
 
@@ -345,30 +347,19 @@ class SubprocessModel(Model):
             return np.empty(0)
         with self._lock:
             child = self._ensure_child()
-            answers, sent, expired = queue.SimpleQueue(), threading.Event(), threading.Event()
-            reader = threading.Thread(
-                target=_read_answers, daemon=True,
-                args=(child, len(starts), self._unread, answers, sent, expired))
-            reader.start()
             try:
-                predictions = _exchange(child, X, starts, answers, sent, expired)
+                return _exchange(child, X, starts, self._unread)
             except BaseException:
                 # Answers still in flight no longer match their requests.
                 _kill_group(child)
-                reader.join()
                 self.close()
                 raise
-            reader.join()
-            return predictions
 
     def close(self) -> None:
         child, self._child = self._child, None
         if child is None:
             return
-        try:
-            child.stdin.close()   # EOF asks a live child to exit
-        except BrokenPipeError:
-            pass                  # the child is gone; the pipe is closed anyway
+        child.stdin.close()   # EOF asks a live child to exit
         try:
             child.wait(timeout=5)
         except subprocess.TimeoutExpired:
@@ -378,91 +369,79 @@ class SubprocessModel(Model):
 
 
 def _exchange(child: subprocess.Popen, X: np.ndarray, starts: range,
-              answers: queue.SimpleQueue, sent: threading.Event,
-              expired: threading.Event) -> np.ndarray:
-    """Write one request per row block in ``starts``, then parse the answers
-    that :func:`_read_answers` puts on ``answers``, in order."""
-    written, pipe_error = len(starts), None
-    try:
-        for batch_index, start in enumerate(starts):
+              pending: bytearray) -> np.ndarray:
+    """Write one request per row block in ``starts`` and parse the answers in
+    order, in one poll loop over both pipes.
+
+    Request i + 1 is encoded once request i is fully written, while the child
+    works on it.  Answer j is taken only after request j is fully written,
+    and the child has :data:`REQUEST_TIMEOUT_S` for each answer, counted from
+    the one before: a write that waits on a child which does not read counts
+    against that time too.  Bytes read past the last answer stay in
+    ``pending`` for the next call.
+    """
+    out_fd, in_fd = child.stdout.fileno(), child.stdin.fileno()
+    poller = select.poll()
+    poller.register(out_fd, select.POLLIN)
+    poller.register(in_fd, select.POLLOUT)
+    chunks, request, sent, closed, pipe_error = [], memoryview(b""), 0, False, None
+    deadline = time.monotonic() + REQUEST_TIMEOUT_S
+    while (batch_index := len(chunks)) < len(starts):
+        if batch_index < sent:
+            # At end of file a last line without newline still counts.
+            end = pending.find(b"\n") + 1 or (closed and len(pending))
+            if end:
+                line = pending[:end].decode("utf-8", "replace")
+                del pending[:end]
+                rows = min(MAX_ROWS_PER_REQUEST, X.shape[0] - starts[batch_index])
+                chunks.append(_parse_answer(line, rows, batch_index))
+                deadline = time.monotonic() + REQUEST_TIMEOUT_S
+                continue
+            if closed:
+                raise ModelQueryError(
+                    "model process closed its output before answering",
+                    batch_index=batch_index)
+        elif pipe_error is not None:
+            raise ModelQueryError(
+                f"model process pipe failed: {pipe_error}",
+                batch_index=sent) from pipe_error
+        if not request and sent < len(starts):
             # tolist() yields Python floats, which json.dumps writes at repr
             # precision (17 significant digits when needed): exact round trip.
-            payload = json.dumps(
-                {"instances": X[start:start + MAX_ROWS_PER_REQUEST].tolist()})
-            child.stdin.write(payload.encode() + b"\n")
-            child.stdin.flush()
-    except OSError as exc:   # a broken pipe: the child is gone or was killed
-        written, pipe_error = batch_index, exc
-    finally:
-        sent.set()
-    chunks = [
-        _parse_answer(answers.get(), min(MAX_ROWS_PER_REQUEST, X.shape[0] - start),
-                      batch_index, expired)
-        for batch_index, start in enumerate(starts[:written])]
-    if pipe_error is not None:
-        if expired.is_set():
-            raise _timeout_error(written)
-        raise ModelQueryError(
-            f"model process pipe failed: {pipe_error}", batch_index=written) from pipe_error
+            start = starts[sent]
+            request = memoryview(json.dumps(
+                {"instances": X[start:start + MAX_ROWS_PER_REQUEST].tolist()}
+            ).encode() + b"\n")
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not (events := poller.poll(remaining * 1000)):
+            raise ModelQueryError(
+                f"model process did not answer within {REQUEST_TIMEOUT_S:g} s; killed it",
+                batch_index=batch_index)
+        for fd, _ in events:
+            if fd == out_fd:
+                chunk = os.read(out_fd, _READ_BYTES)
+                pending += chunk
+                if not chunk:
+                    closed = True
+                    poller.unregister(out_fd)
+                continue
+            try:
+                request = request[os.write(in_fd, request):]
+            except BlockingIOError:
+                continue
+            except OSError as exc:   # a broken pipe: the child is gone
+                pipe_error = exc
+                poller.unregister(in_fd)
+                continue
+            if not request:
+                sent += 1
+                if sent == len(starts):
+                    poller.unregister(in_fd)
     return np.concatenate(chunks)
 
 
-def _read_answers(child: subprocess.Popen, count: int, pending: bytearray,
-                  answers: queue.SimpleQueue, sent: threading.Event,
-                  expired: threading.Event) -> None:
-    """Put the child's next ``count`` answer lines on ``answers`` in order,
-    each as soon as it is complete, then ``""`` as at end of file.
-
-    The child has :data:`REQUEST_TIMEOUT_S` for each answer, counted from the
-    one before, and as long again after its last answer for every request to
-    be written (``sent``), so a child that answers before it reads cannot
-    leave a write waiting.  On expiry ``expired`` is set and the child's
-    group killed, which ends a waiting write with a broken pipe.  Bytes read
-    past the last answer stay in ``pending`` for the next call.
-    """
-    fd = child.stdout.fileno()
-    poller = select.poll()
-    poller.register(fd, select.POLLIN)
-    try:
-        for _ in range(count):
-            deadline = time.monotonic() + REQUEST_TIMEOUT_S
-            while (end := pending.find(b"\n") + 1) == 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not poller.poll(remaining * 1000):
-                    expired.set()
-                    _kill_group(child)
-                    return
-                chunk = os.read(fd, _READ_BYTES)
-                if not chunk:   # end of file; a last line without newline still counts
-                    end = len(pending)
-                    break
-                pending += chunk
-            if end == 0:
-                return
-            answers.put(pending[:end].decode("utf-8", "replace"))
-            del pending[:end]
-        if not sent.wait(REQUEST_TIMEOUT_S):
-            expired.set()
-            _kill_group(child)
-    finally:
-        answers.put("")
-
-
-def _timeout_error(batch_index: int) -> ModelQueryError:
-    return ModelQueryError(
-        f"model process did not answer within {REQUEST_TIMEOUT_S:g} s; killed it",
-        batch_index=batch_index)
-
-
-def _parse_answer(line: str, rows: int, batch_index: int,
-                  expired: threading.Event) -> np.ndarray:
+def _parse_answer(line: str, rows: int, batch_index: int) -> np.ndarray:
     """Predictions in one answer ``line`` to a request of ``rows`` rows."""
-    if not line:
-        if expired.is_set():
-            raise _timeout_error(batch_index)
-        raise ModelQueryError(
-            "model process closed its output before answering",
-            batch_index=batch_index)
     try:
         reply = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -497,7 +476,8 @@ class BatchFileModel(Model):
     """One-shot file handshake: write request CSV, run command, read response.
 
     The response file must be a CSV whose header contains a ``prediction``
-    column with one row per requested instance.  The command runs in a
+    column with one row per requested instance.  A lock serializes
+    concurrent callers, who share the two files.  The command runs in a
     process group of its own, which is killed if it runs longer than
     :data:`REQUEST_TIMEOUT_S`.
     """
@@ -512,48 +492,50 @@ class BatchFileModel(Model):
         self.request_path = Path(request_path)
         self.response_path = Path(response_path)
         self.input_dim = int(input_dim)
+        self._lock = threading.Lock()
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = _as_matrix(X, self.input_dim)
-        with open(self.request_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j + 1}" for j in range(self.input_dim)])
-            for row in X:
-                writer.writerow([repr(float(v)) for v in row])
-        try:
-            child = subprocess.Popen(
-                self.command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                text=True, start_new_session=True)
-        except OSError as exc:
-            raise ModelQueryError(f"could not run batch model command: {exc}") from exc
-        # A kill on expiry reaches the whole group, so a process the command
-        # started cannot hold its output open and keep the wait going.
-        with child:
+        with self._lock:
+            with open(self.request_path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f"x{j + 1}" for j in range(self.input_dim)])
+                for row in X:
+                    writer.writerow([repr(float(v)) for v in row])
             try:
-                stdout, stderr = child.communicate(timeout=REQUEST_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                _kill_group(child)
-                child.communicate()
-                raise ModelQueryError(
-                    f"batch model command did not finish within {REQUEST_TIMEOUT_S:g} s;"
-                    " killed it") from None
-            except BaseException:   # an interrupt: leave no process behind
-                _kill_group(child)
-                raise
-        if child.returncode != 0:
-            raise ModelQueryError(
-                f"batch model command exited with status {child.returncode}",
-                payload_excerpt=_excerpt(stderr or stdout))
-        try:
-            with open(self.response_path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                if reader.fieldnames is None or "prediction" not in reader.fieldnames:
+                child = subprocess.Popen(
+                    self.command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    text=True, start_new_session=True)
+            except OSError as exc:
+                raise ModelQueryError(f"could not run batch model command: {exc}") from exc
+            # A kill on expiry reaches the whole group, so a process the command
+            # started cannot hold its output open and keep the wait going.
+            with child:
+                try:
+                    stdout, stderr = child.communicate(timeout=REQUEST_TIMEOUT_S)
+                except subprocess.TimeoutExpired:
+                    _kill_group(child)
+                    child.communicate()
                     raise ModelQueryError(
-                        "response CSV lacks a 'prediction' column",
-                        payload_excerpt=_excerpt(",".join(reader.fieldnames or [])))
-                values = [row["prediction"] for row in reader]
-        except OSError as exc:
-            raise ModelQueryError(f"could not read response file: {exc}") from exc
+                        f"batch model command did not finish within {REQUEST_TIMEOUT_S:g} s;"
+                        " killed it") from None
+                except BaseException:   # an interrupt: leave no process behind
+                    _kill_group(child)
+                    raise
+            if child.returncode != 0:
+                raise ModelQueryError(
+                    f"batch model command exited with status {child.returncode}",
+                    payload_excerpt=_excerpt(stderr or stdout))
+            try:
+                with open(self.response_path, newline="", encoding="utf-8") as fh:
+                    reader = csv.DictReader(fh)
+                    if reader.fieldnames is None or "prediction" not in reader.fieldnames:
+                        raise ModelQueryError(
+                            "response CSV lacks a 'prediction' column",
+                            payload_excerpt=_excerpt(",".join(reader.fieldnames or [])))
+                    values = [row["prediction"] for row in reader]
+            except OSError as exc:
+                raise ModelQueryError(f"could not read response file: {exc}") from exc
         try:
             predictions = np.asarray([float(v) for v in values], dtype=float)
         except (TypeError, ValueError) as exc:

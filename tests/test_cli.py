@@ -6,8 +6,10 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -180,6 +182,44 @@ def test_explain_with_exec_model_prints_pinned_bytes(tmp_path):
              "PYTHONPATH": str(Path(slime.__file__).parents[1])})
     assert hashlib.sha256(completed.stdout).hexdigest() == \
         "149436d080eac758f622a1d5381b3d9ada35746cbdfb68817bed5cd1dcad854d"
+
+
+def test_sigterm_exits_143_and_kills_the_exec_child(tmp_path):
+    # The child writes its pid and becomes a sleep that never answers; it
+    # leads a process group of its own, so only slime's cleanup can end it.
+    pid_path = tmp_path / "pidfile"
+    run = subprocess.Popen(
+        [sys.executable, "-m", "slime.cli", "explain",
+         "--model", "exec:sh -c 'echo $$ > pidfile; exec sleep 30'",
+         "--instance", "0,0", "--n0", "50", "--k", "1", "--n-max", "100"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(slime.__file__).parents[1])})
+    pid = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_path.exists() and pid_path.read_text().endswith("\n")):
+            assert time.monotonic() < deadline, "the exec: child never started"
+            time.sleep(0.05)
+        pid = int(pid_path.read_text())
+        run.send_signal(signal.SIGTERM)
+        assert run.wait(timeout=30) == 143
+        deadline = time.monotonic() + 5
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid)
+    finally:
+        run.kill()
+        run.wait()
+        if pid is not None and _alive(pid):
+            os.killpg(pid, signal.SIGKILL)
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------- manifests

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -420,6 +421,40 @@ def test_subprocess_timeout_kills_what_the_child_started(monkeypatch):
     assert model._child is None
 
 
+def test_subprocess_call_starts_no_thread(monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("predict_batch started a thread")
+
+    X = np.random.default_rng(8).normal(size=(2500, 2))
+    with child_model(tmp_path, CHILD_FIRST_COLUMN) as model:
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        got = model.predict_batch(X)
+        monkeypatch.undo()
+    assert got.tobytes() == X[:, 0].tobytes()
+
+
+def predict_concurrently(model, inputs):
+    """``model.predict_batch`` of each input, one thread each, started together."""
+    barrier = threading.Barrier(len(inputs))
+
+    def call(X):
+        barrier.wait()
+        return model.predict_batch(X)
+
+    with ThreadPoolExecutor(len(inputs)) as pool:
+        return list(pool.map(call, inputs))
+
+
+def test_subprocess_concurrent_callers_get_their_own_answers(tmp_path):
+    # Each caller's three requests and answers must not interleave with the
+    # other caller's on the one child.
+    inputs = [np.arange(5000.0).reshape(2500, 2), -np.arange(1.0, 5001.0).reshape(2500, 2)]
+    with child_model(tmp_path, CHILD_FIRST_COLUMN) as model:
+        got = predict_concurrently(model, inputs)
+    for X, out in zip(inputs, got):
+        np.testing.assert_array_equal(out, X[:, 0])
+
+
 def test_subprocess_missing_command():
     model = SubprocessModel(["/no/such/binary-here"], input_dim=2)
     with pytest.raises(ModelQueryError, match="could not start"):
@@ -507,6 +542,16 @@ def test_batch_file_command_that_never_finishes_is_killed(monkeypatch, tmp_path)
     assert time.monotonic() - start < 10
     with pytest.raises(ProcessLookupError):
         os.killpg(int(pid_path.read_text()), 0)
+
+
+def test_batch_file_concurrent_callers_get_their_own_answers(tmp_path):
+    # The command reads the request only after 0.2 s: without a lock, the
+    # second caller's request overwrites the first caller's in the meantime.
+    slow = "import time\ntime.sleep(0.2)\n" + BATCH_FIRST_COLUMN
+    model = batch_model(tmp_path, slow)
+    inputs = [np.full((3, 2), 1.0), np.full((3, 2), 2.0)]
+    for X, out in zip(inputs, predict_concurrently(model, inputs)):
+        np.testing.assert_array_equal(out, X[:, 0])
 
 
 def test_batch_file_validation(tmp_path):
