@@ -134,15 +134,19 @@ def repeat_explanations(model: Model, instance: InstanceSpec,
         except Exception as exc:   # noqa: BLE001 - collected and reported
             return f"rep {i}: {exc}"
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        each = map if pool is None else pool.map
-        outcomes = list(each(run_one, range(reps)))
-    finally:
-        if pool is not None:
-            # An interrupt that escapes must not wait for the queued
-            # repetitions; on success every future is done already.
-            pool.shutdown(cancel_futures=True)
+    if workers == 1:
+        outcomes = list(map(run_one, range(reps)))
+    else:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            outcomes = list(pool.map(run_one, range(reps)))
+        except BaseException:
+            # An interrupt must not wait for the repetitions: the queued ones
+            # are cancelled, and the running ones end when the caller closes
+            # the model they wait on.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
     ordered = [out for out in outcomes if not isinstance(out, str)]
     errors = [out for out in outcomes if isinstance(out, str)]
     if len(ordered) < 2:

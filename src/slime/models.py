@@ -311,7 +311,10 @@ class SubprocessModel(Model):
     failed request the child is closed, and the next call starts a fresh
     one.  The child leads a process group of its own, and a kill reaches the
     whole group: a process the child started cannot keep its output open
-    past a timeout.
+    past a timeout.  Leaving a ``with`` block ends the handle: no later call
+    starts a child, and when the block ends by an exception the group is
+    killed first, so a call still waiting on the child in another thread
+    fails at once.
     """
 
     def __init__(self, command: Sequence[str], input_dim: int):
@@ -324,11 +327,14 @@ class SubprocessModel(Model):
         self._child: subprocess.Popen | None = None
         self._unread = bytearray()   # bytes the child wrote past its last answer
         self._lock = threading.Lock()
+        self._ended = False
 
     def _ensure_child(self) -> subprocess.Popen:
         if self._child is not None and self._child.poll() is not None:
             self.close()   # reap the dead child and close its pipes
         if self._child is None:
+            if self._ended:
+                raise ModelQueryError("the model process was closed for good")
             try:
                 self._child = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -354,6 +360,15 @@ class SubprocessModel(Model):
                 _kill_group(child)
                 self.close()
                 raise
+
+    def __exit__(self, exc_type, exc, tb):
+        self._ended = True
+        child = self._child
+        if exc_type is not None and child is not None:
+            _kill_group(child)
+        with self._lock:
+            self.close()
+        return False
 
     def close(self) -> None:
         child, self._child = self._child, None

@@ -12,19 +12,23 @@ Kernel weights follow the usual locality kernel
 ``exp(-d^2 / width^2)`` with d the Euclidean distance measured in
 scale-normalized coordinates, so the instance itself would get weight 1.
 
-New rows are made in two phases.  The draw phase writes them straight into
-the dataset's buffer, one call per block of 4096 rows counted from the
+New rows are made in three phases.  The draw phase writes them straight
+into the dataset's buffer, one call per block of 4096 rows counted from the
 first new row; each call but the first starts at the generator-block
 boundary at or after its block's first row, so no generator block is drawn
-twice.  The weigh phase splits the blocks into one contiguous run per
-worker and gives each block its kernel weights and its weighted moments
-about the instance (:class:`~slime.weighted_lars.WeightedMoments`); the
-calling thread adds those sums to the ones the dataset carries, in block
-order, so standardizing a grown sample costs p x p algebra plus the new
-rows.  When the new rows hold at least 2**20 entries and span more than one
-block, both phases run on a thread pool with one thread per CPU the process
-may run on (its CPU affinity; ``taskset -c 0 slime ...`` keeps the pass on
-one thread); smaller passes run in the calling thread.  Rows, weights and
+twice.  The query phase asks the model once for the new rows, on the
+calling thread.  The weigh phase splits the blocks into one contiguous run
+per worker and gives each block its kernel weights and its weighted moments
+about the instance, the answers included
+(:class:`~slime.weighted_lars.WeightedMoments`); the calling thread adds
+those sums to the ones the dataset carries, in block order, so
+standardizing a grown sample, and correlating it with the answers, costs
+p x p algebra plus the new rows.  The answers are summed about a pilot
+shift, the mean answer of the dataset's first 4096 rows.  When the new rows
+hold at least 2**20 entries and span more than one block, the draw and the
+weigh run on a thread pool with one thread per CPU the process may run on
+(its CPU affinity; ``taskset -c 0 slime ...`` keeps the pass on one
+thread); smaller passes run in the calling thread.  Rows, weights and
 moments are the same bytes whatever the number of CPUs.  Building a dataset
 is its first growth, from no rows.  The sample lives in one C-order buffer,
 and growth writes the new rows into the buffer's spare rows, which the
@@ -115,8 +119,9 @@ class PerturbationDataset:
 
     ``seed`` and ``kernel_width`` are carried along so the dataset can be
     extended later without re-querying existing rows.  ``moments`` holds
-    the weighted moments of the rows about the instance: growth carries
-    them along, and a dataset made without them sums them from its rows.
+    the weighted moments of the rows about the instance and of the answers
+    about their pilot shift: growth carries them along, and a dataset made
+    without them sums them from its rows and answers.
     ``_buffer``, when set, is the array whose leading rows ``X`` views; its
     later rows are spare capacity for growth.
     """
@@ -142,7 +147,7 @@ class PerturbationDataset:
             raise ValidationError("weights must lie in (0, 1]")
         if self.moments is None:
             object.__setattr__(self, "moments", WeightedMoments.of(
-                self.X, self.weights, self.instance.values))
+                self.X, self.weights, self.instance.values, self.y))
 
 
 def default_kernel_width(p: int) -> float:
@@ -257,17 +262,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_and_weigh(instance: InstanceSpec, seed: int, width: float, X: np.ndarray,
-                    start: int, moments: WeightedMoments) -> np.ndarray:
-    """Fill ``X`` with rows ``start ..`` of the sample, return their kernel
-    weights and add their moments to ``moments``.
+def _draw_query_weigh(model: Model, dataset: PerturbationDataset, X: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, WeightedMoments]:
+    """Fill ``X`` with the rows that follow the dataset's, query the model on
+    them and weigh them: return their answers, their kernel weights and the
+    dataset's moments with theirs added.
 
-    Two phases: draw the rows in one call per block of ``ROW_BLOCK`` rows,
-    then weigh the blocks and sum their moments.  Large passes run each
-    phase on a thread pool sized to the CPUs the process may use; the
+    Three phases: draw the rows in one call per block of ``ROW_BLOCK`` rows,
+    query the model once on the calling thread, then weigh the blocks and
+    sum their moments, responses included.  Large passes run the draw and
+    the weigh on a thread pool sized to the CPUs the process may use; the
     calling thread adds the sums in block order, so the bytes do not depend
     on the number of threads.
     """
+    instance, start, width = dataset.instance, dataset.n, dataset.kernel_width
     _check_width(width)
     n, p = X.shape
     w = np.empty(n)
@@ -277,29 +285,33 @@ def _draw_and_weigh(instance: InstanceSpec, seed: int, width: float, X: np.ndarr
     edges = [0] + [min(n, -(-(start + rows.start) // _BLOCK) * _BLOCK - start)
                    for rows in blocks[1:]] + [n]
     workers = min(_cpu_count(), len(blocks)) if X.size >= _POOL_MIN_ENTRIES else 1
-    # One contiguous run of blocks per worker.  Scratch is allocated here,
-    # not in the workers: memory a worker thread frees stays in that
-    # thread's malloc arena.
-    cuts = [len(blocks) * k // workers for k in range(workers + 1)]
-    runs = [(blocks[lo:hi], _scratch(n, p)) for lo, hi in zip(cuts, cuts[1:])]
 
     def draw(lo: int, hi: int) -> None:
         if lo < hi:
-            gaussian_perturb(instance, hi - lo, seed, start=start + lo, out=X[lo:hi])
+            gaussian_perturb(instance, hi - lo, dataset.seed, start=start + lo, out=X[lo:hi])
 
-    def weigh(run) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    def weigh(run) -> list[tuple]:
         run_blocks, scratch = run
-        return [WeightedMoments.block_sums(
-                    _weigh(X[rows], instance, width, w[rows], scratch), w[rows])
+        return [moments.block_sums(_weigh(X[rows], instance, width, w[rows], scratch),
+                                   w[rows], y[rows])
                 for rows in run_blocks]
 
     with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         each = map if pool is None else pool.map
         list(each(draw, edges[:-1], edges[1:]))
+        y = query_model(model, X)
+        # The first rows fix the pilot shift of the response's moments.
+        moments = (dataset.moments.copy() if start
+                   else WeightedMoments.about(instance.values, y))
+        # One contiguous run of blocks per worker.  Scratch is allocated
+        # here, after the query, not in the workers: memory a worker thread
+        # frees stays in that thread's malloc arena.
+        cuts = [len(blocks) * k // workers for k in range(workers + 1)]
+        runs = [(blocks[lo:hi], _scratch(n, p)) for lo, hi in zip(cuts, cuts[1:])]
         for sums in each(weigh, runs):
             for part in sums:
                 moments.add(part)
-    return w
+    return y, w, moments
 
 
 def query_model(model: Model, X: np.ndarray) -> np.ndarray:
@@ -357,10 +369,7 @@ def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
             buffer = np.empty((new_n, p))
         buffer[:n] = dataset.X
     X_new = buffer[n:new_n]
-    moments = dataset.moments.copy()
-    w_new = _draw_and_weigh(dataset.instance, dataset.seed, dataset.kernel_width,
-                            X_new, n, moments)
-    y_new = query_model(model, X_new)
+    y_new, w_new, moments = _draw_query_weigh(model, dataset, X_new)
     return PerturbationDataset(
         X=buffer[:new_n],
         y=np.concatenate([dataset.y, y_new]),

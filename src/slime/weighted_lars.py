@@ -8,22 +8,25 @@ coefficient path, and the inner product of a column with the residual is
 exactly the quantity the entry-stability test reasons about.
 
 Standardization works from weighted moments of the rows about a fixed shift
-(:class:`WeightedMoments`: the sums of w, w*u and w*u*u^T with u = x - shift).
-They add up across rows, so a sample that grows can carry them along and
-pay only for its new rows; standardizing is then p x p algebra: the weighted
-means, the norms and the Gram matrix of the transformed columns.  The
+(:class:`WeightedMoments`: the sums of w, w*u and w*u*u^T with u = x - shift),
+and of the responses about a fixed pilot value (the sums of w*y' and w*u*y'
+with y' = y - pilot).  They add up across rows, so a sample that grows can
+carry them along and pay only for its new rows; standardizing is then p x p
+algebra: the weighted means, the norms, the Gram matrix of the transformed
+columns and their correlations with the transformed response.  The
 transformed n x p matrix is never stored on the solver's path.  A column is
 built from the raw sample when it is needed, and ``StandardizedDesign.base``
 builds them all, lazily, for callers that want the whole matrix.
 
 The solver walks the path breakpoint by breakpoint in covariance form
 (Efron, Hastie, Johnstone & Tibshirani 2004, section 7): every step works on
-the Gram matrix and on the correlations with the response, which one
-blocked pass over the sample computes.  The residual is materialized only
-for an optional observer, from the active columns: before each entry the
-observer is shown it with the remaining candidates ranked by absolute
-correlation.  The observer may vote to abort, which is how the adaptive
-explainer interrupts a path whose next entry is statistically undecided.
+the Gram matrix and on the correlations with the response, which come from
+the moments when they carry the response and otherwise from one blocked
+pass over the sample.  The residual is materialized only for an optional
+observer, from the active columns: before each entry the observer is shown
+it with the remaining candidates ranked by absolute correlation.  The
+observer may vote to abort, which is how the adaptive explainer interrupts
+a path whose next entry is statistically undecided.
 
 The refit after the path solves the selected block of the same Gram against
 the same correlations and reads no row of the sample.  The path's
@@ -124,55 +127,84 @@ class DesignMatrix:
 
 @dataclass
 class WeightedMoments:
-    """Running weighted sums of sample rows about a fixed ``shift``.
+    """Running weighted sums of sample rows about a fixed ``shift``, and of
+    their responses about a fixed ``pilot``.
 
-    Over the rows added so far, with u = x - shift: ``total`` is the sum of
-    w, ``first`` the sum of w*u and ``second`` the sum of w*u*u^T.  The
-    shift keeps the sums well conditioned when the rows sit far from zero
+    Over the rows added so far, with u = x - shift and y' = y - pilot:
+    ``total`` is the sum of w, ``first`` the sum of w*u, ``second`` the sum
+    of w*u*u^T, ``response`` the sum of w*y' and ``cross`` the sum of
+    w*u*y'.  Moments made without responses have ``cross`` None.  The
+    shifts keep the sums well conditioned when the rows sit far from zero
     but close together; the sampler shifts by the instance, the centre its
-    rows are drawn around.
+    rows are drawn around, and the pilot is the mean response of the first
+    ``ROW_BLOCK`` rows, fixed when they arrive and kept through growth.
     """
 
     shift: np.ndarray
     total: float
     first: np.ndarray
     second: np.ndarray
+    pilot: float = 0.0
+    response: float = 0.0
+    cross: np.ndarray | None = None
 
     @classmethod
-    def about(cls, shift: np.ndarray) -> "WeightedMoments":
-        """No rows yet."""
+    def about(cls, shift: np.ndarray, y: np.ndarray | None = None) -> "WeightedMoments":
+        """No rows yet.  With ``y``, the responses of the first rows to come,
+        the sums will carry the response too, about the mean of its first
+        ``ROW_BLOCK`` entries."""
         p = shift.size
-        return cls(shift=shift, total=0.0, first=np.zeros(p), second=np.zeros((p, p)))
-
-    @classmethod
-    def of(cls, X: np.ndarray, weights: np.ndarray, shift: np.ndarray) -> "WeightedMoments":
-        """The moments of every row of X, in one blocked pass."""
-        moments = cls.about(shift)
-        for rows in row_blocks(X.shape[0]):
-            moments.add(cls.block_sums(X[rows] - shift, weights[rows]))
+        moments = cls(shift=shift, total=0.0, first=np.zeros(p), second=np.zeros((p, p)))
+        if y is not None:
+            moments.pilot = float(y[:ROW_BLOCK].mean()) if y.size else 0.0
+            moments.cross = np.zeros(p)
         return moments
 
-    @staticmethod
-    def block_sums(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """The sums ``(second, first, total)`` of one block of rows ``u``
-        (already shifted) with weights ``w``.  Scales ``u`` by sqrt(w) in
-        place.  An overflow is left for :func:`standardize` to report."""
+    @classmethod
+    def of(cls, X: np.ndarray, weights: np.ndarray, shift: np.ndarray,
+           y: np.ndarray | None = None) -> "WeightedMoments":
+        """The moments of every row of X, and of its responses ``y`` when
+        given, in one blocked pass."""
+        moments = cls.about(shift, y)
+        for rows in row_blocks(X.shape[0]):
+            moments.add(moments.block_sums(X[rows] - shift, weights[rows],
+                                           None if y is None else y[rows]))
+        return moments
+
+    def block_sums(self, u: np.ndarray, w: np.ndarray, y: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray | None]:
+        """The sums ``(second, first, total, response, cross)`` of one block
+        of rows ``u`` (already shifted) with weights ``w`` and responses
+        ``y`` (None, and no response sums, for moments without responses).
+        Scales ``u`` by sqrt(w) in place.  An overflow is left for
+        :func:`standardize` and :func:`lars_lasso_path` to report."""
         with np.errstate(over="ignore", invalid="ignore"):
             first = w @ u
-            u *= np.sqrt(w)[:, None]
-            return u.T @ u, first, float(w.sum())
+            root = np.sqrt(w)
+            u *= root[:, None]
+            sums = u.T @ u, first, float(w.sum())
+            if y is None:
+                return sums + (0.0, None)
+            y = y - self.pilot
+            return sums + (float(w @ y), u.T @ (root * y))
 
-    def add(self, sums: tuple[np.ndarray, np.ndarray, float]) -> None:
+    def add(self, sums: tuple[np.ndarray, np.ndarray, float, float, np.ndarray | None]
+            ) -> None:
         """Add the sums of a block, as :meth:`block_sums` returns them.
         Blocks added in the same order give the same bytes."""
-        second, first, total = sums
+        second, first, total, response, cross = sums
         self.second += second
         self.first += first
         self.total += total
+        if cross is not None:
+            self.response += response
+            self.cross += cross
 
     def copy(self) -> "WeightedMoments":
-        return WeightedMoments(shift=self.shift, total=self.total,
-                               first=self.first.copy(), second=self.second.copy())
+        return WeightedMoments(
+            shift=self.shift, total=self.total, first=self.first.copy(),
+            second=self.second.copy(), pilot=self.pilot, response=self.response,
+            cross=None if self.cross is None else self.cross.copy())
 
 
 @dataclass(frozen=True)
@@ -186,7 +218,9 @@ class StandardizedDesign:
     divided out) are aligned with the retained columns.  Columns whose norm
     fell below the drop threshold are listed in ``dropped_cols`` and
     excluded from the path; ``retained_idx`` maps each retained column back
-    to its position in the original design.
+    to its position in the original design.  ``xty`` holds the retained
+    columns' correlations with the transformed response when the moments
+    carried the response, else None.
     """
 
     sample: DesignMatrix
@@ -196,6 +230,7 @@ class StandardizedDesign:
     col_norms: np.ndarray
     dropped_cols: tuple[str, ...]
     retained_idx: np.ndarray
+    xty: np.ndarray | None = None
 
     @property
     def original_names(self) -> tuple[str, ...]:
@@ -346,7 +381,9 @@ def standardize(design: DesignMatrix, weights: np.ndarray, *,
     the retained columns is formed here, once, for :func:`lars_lasso_path`,
     from the weighted moments of the rows: ``moments`` when the caller has
     accumulated them over exactly these rows and weights, else from one
-    blocked pass.
+    blocked pass.  When ``moments`` carry the response, the columns'
+    correlations with the transformed response come from them too, as
+    ``xty_j = (sum w*u_j*y' - sum w*u_j * sum w*y' / sum w) / norm_j``.
 
     With ``scale_columns=False`` the centered columns keep their natural
     norms.  Entry order on such a design is driven by inner products rather
@@ -379,6 +416,12 @@ def standardize(design: DesignMatrix, weights: np.ndarray, *,
     dropped = tuple(name for name, k in zip(design.column_names, keep) if not k)
 
     divisor = norms[retained_idx] if scale_columns else np.ones(retained_idx.size)
+    xty = None
+    if moments.cross is not None:
+        # A non-finite value is left for lars_lasso_path to report.
+        with np.errstate(over="ignore", invalid="ignore"):
+            xty = (moments.cross - moments.first * (moments.response / moments.total)
+                   )[retained_idx] / divisor
     return StandardizedDesign(
         sample=design,
         sqrt_weights=np.sqrt(w),
@@ -387,6 +430,7 @@ def standardize(design: DesignMatrix, weights: np.ndarray, *,
         col_norms=divisor,
         dropped_cols=dropped,
         retained_idx=retained_idx,
+        xty=xty,
     )
 
 
@@ -405,6 +449,8 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
     """Trace the LASSO path on standardized data until ``max_active`` features.
 
     ``response`` must already be transformed by :func:`transform_response`.
+    The correlations with it are ``design.xty`` when :func:`standardize`
+    took them from moments over the same responses, else one blocked pass.
     One variable enters per outer iteration.  The LASSO drop modification is
     always applied: a coefficient that would cross zero leaves the active set
     at the crossing instead, and the direction is recomputed.  Every completed
@@ -424,7 +470,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
             f"max_active must lie in [1, min(n - 1, p)] = [1, {min(n - 1, m)}], got {max_active}")
 
     beta = np.zeros(m)
-    xty = design.project(y)
+    xty = design.project(y) if design.xty is None else design.xty
     if not np.isfinite(xty).all():
         raise DegenerateInputError("the correlations with the response are not finite")
     active: list[int] = []

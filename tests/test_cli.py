@@ -181,7 +181,7 @@ def test_explain_with_exec_model_prints_pinned_bytes(tmp_path):
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
              "PYTHONPATH": str(Path(slime.__file__).parents[1])})
     assert hashlib.sha256(completed.stdout).hexdigest() == \
-        "149436d080eac758f622a1d5381b3d9ada35746cbdfb68817bed5cd1dcad854d"
+        "cdd91c9c0662d4bc4d14659f92554b9ed848ec2c1d2a7ece05c21177af9ed963"
 
 
 def test_sigterm_exits_143_and_kills_the_exec_child(tmp_path):
@@ -212,6 +212,41 @@ def test_sigterm_exits_143_and_kills_the_exec_child(tmp_path):
         run.wait()
         if pid is not None and _alive(pid):
             os.killpg(pid, signal.SIGKILL)
+
+
+def test_sigterm_stops_bench_workers_without_waiting_for_their_children(tmp_path):
+    # Both repetitions wait on one exec: child that answers nothing and
+    # exits after 25 s.  The stop must not wait for it, and the repetition
+    # queued behind it must not start a fresh child.
+    pid_path = tmp_path / "pidfile"
+    run = subprocess.Popen(
+        [sys.executable, "-m", "slime.cli", "bench", "--reps", "2", "--workers", "2",
+         "--model", "exec:sh -c 'echo $$ >> pidfile; exec sleep 25'",
+         "--instance", "0,0", "--n0", "50", "--k", "1", "--n-max", "100"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(slime.__file__).parents[1])})
+
+    def pids():
+        text = pid_path.read_text() if pid_path.exists() else ""
+        return [int(line) for line in text.splitlines(keepends=True) if line.endswith("\n")]
+
+    try:
+        deadline = time.monotonic() + 30
+        while not pids():
+            assert time.monotonic() < deadline, "the exec: child never started"
+            time.sleep(0.05)
+        run.send_signal(signal.SIGTERM)
+        assert run.wait(timeout=10) == 143
+        deadline = time.monotonic() + 5
+        while any(_alive(pid) for pid in pids()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids() if _alive(pid)]
+    finally:
+        run.kill()
+        run.wait()
+        for pid in pids():
+            if _alive(pid):
+                os.killpg(pid, signal.SIGKILL)
 
 
 def _alive(pid):

@@ -292,6 +292,23 @@ def test_explainers_never_build_the_standardized_base(monkeypatch):
     lime_explain(near_tied(12), instance, config)
 
 
+def test_explainers_take_the_correlations_from_the_moments(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("the explainer made a pass over the sample for xty")
+
+    monkeypatch.setattr(StandardizedDesign, "project", refuse)
+    outcomes = set()
+    for multiple_testing in (False, True):
+        for seed in (0, 2):   # seed 0 reaches the cap, seed 2 stops below it
+            config = ExplainerConfig(n0=300, k=4, n_max=50000, seed=seed,
+                                     multiple_testing=multiple_testing)
+            explanation = slime_explain(MarsModel(), MARS_INSTANCE, config)
+            assert explanation.final_n > config.n0
+            outcomes.add((multiple_testing, explanation.capped))
+    assert len(outcomes) == 4
+    assert len(lime_explain(MarsModel(), MARS_INSTANCE, config).selected) == 4
+
+
 def test_growing_explanation_holds_one_copy_of_its_sample():
     # Growth writes new rows into spare rows reserved up to n_max, and no
     # n x p standardized copy is made: the traced peak stays near the

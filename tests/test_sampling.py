@@ -10,7 +10,7 @@ import pytest
 from slime import sampling
 from slime.errors import (DegenerateInputError, ModelQueryError,
                           ValidationError)
-from slime.models import LinearModel, Model
+from slime.models import LinearModel, MarsModel, Model
 from slime.sampling import (InstanceSpec, PerturbationDataset, build_dataset,
                             default_kernel_width, extend_dataset,
                             gaussian_perturb, kernel_weights, query_model,
@@ -388,6 +388,57 @@ def test_a_dataset_made_without_moments_extends_and_explains_like_its_parent(mon
                                                   state.active_set)
             fits.append((state.active_set, coef.tobytes(), intercept))
         assert fits[0] == fits[1], new_n
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("values, scales, model, sizes", [
+    # Far from zero and tightly spread: the sums must not lose the spread.
+    (np.linspace(200.0, 1000.0, 5), np.full(5, 0.05), MarsModel(),
+     (1000, 4095, 4097, 9001, 250000)),
+    (np.linspace(-3.0, 5.0, 20), np.linspace(0.5, 2.0, 20),
+     LinearModel(np.linspace(2.0, -1.0, 20)), (3000, 4097, 70000, 125001)),
+])
+def test_correlations_from_the_moments_match_a_pass_over_the_sample(
+        monkeypatch, reuse, values, scales, model, sizes):
+    # Sizes cross the 4096-row blocks, and the largest hold the 2**20
+    # entries that put the weigh phase on the pool.
+    _on_workers(monkeypatch, 2)
+    spec = InstanceSpec(values=values, feature_scales=scales)
+    dataset = build_dataset(model, spec, n=sizes[0], seed=3)
+    for i, n in enumerate(sizes):
+        if i:
+            dataset = (extend_dataset(model, dataset, n) if reuse
+                       else build_dataset(model, spec, n=n, seed=3 + i))
+        design = DesignMatrix(values=dataset.X, column_names=spec.feature_names)
+        std = standardize(design, dataset.weights, moments=dataset.moments)
+        want = std.project(transform_response(dataset.y, dataset.weights))
+        assert np.abs(std.xty - want).max() <= 1e-12 * np.abs(want).max(), n
+
+
+def test_response_sums_are_the_same_bytes_on_any_path(monkeypatch):
+    # The pool or the calling thread, grown or made by hand from the same
+    # rows: one pilot, one blocking, one order of additions.
+    p = 20
+    spec = InstanceSpec(values=np.linspace(-3.0, 5.0, p),
+                        feature_scales=np.linspace(0.5, 2.0, p))
+    model = LinearModel(np.linspace(2.0, -1.0, p))
+
+    def response_sums(dataset):
+        m = dataset.moments
+        return np.float64(m.pilot).tobytes(), np.float64(m.response).tobytes(), m.cross.tobytes()
+
+    got = []
+    for workers in (1, 2):
+        _on_workers(monkeypatch, workers)
+        small = build_dataset(model, spec, n=3000, seed=9)
+        bare = PerturbationDataset(X=small.X, y=small.y, weights=small.weights,
+                                   seed=small.seed, n=small.n, instance=spec,
+                                   kernel_width=small.kernel_width)
+        got.append([response_sums(d) for d in (
+            small, bare, extend_dataset(model, small, 70000),
+            extend_dataset(model, bare, 70000))])
+    assert got[0] == got[1]
+    assert got[0][0] == got[0][1] and got[0][2] == got[0][3]
 
 
 def test_extend_requires_growth():
