@@ -10,6 +10,12 @@ abandoned, the sample grown to the recommended size (reusing existing rows
 by default), and the walk restarted.  Once the requested budget ``n_max``
 would be exceeded, one final pass runs untested and the result is marked
 ``capped``.
+
+Each decision's moments come from one pass over the raw sample for the top
+candidate and its rivals (:func:`~slime.stability_testing.product_covariances`).
+Only a gated round makes the n-row transformed response, for the gate's
+residual; an ungated round, and the intercept, work from the sample's
+weighted moments alone.
 """
 
 from __future__ import annotations
@@ -22,10 +28,12 @@ from .errors import ValidationError
 from .models import Model
 from .sampling import (InstanceSpec, PerturbationDataset, build_dataset,
                        derived_seed, extend_dataset)
-from .stability_testing import (DEFAULT_GROWTH_FACTOR, TestDecision,
+# product_covariance is not called here since the gate makes one pass per
+# decision; the name stays so that perfbench/layers.py can wrap it.
+from .stability_testing import (DEFAULT_GROWTH_FACTOR, TestDecision,  # noqa: F401
                                 bonferroni_entry_test, entry_test,
-                                product_covariance)
-from .weighted_lars import (DesignMatrix, EntryCandidate, EntryContext,
+                                product_covariance, product_covariances)
+from .weighted_lars import (DesignMatrix, EntryContext,
                             EntryObserver, PathState, StandardizedDesign,
                             lars_lasso_path, refit_least_squares, standardize,
                             transform_response)
@@ -99,20 +107,20 @@ def _entry_gate(config: ExplainerConfig, design: StandardizedDesign,
                 trace: list[TestDecision]) -> EntryObserver:
     """Observer that tests each entry and appends its decision to ``trace``."""
 
-    def signed_column(candidate: EntryCandidate) -> np.ndarray:
-        # The negation rule: a negatively correlated candidate is compared
-        # through its sign-flipped column so every correlation is positive.
-        column = design.column(candidate.index)
-        return np.negative(column, out=column) if candidate.c_hat < 0 else column
-
     def gate(ctx: EntryContext) -> bool:
         if len(ctx.candidates) < 2:
             return True   # nothing to compete against: entry is forced
         top = ctx.candidates[0]
         rivals = ctx.candidates[1:] if config.multiple_testing else ctx.candidates[1:2]
-        top_col = signed_column(top)
-        covs = [product_covariance(ctx.residual, top_col, signed_column(rival))
-                for rival in rivals]
+        idx = [candidate.index for candidate in (top, *rivals)]
+        # The negation rule: a negatively correlated candidate is compared
+        # through its sign-flipped column so every correlation is positive.
+        signs = np.array([-1.0 if candidate.c_hat < 0 else 1.0
+                          for candidate in (top, *rivals)])
+        # The columns' sqrt(w) factor rides on the residual.
+        covs = product_covariances(ctx.residual * design.sqrt_weights,
+                                   design.sample.values, design.retained_idx[idx],
+                                   design.col_means[idx], design.col_norms[idx], signs)
         if config.multiple_testing:
             decision = bonferroni_entry_test(
                 covs, config.alpha,
@@ -132,17 +140,21 @@ def _walk(dataset: PerturbationDataset, config: ExplainerConfig,
           trace: list[TestDecision] | None) -> tuple[StandardizedDesign, PathState]:
     """One round: standardize the sample and walk its LASSO path.
 
-    With a ``trace`` every entry is gated and its decision appended there.
-    The gate dies when the round returns; the standardized design is handed
-    back for the refit.
+    With a ``trace`` every entry is gated and its decision appended there;
+    only then is the n-row transformed response made, for the gate's
+    residual.  An ungated round walks on the moments alone.  The gate dies
+    when the round returns; the standardized design is handed back for the
+    refit.
     """
     # Sampled rows are finite by construction: no finiteness scan.
     design = DesignMatrix._trusted(dataset.X, dataset.instance.feature_names)
     std = standardize(design, dataset.weights, moments=dataset.moments)
-    response = transform_response(dataset.y, dataset.weights)
     max_active = min(config.k, std.retained_idx.size, dataset.n - 1)
-    gate = None if trace is None else _entry_gate(config, std, trace)
-    return std, lars_lasso_path(std, response, max_active, observer=gate)
+    if trace is None:
+        return std, lars_lasso_path(std, None, max_active)
+    response = transform_response(dataset.y, dataset.weights)
+    return std, lars_lasso_path(std, response, max_active,
+                                observer=_entry_gate(config, std, trace))
 
 
 def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
@@ -183,7 +195,10 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
         # the loop simply reruns ungated on the data it has.
 
     names = state.active_set
-    y_mean = (dataset.weights @ dataset.y) / dataset.weights.sum()
+    # The weighted mean of y from the moments: no pass over the rows, and the
+    # same bytes whatever the number of BLAS threads.
+    moments = dataset.moments
+    y_mean = moments.pilot + moments.response / moments.total
     if names:
         coef, intercept = refit_least_squares(std, state.xty, y_mean, names)
         selected = tuple((name, float(c)) for name, c in zip(names, coef))

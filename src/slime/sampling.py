@@ -15,11 +15,12 @@ scale-normalized coordinates, so the instance itself would get weight 1.
 New rows are made in three phases.  The draw phase writes them straight
 into the dataset's buffer, one call per block of 4096 rows counted from the
 first new row; each call but the first starts at the generator-block
-boundary at or after its block's first row, so no generator block is drawn
-twice.  The query phase asks the model once for the new rows, on the
-calling thread.  The weigh phase splits the blocks into one contiguous run
-per worker and gives each block its kernel weights and its weighted moments
-about the instance, the answers included
+boundary at or after its block's first row, so within a growth no generator
+block is drawn twice.  A growth that starts inside a generator block redraws
+that block's leading rows and drops them.  The query phase asks the model
+once for the new rows, on the calling thread.  The weigh phase splits the
+blocks into one contiguous run per worker and gives each block its kernel
+weights and its weighted moments about the instance, the answers included
 (:class:`~slime.weighted_lars.WeightedMoments`); the calling thread adds
 those sums to the ones the dataset carries, in block order, so
 standardizing a grown sample, and correlating it with the answers, costs

@@ -9,6 +9,14 @@ asks: if the perturbation data were regenerated from scratch, would the same
 variable win again?  When the answer is "not reliably", the companion
 sample-size rule says how many rows would be needed.
 
+The moments behind one decision come from one pass over the raw sample
+(:func:`product_covariances`): a block of rows at a time, the top column and
+every rival are centred, scaled and multiplied by the residual, and the
+blocks' means and centred second moments are merged by the pairwise update
+of Chan, Golub & LeVeque.  Only the variances and the top's covariance with
+each rival are kept.  :func:`product_covariance` is the one-rival case on
+two ready-made columns.
+
 Conventions: ``normal_quantile(p)`` is the *upper-tail* quantile, i.e. the z
 with ``P(Z > z) = p``, so ``normal_quantile(0.05) ~= 1.6449``.  It and
 ``normal_upper_tail`` come from the standard library (``statistics.NormalDist``
@@ -26,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
+from .weighted_lars import row_blocks
 
 __all__ = [
     "ProductCovariance",
@@ -33,6 +42,7 @@ __all__ = [
     "normal_quantile",
     "normal_upper_tail",
     "product_covariance",
+    "product_covariances",
     "entry_test",
     "bonferroni_entry_test",
     "required_sample_size",
@@ -111,7 +121,8 @@ def product_covariance(residual: np.ndarray, col_i: np.ndarray,
     """Moments of ``residual * col_i`` versus ``residual * col_j``.
 
     All three arrays must be 1-d of the same length n >= 2.  Covariances are
-    the unbiased (n - 1 denominator) estimates.
+    the unbiased (n - 1 denominator) estimates.  This is the one-rival case
+    of :func:`product_covariances`, on the two columns as given.
     """
     r = np.asarray(residual, dtype=float)
     a = np.asarray(col_i, dtype=float)
@@ -120,20 +131,60 @@ def product_covariance(residual: np.ndarray, col_i: np.ndarray,
         raise ValidationError("residual and both columns must be 1-d arrays of equal length")
     if not (np.isfinite(r).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValidationError("residual and columns must be finite")
-    n = r.shape[0]
+    # Centring by 0, dividing by 1 and a sign of 1 are exact: the products
+    # are r * a and r * b to the last bit.
+    return product_covariances(r, np.column_stack((a, b)), np.arange(2), np.zeros(2),
+                               np.ones(2), np.ones(2))[0]
+
+
+def product_covariances(residual: np.ndarray, values: np.ndarray, columns: np.ndarray,
+                        means: np.ndarray, norms: np.ndarray, signs: np.ndarray
+                        ) -> list[ProductCovariance]:
+    """Moments of the top column's products with ``residual`` against each
+    rival's, in one pass over the rows of ``values``.
+
+    Column k is ``signs[k] * (values[:, columns[k]] - means[k]) / norms[k]``;
+    column 0 is the top and every later one a rival.  Returns one :class:`ProductCovariance` per
+    rival, pairing the top (``c1_hat``, ``sigma11``) with it.  The pass runs
+    a block of ``ROW_BLOCK`` rows at a time: each block's products get their
+    means and centred second moments, and the blocks are merged by the
+    pairwise update of Chan, Golub & LeVeque (1979), so every sum is about a
+    mean and the order of the blocks is fixed.  Only the variances and the
+    top's cross-moment with each rival are kept, so the pass costs O(n * q)
+    for q columns.  The signs are applied to the sums.  Nothing is checked
+    for finiteness: a non-finite input gives non-finite moments.
+    """
+    n = values.shape[0]
     if n < 2:
         raise DegenerateInputError("product covariance needs at least 2 rows")
-    pa = r * a
-    pb = r * b
-    cov = np.cov(pa, pb, ddof=1)
-    return ProductCovariance(
-        c1_hat=float(pa.mean()),
-        c2_hat=float(pb.mean()),
-        sigma11=float(cov[0, 0]),
-        sigma22=float(cov[1, 1]),
-        sigma12=float(cov[0, 1]),
-        n=n,
-    )
+    shift, divisor = means[:, None], norms[:, None]
+    count = 0
+    for rows in row_blocks(n):
+        # Products as q x rows, so each column's sums run along a contiguous row.
+        prod = values[rows].T[columns]
+        prod -= shift
+        prod *= residual[rows]
+        prod /= divisor
+        size = rows.stop - rows.start
+        block_mean = prod.sum(axis=1) / size
+        prod -= block_mean[:, None]
+        block_sq = (prod * prod).sum(axis=1)
+        block_cross = (prod[1:] * prod[0]).sum(axis=1)
+        if count == 0:
+            mean, sq, cross = block_mean, block_sq, block_cross
+        else:
+            delta = block_mean - mean
+            weight = count * size / (count + size)
+            mean = mean + delta * (size / (count + size))
+            sq = sq + block_sq + delta * delta * weight
+            cross = cross + block_cross + delta[1:] * delta[0] * weight
+        count += size
+    mean = (mean * signs).tolist()
+    sq = (sq / (n - 1)).tolist()
+    cross = (cross * (signs[1:] * signs[0]) / (n - 1)).tolist()
+    return [ProductCovariance(c1_hat=mean[0], c2_hat=mean[k], sigma11=sq[0],
+                              sigma22=sq[k], sigma12=cross[k - 1], n=n)
+            for k in range(1, len(mean))]
 
 
 def _check_alpha(alpha: float) -> None:

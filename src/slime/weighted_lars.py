@@ -14,9 +14,10 @@ with y' = y - pilot).  They add up across rows, so a sample that grows can
 carry them along and pay only for its new rows; standardizing is then p x p
 algebra: the weighted means, the norms, the Gram matrix of the transformed
 columns and their correlations with the transformed response.  The
-transformed n x p matrix is never stored on the solver's path.  A column is
-built from the raw sample when it is needed, and ``StandardizedDesign.base``
-builds them all, lazily, for callers that want the whole matrix.
+transformed n x p matrix is never stored on the solver's path: the
+residual and the entry gate build what they need from the raw sample, and
+``StandardizedDesign.base`` builds every column, lazily, for callers that
+want the whole matrix.
 
 The solver walks the path breakpoint by breakpoint in covariance form
 (Efron, Hastie, Johnstone & Tibshirani 2004, section 7): every step works on
@@ -26,7 +27,11 @@ pass over the sample.  The residual is materialized only for an optional
 observer, from the active columns: before each entry the observer is shown
 it with the remaining candidates ranked by absolute correlation.  The
 observer may vote to abort, which is how the adaptive explainer interrupts
-a path whose next entry is statistically undecided.
+a path whose next entry is statistically undecided.  With the correlations
+from the moments and no observer the walk needs no response at all
+(``lars_lasso_path(design, None, k)``) and reads no row of the sample.  Each
+step solves its p x p systems with numpy and does its scalar work (the
+ranking, the ties, the zero crossings and the penalty) on Python floats.
 
 The refit after the path solves the selected block of the same Gram against
 the same correlations and reads no row of the sample.  The path's
@@ -37,6 +42,7 @@ with its transpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -211,9 +217,9 @@ class WeightedMoments:
 class StandardizedDesign:
     """Design after weight folding, weighted centering and norm scaling.
 
-    The transformed columns are not stored.  Column j is built on demand
-    from the raw ``sample`` as ``(x - col_means[j]) * sqrt_weights /
-    col_norms[j]``; ``gram`` is their p x p Gram matrix.  ``col_means`` and
+    The transformed columns are not stored.  Column j is ``(x -
+    col_means[j]) * sqrt_weights / col_norms[j]`` over the raw ``sample``'s
+    column ``retained_idx[j]``; ``gram`` is their p x p Gram matrix.  ``col_means`` and
     ``col_norms`` (the weighted means removed and the Euclidean norms
     divided out) are aligned with the retained columns.  Columns whose norm
     fell below the drop threshold are listed in ``dropped_cols`` and
@@ -255,13 +261,6 @@ class StandardizedDesign:
         values *= self.sqrt_weights[:, None]
         values /= self.col_norms
         return DesignMatrix._trusted(values, self.column_names)
-
-    def column(self, j: int) -> np.ndarray:
-        """Retained column j, a fresh array equal to ``base.values[:, j]``."""
-        column = self.sample.values[:, self.retained_idx[j]] - self.col_means[j]
-        column *= self.sqrt_weights
-        column /= self.col_norms[j]
-        return column
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """``base.values.T @ v``, from one blocked pass over the sample.  An
@@ -444,18 +443,22 @@ def transform_response(response: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sqrt(w) * (y - (w @ y) / w.sum())
 
 
-def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
+def lars_lasso_path(design: StandardizedDesign, response: np.ndarray | None,
                     max_active: int, observer: EntryObserver | None = None) -> PathState:
     """Trace the LASSO path on standardized data until ``max_active`` features.
 
     ``response`` must already be transformed by :func:`transform_response`.
     The correlations with it are ``design.xty`` when :func:`standardize`
     took them from moments over the same responses, else one blocked pass.
-    One variable enters per outer iteration.  The LASSO drop modification is
-    always applied: a coefficient that would cross zero leaves the active set
-    at the crossing instead, and the direction is recomputed.  Every completed
-    breakpoint is recorded with its implied penalty so the path can be checked
-    against a direct penalized solver.
+    The walk itself reads only the Gram and those correlations, so with
+    ``design.xty`` set and no observer ``response`` may be None, and the
+    path reads no row of the sample; a None ``response`` otherwise raises
+    :class:`ValidationError`.  One variable enters per outer iteration.  The
+    LASSO drop modification is always applied: a coefficient that would
+    cross zero leaves the active set at the crossing instead, and the
+    direction is recomputed.  Every completed breakpoint is recorded with its
+    implied penalty so the path can be checked against a direct penalized
+    solver.
 
     The observer, when given, is consulted before each entry with the ranked
     inactive candidates; returning False abandons the walk and marks the
@@ -464,7 +467,13 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
     gram = design.gram
     names = design.column_names
     n, m = design.n_rows, gram.shape[0]
-    y = _check_response(response, n)
+    if response is None:
+        if design.xty is None or observer is not None:
+            raise ValidationError(
+                "a response is needed unless the design carries xty and no observer is given")
+        y = None
+    else:
+        y = _check_response(response, n)
     if not (1 <= max_active <= min(n - 1, m)):
         raise ValidationError(
             f"max_active must lie in [1, min(n - 1, p)] = [1, {min(n - 1, m)}], got {max_active}")
@@ -487,17 +496,19 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         full[design.retained_idx] = b
         return full
 
-    def record(c: np.ndarray) -> None:
-        lam = float(np.max(np.abs(c)))
+    # The scalar work of a step (ranking, ties, crossings, the penalty) runs
+    # on Python floats taken from the arrays once per step.
+    c = xty.tolist()
+    abs_c = [abs(v) for v in c]
+
+    def record() -> None:
         breakpoints.append(PathBreakpoint(
-            beta=expand(beta), lam=lam,
+            beta=expand(beta), lam=max(abs_c),
             active=tuple(names[j] for j in active)))
 
-    c = xty
-    record(c)
+    record()
 
     while True:
-        abs_c = np.abs(c)
         inactive = [j for j in range(m) if j not in active]
 
         if drop_pending and not active:
@@ -506,7 +517,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         if not drop_pending:
             if len(active) >= max_active or not inactive:
                 break
-            top = float(abs_c[inactive].max())
+            top = max(abs_c[j] for j in inactive)
             if top <= _TOL:
                 break  # residual carries no further signal
             ranked = sorted(inactive, key=lambda j: (-abs_c[j], j))
@@ -518,7 +529,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
                     n_active=len(active),
                     residual=r,
                     candidates=tuple(
-                        EntryCandidate(index=j, name=names[j], c_hat=float(c[j] / n))
+                        EntryCandidate(index=j, name=names[j], c_hat=c[j] / n)
                         for j in ranked),
                 )
                 if not observer(ctx):
@@ -526,15 +537,14 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
                     break
             j_new = ranked[0]
             active.append(j_new)
-            entry_events.append((step + 1, names[j_new], float(c[j_new] / n)))
+            entry_events.append((step + 1, names[j_new], c[j_new] / n))
         drop_pending = False
         step += 1
 
         # Equiangular direction over the signed active columns.
         idx = np.asarray(active, dtype=int)
-        signs = np.sign(c[idx])
-        signs[signs == 0] = 1.0
-        ga_inv_one = _spd_solve(gram[np.ix_(idx, idx)] * np.outer(signs, signs),
+        signs = np.array([-1.0 if c[j] < 0 else 1.0 for j in active])
+        ga_inv_one = _spd_solve(gram[idx[:, None], idx] * (signs[:, None] * signs),
                                 np.ones(len(active)),
                                 "active feature set has a rank-deficient Gram matrix",
                                 tuple(names[j] for j in active))
@@ -543,10 +553,10 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
             raise SingularityError(
                 "active feature set has a numerically singular Gram matrix",
                 features=tuple(names[j] for j in active))
-        aa = 1.0 / np.sqrt(denom)
+        aa = 1.0 / math.sqrt(denom)
         d = signs * aa * ga_inv_one          # coefficient direction for active columns
-        a = gram[:, idx] @ d                 # correlations with the unit equiangular vector
-        cmax = float(abs_c[idx].max())
+        a = (gram[:, idx] @ d).tolist()      # correlations with the unit equiangular vector
+        cmax = max(abs_c[j] for j in active)
 
         # Step to the next tie among inactive candidates.  A just-dropped
         # column still sits exactly at the tie it left: its zero-length root
@@ -555,7 +565,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         # else a tie at zero distance is a legitimate co-entry.
         floor = -_TOL * (1.0 + cmax)
         bounce_tol = _TOL * (1.0 + cmax)
-        gamma_entry = float("inf")
+        gamma_entry = math.inf
         for j in inactive:
             guard_bounce = j in just_dropped
             for num, den in ((cmax - c[j], aa - a[j]), (cmax + c[j], aa + a[j])):
@@ -569,18 +579,20 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         gamma_ls = cmax / aa                 # full least squares on the active set
         gamma = min(gamma_entry, gamma_ls)
 
+        # Where each active coefficient would cross zero along the direction;
+        # an overflow to -inf is never ahead, one to +inf never the nearest.
+        crossing = [-b / dk if dk != 0 else math.inf
+                    for b, dk in zip(beta[idx].tolist(), d.tolist())]
+        ahead_floor = _TOL * (1.0 + min(gamma, gamma_ls))
+        gamma_drop = min((x for x in crossing if x > ahead_floor), default=math.inf)
         dropped_now: list[int] = []
-        crossing = -beta[idx] / np.where(d != 0, d, np.nan)
-        crossing = np.where(np.isfinite(crossing), crossing, np.inf)
-        ahead = crossing[crossing > _TOL * (1.0 + min(gamma, gamma_ls))]
-        gamma_drop = float(ahead.min()) if ahead.size else float("inf")
         if gamma_drop < gamma:
             gamma = gamma_drop
             rel = _TOL * (1.0 + gamma_drop)
             dropped_now = [active[k] for k in range(len(active))
                            if abs(crossing[k] - gamma_drop) <= rel]
 
-        if not np.isfinite(gamma):
+        if not math.isfinite(gamma):
             break  # no admissible move remains
 
         beta[idx] += gamma * d
@@ -594,8 +606,10 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray,
         elif gamma > _TOL * (1.0 + cmax):
             just_dropped = set()
 
-        c = xty - gram @ beta                # from scratch: keeps breakpoints exact
-        record(c)
+        # From scratch: keeps breakpoints exact.
+        c = (xty - gram @ beta).tolist()
+        abs_c = [abs(v) for v in c]
+        record()
 
         if gamma == gamma_ls and not dropped_now:
             break  # reached the least-squares end of the path

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slime
@@ -181,7 +182,25 @@ def test_explain_with_exec_model_prints_pinned_bytes(tmp_path):
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
              "PYTHONPATH": str(Path(slime.__file__).parents[1])})
     assert hashlib.sha256(completed.stdout).hexdigest() == \
-        "cdd91c9c0662d4bc4d14659f92554b9ed848ec2c1d2a7ece05c21177af9ed963"
+        "700ddefb7f59c8dfdcbd7e8731cb3ac7d7ce87aa0f1957006c5e36d992957984"
+
+
+def test_explain_prints_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    # p=200 at n=100k: the moments, the path, the gate and the intercept
+    # must not depend on how BLAS splits its sums.  Each run takes a few
+    # seconds; the timeout bounds one that hangs or crawls.
+    coefficients = ",".join(f"{c:.3f}" for c in np.linspace(1, 0.01, 200))
+    command = [sys.executable, "-m", "slime.cli", "explain",
+               "--model", f"builtin:linear:{coefficients}",
+               "--instance", ",".join(["0"] * 200), "--k", "20",
+               "--n0", "100000", "--n-max", "100000", "--seed", "1"]
+    outputs = [
+        subprocess.run(
+            command, capture_output=True, cwd=tmp_path, check=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                 "PYTHONPATH": str(Path(slime.__file__).parents[1])}).stdout
+        for threads in (1, 2)]
+    assert outputs[0] == outputs[1]
 
 
 def test_sigterm_exits_143_and_kills_the_exec_child(tmp_path):

@@ -309,6 +309,26 @@ def test_explainers_take_the_correlations_from_the_moments(monkeypatch):
     assert len(lime_explain(MarsModel(), MARS_INSTANCE, config).selected) == 4
 
 
+def test_only_gated_rounds_make_the_response_vector(monkeypatch):
+    # An ungated round (lime, or the capped last round) walks on the moments
+    # with no response; a gated one needs it for the gate's residual.
+    path = slime.explainer.lars_lasso_path
+    walks = []
+
+    def spy(design, response, max_active, observer=None):
+        walks.append((response is None, observer is None))
+        return path(design, response, max_active, observer=observer)
+
+    monkeypatch.setattr(slime.explainer, "lars_lasso_path", spy)
+    instance = InstanceSpec(values=np.zeros(2))
+    config = ExplainerConfig(n0=100, k=2, n_max=400, seed=1)
+    assert slime_explain(LinearModel([1.0, 1.0]), instance, config).capped
+    lime_explain(LinearModel([1.0, 1.0]), instance, config)
+    assert walks[0] == (False, False)
+    assert walks[-2:] == [(True, True), (True, True)]
+    assert all(no_response == ungated for no_response, ungated in walks)
+
+
 def test_growing_explanation_holds_one_copy_of_its_sample():
     # Growth writes new rows into spare rows reserved up to n_max, and no
     # n x p standardized copy is made: the traced peak stays near the

@@ -14,7 +14,8 @@ from slime.errors import DegenerateInputError, ValidationError
 from slime.stability_testing import (ProductCovariance, bonferroni_entry_test,
                                      entry_test, normal_quantile,
                                      normal_upper_tail, product_covariance,
-                                     required_sample_size)
+                                     product_covariances, required_sample_size)
+from slime.weighted_lars import ROW_BLOCK
 
 
 def make_cov(c1=0.05, c2=0.0, s11=0.5, s22=0.5, s12=0.0, n=1000):
@@ -116,6 +117,81 @@ def test_product_covariance_identical_columns():
 def test_product_covariance_needs_two_rows():
     with pytest.raises(DegenerateInputError):
         product_covariance(np.array([1.0]), np.array([1.0]), np.array([1.0]))
+
+
+def gate_problem(n, rivals, seed):
+    """Raw rows, the gate's column pieces and a residual that correlates
+    with the chosen columns, some of them negatively."""
+    rng = np.random.default_rng(seed)
+    p = rivals + 3
+    values = 3.0 + rng.standard_normal((n, p))
+    residual = values[:, :rivals + 1] @ rng.uniform(-1, 1, rivals + 1) \
+        + rng.standard_normal(n)
+    columns = rng.permutation(p)[:rivals + 1]
+    means = values[:, columns].mean(axis=0) + 0.1 * rng.standard_normal(rivals + 1)
+    norms = rng.uniform(0.5, 2.0, rivals + 1) * np.sqrt(n)
+    signs = np.where(np.arange(rivals + 1) % 2 == 1, -1.0, 1.0)
+    return residual, values, columns, means, norms, signs
+
+
+def assert_matches_two_pass(covs, residual, values, columns, means, norms, signs):
+    products = [residual * sign * (values[:, col] - mean) / norm
+                for col, mean, norm, sign in zip(columns, means, norms, signs)]
+    assert len(covs) == len(products) - 1
+    for cov, rival in zip(covs, products[1:]):
+        mu, mv, vu, vv, cuv = two_pass_product_covariance(products[0], rival)
+        size = np.abs(products[0]).mean() + np.abs(rival).mean()
+        spread = math.sqrt(vu * vv)
+        assert cov.n == residual.size
+        assert cov.c1_hat == pytest.approx(mu, rel=1e-12, abs=1e-12 * size)
+        assert cov.c2_hat == pytest.approx(mv, rel=1e-12, abs=1e-12 * size)
+        assert cov.sigma11 == pytest.approx(vu, rel=1e-12)
+        assert cov.sigma22 == pytest.approx(vv, rel=1e-12)
+        assert cov.sigma12 == pytest.approx(cuv, rel=1e-12, abs=1e-12 * spread)
+
+
+@pytest.mark.parametrize("rivals", [1, 2, 7])
+@pytest.mark.parametrize("n", [2, 300, 2 * ROW_BLOCK + 5])
+def test_product_covariances_match_two_pass_oracle(rivals, n):
+    # 2 * ROW_BLOCK + 5 rows make the pass merge three blocks, the last short.
+    problem = gate_problem(n, rivals, seed=rivals * 1000 + n)
+    covs = product_covariances(*problem)
+    assert_matches_two_pass(covs, *problem)
+
+
+def test_product_covariances_sign_flip_negates_mean_and_cross_only():
+    residual, values, columns, means, norms, _ = gate_problem(2 * ROW_BLOCK + 5, 2, seed=5)
+    plain = product_covariances(residual, values, columns, means, norms, np.ones(3))
+    flipped = product_covariances(residual, values, columns, means, norms,
+                                  np.array([1.0, -1.0, 1.0]))
+    assert flipped[0] == replace(plain[0], c2_hat=-plain[0].c2_hat,
+                                 sigma12=-plain[0].sigma12)
+    assert flipped[1] == plain[1]
+
+
+def test_product_covariances_zero_residual_is_undecidable():
+    residual, values, columns, means, norms, signs = gate_problem(
+        2 * ROW_BLOCK + 5, 2, seed=9)
+    covs = product_covariances(np.zeros_like(residual), values, columns, means,
+                               norms, signs)
+    for cov in covs:
+        assert (cov.c1_hat, cov.c2_hat) == (0.0, 0.0)
+        assert cov.sigma11 == cov.sigma22 == cov.sigma12 == 0.0
+        decision = entry_test(cov, 0.05)
+        assert decision.statistic_t == -math.inf and decision.p_value == 0.5
+        assert not decision.significant
+
+
+def test_product_covariances_identical_columns_have_no_difference_variance():
+    residual, values, columns, means, norms, _ = gate_problem(2 * ROW_BLOCK + 5, 1, seed=4)
+    twice = [columns[0], columns[0]]
+    (cov,) = product_covariances(residual, values, twice, means[[0, 0]],
+                                 norms[[0, 0]], np.ones(2))
+    assert cov.c1_hat == cov.c2_hat
+    assert cov.sigma11 == cov.sigma22 == cov.sigma12
+    assert cov.diff_variance == 0.0
+    assert_matches_two_pass([cov], residual, values, twice, means[[0, 0]],
+                            norms[[0, 0]], np.ones(2))
 
 
 # ----------------------------------------------------------------- the test

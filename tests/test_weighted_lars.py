@@ -1,5 +1,6 @@
 """Path solver checks against closed forms and a coordinate-descent oracle."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -12,8 +13,9 @@ from oracles import cd_lasso, kkt_violation, weighted_ols
 from slime.errors import (DegenerateInputError, SingularityError,
                           ValidationError)
 from slime.weighted_lars import (ROW_BLOCK, DesignMatrix, StandardizedDesign,
-                                 lars_lasso_path, refit_least_squares,
-                                 standardize, transform_response)
+                                 WeightedMoments, lars_lasso_path,
+                                 refit_least_squares, standardize,
+                                 transform_response)
 
 
 def make_design(values, names=None):
@@ -352,6 +354,23 @@ def test_path_builds_the_residual_only_for_its_observer(monkeypatch):
                                            if observer else 0)
 
 
+def test_path_needs_no_response_when_the_design_carries_xty():
+    design, y, w = random_problem(24)
+    moments = WeightedMoments.of(design.values, w, design.values[:ROW_BLOCK].mean(axis=0), y)
+    std = standardize(design, w, moments=moments)
+    yt = transform_response(y, w)
+    walked = lars_lasso_path(std, yt, 6)
+    bare = lars_lasso_path(std, None, 6)
+    assert bare.entry_events == walked.entry_events
+    assert bare.drop_events == walked.drop_events
+    assert [(bp.beta.tobytes(), bp.lam) for bp in bare.breakpoints] == \
+        [(bp.beta.tobytes(), bp.lam) for bp in walked.breakpoints]
+    with pytest.raises(ValidationError, match="a response is needed"):
+        lars_lasso_path(std, None, 6, observer=lambda ctx: True)
+    with pytest.raises(ValidationError, match="a response is needed"):
+        lars_lasso_path(standardize(design, w), None, 6)
+
+
 def test_entry_correlation_scale_is_mean_inner_product():
     design, y, w = random_problem(1)
     std, yt, state = run_path(design, y, w)
@@ -517,3 +536,34 @@ def test_path_invariants_hold_on_random_problems(seed, n, p):
         assert abs(bp.lam - np.max(np.abs(c))) <= 1e-10 * scale
         if inactive:
             assert np.max(np.abs(c[inactive])) <= bp.lam + 1e-7 * scale
+
+
+# ------------------------------------------------------------- pinned bytes
+
+def path_digest(state):
+    """sha256 over every breakpoint's coefficients and penalty, in order."""
+    h = hashlib.sha256()
+    for bp in state.breakpoints:
+        h.update(bp.beta.tobytes())
+        h.update(np.float64(bp.lam).tobytes())
+    return h.hexdigest()
+
+
+def test_path_bytes_are_pinned():
+    # Seed 24 takes a LASSO drop and re-enters the column, on correlations
+    # from a pass over the sample; the wider problem takes its correlations
+    # from moments that carry the response, as the explainer's rounds do.
+    design, y, w = random_problem(24)
+    _, _, dropping = run_path(design, y, w)
+    assert dropping.drop_events
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(600, 12)) @ (np.eye(12) + 0.3 * rng.normal(size=(12, 12)))
+    y = X[:, :4] @ np.array([2.0, -1.0, 0.5, 0.25]) + 0.5 * rng.normal(size=600)
+    w = rng.uniform(0.1, 2.0, size=600)
+    moments = WeightedMoments.of(X, w, X[:ROW_BLOCK].mean(axis=0), y)
+    std = standardize(make_design(X), w, moments=moments)
+    wide = lars_lasso_path(std, transform_response(y, w), 10)
+    assert path_digest(dropping) == \
+        "d2f24b6bea801bc72eb6294a4ee009d7ee586103985a7ee923ba1164622ca816"
+    assert path_digest(wide) == \
+        "5aad877c02d82974103f84598ec37850f699210ac6ca44793c8d2463f035a20c"
