@@ -17,7 +17,7 @@ from .stability_testing import (entry_test, product_covariance,
                                 required_sample_size)
 from .bench import repeat_explanations
 from .weighted_lars import (DesignMatrix, lars_lasso_path, refit_least_squares,
-                            standardize, transform_response)
+                            standardize)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "InstanceSpec", "build_dataset", "extend_dataset", "MarsModel",
     "LinearModel", "BatchFileModel", "parse_model_spec",
     # solver and entry test
-    "DesignMatrix", "standardize", "transform_response", "lars_lasso_path",
+    "DesignMatrix", "standardize", "lars_lasso_path",
     "refit_least_squares", "product_covariance", "entry_test",
     "required_sample_size",
 ]

@@ -24,7 +24,7 @@ from .errors import ValidationError
 from .explainer import Explanation, ExplainerConfig, lime_explain, slime_explain
 from .models import Model
 from .sampling import InstanceSpec, derived_seed, seed_sequence
-from .weighted_lars import DesignMatrix, lars_lasso_path, standardize, transform_response
+from .weighted_lars import DesignMatrix, lars_lasso_path, standardize
 
 __all__ = [
     "StabilityReport",
@@ -189,9 +189,8 @@ def lasso_ordering_experiment(coefficients: Sequence[float], n: int, runs: int,
         X = gen.standard_normal((n, p))
         y = X @ coefficients
         design = DesignMatrix(values=X, column_names=names)
-        std = standardize(design, weights, scale_columns=False)
-        response = transform_response(y, weights)
-        state = lars_lasso_path(std, response, max_active=p)
+        std = standardize(design, weights, y, scale_columns=False)
+        state = lars_lasso_path(std, max_active=p)
         seen: list[str] = []
         for _, name, _ in state.entry_events:
             if name not in seen:

@@ -13,9 +13,10 @@ would be exceeded, one final pass runs untested and the result is marked
 
 Each decision's moments come from one pass over the raw sample for the top
 candidate and its rivals (:func:`~slime.stability_testing.product_covariances`).
-Only a gated round makes the n-row transformed response, for the gate's
-residual; an ungated round, and the intercept, work from the sample's
-weighted moments alone.
+The correlations with the response and the intercept's weighted mean come
+from the sample's weighted moments, which carry the answers: an ungated
+round reads no row after the weigh, and a gated one builds only the gate's
+residual.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .sampling import (InstanceSpec, PerturbationDataset, build_dataset,
 from .stability_testing import (DEFAULT_GROWTH_FACTOR, TestDecision,  # noqa: F401
                                 bonferroni_entry_test, entry_test,
                                 product_covariance, product_covariances)
-from .weighted_lars import (DesignMatrix, EntryContext,
+# transform_response is not called here since standardize takes the
+# response's moments; the name stays so that perfbench/layers.py can wrap it.
+from .weighted_lars import (DesignMatrix, EntryContext,  # noqa: F401
                             EntryObserver, PathState, StandardizedDesign,
                             lars_lasso_path, refit_least_squares, standardize,
                             transform_response)
@@ -140,21 +143,16 @@ def _walk(dataset: PerturbationDataset, config: ExplainerConfig,
           trace: list[TestDecision] | None) -> tuple[StandardizedDesign, PathState]:
     """One round: standardize the sample and walk its LASSO path.
 
-    With a ``trace`` every entry is gated and its decision appended there;
-    only then is the n-row transformed response made, for the gate's
-    residual.  An ungated round walks on the moments alone.  The gate dies
-    when the round returns; the standardized design is handed back for the
-    refit.
+    With a ``trace`` every entry is gated and its decision appended there.
+    The gate dies when the round returns; the standardized design is handed
+    back for the refit.
     """
     # Sampled rows are finite by construction: no finiteness scan.
     design = DesignMatrix._trusted(dataset.X, dataset.instance.feature_names)
-    std = standardize(design, dataset.weights, moments=dataset.moments)
+    std = standardize(design, dataset.weights, dataset.y, moments=dataset.moments)
     max_active = min(config.k, std.retained_idx.size, dataset.n - 1)
-    if trace is None:
-        return std, lars_lasso_path(std, None, max_active)
-    response = transform_response(dataset.y, dataset.weights)
-    return std, lars_lasso_path(std, response, max_active,
-                                observer=_entry_gate(config, std, trace))
+    gate = None if trace is None else _entry_gate(config, std, trace)
+    return std, lars_lasso_path(std, max_active, observer=gate)
 
 
 def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
@@ -195,18 +193,14 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
         # the loop simply reruns ungated on the data it has.
 
     names = state.active_set
-    # The weighted mean of y from the moments: no pass over the rows, and the
-    # same bytes whatever the number of BLAS threads.
-    moments = dataset.moments
-    y_mean = moments.pilot + moments.response / moments.total
     if names:
-        coef, intercept = refit_least_squares(std, state.xty, y_mean, names)
+        coef, intercept = refit_least_squares(std, names)
         selected = tuple((name, float(c)) for name, c in zip(names, coef))
     else:
         # Degenerate: nothing correlates with the response.  Report the
         # weighted mean as the intercept and no features.
         selected = ()
-        intercept = y_mean
+        intercept = std.response_mean
     return Explanation(selected=selected, intercept=float(intercept),
                        final_n=dataset.n, capped=capped,
                        test_trace=tuple(trace), seed=config.seed)

@@ -13,28 +13,29 @@ and of the responses about a fixed pilot value (the sums of w*y' and w*u*y'
 with y' = y - pilot).  They add up across rows, so a sample that grows can
 carry them along and pay only for its new rows; standardizing is then p x p
 algebra: the weighted means, the norms, the Gram matrix of the transformed
-columns and their correlations with the transformed response.  The
-transformed n x p matrix is never stored on the solver's path: the
-residual and the entry gate build what they need from the raw sample, and
-``StandardizedDesign.base`` builds every column, lazily, for callers that
-want the whole matrix.
+columns, their correlations with the transformed response and the
+response's weighted mean.  :func:`standardize` is the one place that folds
+the response in, as it folds in the weights.  The transformed n x p matrix
+is never stored on the solver's path: the residual and the entry gate build
+what they need from the raw sample, and ``StandardizedDesign.base`` builds
+every column, lazily, for callers that want the whole matrix.
 
 The solver walks the path breakpoint by breakpoint in covariance form
 (Efron, Hastie, Johnstone & Tibshirani 2004, section 7): every step works on
-the Gram matrix and on the correlations with the response, which come from
-the moments when they carry the response and otherwise from one blocked
-pass over the sample.  The residual is materialized only for an optional
-observer, from the active columns: before each entry the observer is shown
-it with the remaining candidates ranked by absolute correlation.  The
-observer may vote to abort, which is how the adaptive explainer interrupts
-a path whose next entry is statistically undecided.  With the correlations
-from the moments and no observer the walk needs no response at all
-(``lars_lasso_path(design, None, k)``) and reads no row of the sample.  Each
-step solves its p x p systems with numpy and does its scalar work (the
-ranking, the ties, the zero crossings and the penalty) on Python floats.
+the Gram matrix and on the correlations with the response, so the walk
+reads no row of the sample.  The residual is materialized only for an
+optional observer, in one blocked pass over the response and the active
+columns: before each entry the observer is shown it with the remaining
+candidates ranked by absolute correlation.  The observer may vote to abort,
+which is how the adaptive explainer interrupts a path whose next entry is
+statistically undecided.  Each step solves its p x p systems with numpy and
+does its scalar work (the ranking, the ties, the zero crossings and the
+penalty) on Python floats.
 
 The refit after the path solves the selected block of the same Gram against
-the same correlations and reads no row of the sample.  The path's
+the same correlations, takes the intercept from the same moments and reads
+no row of the sample.  :func:`transform_response` is the response transform
+written out over the rows, for callers that want it as a vector.  The path's
 equiangular direction and the refit solve their positive-definite systems
 with numpy alone: a Cholesky factor, then a solve with the factor and one
 with its transpose.
@@ -139,10 +140,11 @@ class WeightedMoments:
     Over the rows added so far, with u = x - shift and y' = y - pilot:
     ``total`` is the sum of w, ``first`` the sum of w*u, ``second`` the sum
     of w*u*u^T, ``response`` the sum of w*y' and ``cross`` the sum of
-    w*u*y'.  Moments made without responses have ``cross`` None.  The
-    shifts keep the sums well conditioned when the rows sit far from zero
-    but close together; the sampler shifts by the instance, the centre its
-    rows are drawn around, and the pilot is the mean response of the first
+    w*u*y'.  Moments made without responses have ``cross`` None, and
+    :func:`standardize` refuses them.  The shifts keep the sums well
+    conditioned when the rows sit far from zero but close together; the
+    sampler shifts by the instance, the centre its rows are drawn around,
+    and the pilot is the mean response of the first
     ``ROW_BLOCK`` rows, fixed when they arrive and kept through growth.
     """
 
@@ -183,7 +185,7 @@ class WeightedMoments:
         of rows ``u`` (already shifted) with weights ``w`` and responses
         ``y`` (None, and no response sums, for moments without responses).
         Scales ``u`` by sqrt(w) in place.  An overflow is left for
-        :func:`standardize` and :func:`lars_lasso_path` to report."""
+        :func:`standardize` to report."""
         with np.errstate(over="ignore", invalid="ignore"):
             first = w @ u
             root = np.sqrt(w)
@@ -224,9 +226,10 @@ class StandardizedDesign:
     divided out) are aligned with the retained columns.  Columns whose norm
     fell below the drop threshold are listed in ``dropped_cols`` and
     excluded from the path; ``retained_idx`` maps each retained column back
-    to its position in the original design.  ``xty`` holds the retained
-    columns' correlations with the transformed response when the moments
-    carried the response, else None.
+    to its position in the original design.  ``response`` is the caller's
+    response, ``response_mean`` its weighted mean and ``xty`` the retained
+    columns' correlations with the transformed response, sqrt(w) * (y -
+    response_mean); the last two come from the weighted moments.
     """
 
     sample: DesignMatrix
@@ -236,7 +239,9 @@ class StandardizedDesign:
     col_norms: np.ndarray
     dropped_cols: tuple[str, ...]
     retained_idx: np.ndarray
-    xty: np.ndarray | None = None
+    xty: np.ndarray
+    response: np.ndarray
+    response_mean: float
 
     @property
     def original_names(self) -> tuple[str, ...]:
@@ -262,31 +267,20 @@ class StandardizedDesign:
         values /= self.col_norms
         return DesignMatrix._trusted(values, self.column_names)
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """``base.values.T @ v``, from one blocked pass over the sample.  An
-        overflow is left for the caller's finiteness check to report."""
-        sv = self.sqrt_weights * v
-        out = np.zeros(self.retained_idx.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for rows in row_blocks(self.n_rows):
-                block = self.sample.values[rows]
-                if self.dropped_cols:
-                    block = block[:, self.retained_idx]
-                out += (block - self.col_means).T @ sv[rows]
-            return out / self.col_norms
-
-    def residual(self, v: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """``v - base.values @ beta``, reading only the columns where beta
-        is nonzero, a block of rows at a time (which also keeps the
-        temporaries in cache)."""
-        r = np.array(v, dtype=float)
+    def residual(self, beta: np.ndarray) -> np.ndarray:
+        """``sqrt_weights * (response - response_mean) - base.values @
+        beta``, reading only the columns where beta is nonzero, a block of
+        rows at a time (which also keeps the temporaries in cache)."""
+        r = np.empty(self.n_rows)
         active = np.flatnonzero(beta)
-        if active.size:
-            cols, means = self.retained_idx[active], self.col_means[active]
-            coef = beta[active] / self.col_norms[active]
-            for rows in row_blocks(self.n_rows):
+        cols, means = self.retained_idx[active], self.col_means[active]
+        coef = beta[active] / self.col_norms[active]
+        for rows in row_blocks(self.n_rows):
+            root = self.sqrt_weights[rows]
+            r[rows] = root * (self.response[rows] - self.response_mean)
+            if active.size:
                 centred = self.sample.values[rows][:, cols] - means
-                r[rows] -= self.sqrt_weights[rows] * (centred @ coef)
+                r[rows] -= root * (centred @ coef)
         return r
 
 
@@ -329,7 +323,6 @@ class PathState:
     entry_events: list[tuple[int, str, float]]   # (step, feature, signed c_hat at entry)
     drop_events: list[tuple[int, str]]
     breakpoints: list[PathBreakpoint]
-    xty: np.ndarray               # each retained column's correlation with the response
     aborted: bool = False
 
 
@@ -368,21 +361,23 @@ def _spd_solve(a: np.ndarray, b: np.ndarray, message: str,
     return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
-def standardize(design: DesignMatrix, weights: np.ndarray, *,
+def standardize(design: DesignMatrix, weights: np.ndarray, response: np.ndarray, *,
                 scale_columns: bool = True,
                 moments: WeightedMoments | None = None) -> StandardizedDesign:
-    """Fold in observation weights and standardize every column.
+    """Fold in observation weights and standardize every column and the response.
 
     Row i is scaled by sqrt(weights[i]); each column is then centered by its
     weighted mean (so the scaled column is orthogonal to the scaled intercept)
     and divided by its Euclidean norm.  Columns that become numerically zero
     are dropped rather than producing garbage directions.  The Gram matrix of
     the retained columns is formed here, once, for :func:`lars_lasso_path`,
-    from the weighted moments of the rows: ``moments`` when the caller has
-    accumulated them over exactly these rows and weights, else from one
-    blocked pass.  When ``moments`` carry the response, the columns'
-    correlations with the transformed response come from them too, as
-    ``xty_j = (sum w*u_j*y' - sum w*u_j * sum w*y' / sum w) / norm_j``.
+    from the weighted moments of the rows and their responses: ``moments``
+    when the caller has accumulated them over exactly these rows, weights
+    and responses, else from one blocked pass.  The responses' weighted mean
+    and the columns' correlations with the transformed response come from
+    the same moments, as ``pilot + sum w*y' / sum w`` and ``xty_j = (sum
+    w*u_j*y' - sum w*u_j * sum w*y' / sum w) / norm_j``; the response itself
+    is kept, not copied, for the observer's residual.
 
     With ``scale_columns=False`` the centered columns keep their natural
     norms.  Entry order on such a design is driven by inner products rather
@@ -390,37 +385,40 @@ def standardize(design: DesignMatrix, weights: np.ndarray, *,
     scale and their norm fluctuations are part of the phenomenon under study.
 
     Weights must be nonnegative and finite with at least two strictly
-    positive entries; otherwise no meaningful regression exists.
+    positive entries; otherwise no meaningful regression exists.  The
+    response must be finite with one entry per row, and given ``moments``
+    must carry it.  Moments whose means, Gram matrix, correlations or
+    response mean are not finite raise :class:`DegenerateInputError`.
     """
     w = _check_weights(weights, design.n_rows)
+    y = _check_response(response, design.n_rows)
     if moments is None:
         # About the first block's mean the sums are as accurate as about the
         # weighted mean; a constant column still comes out zero to rounding.
         moments = WeightedMoments.of(design.values, w,
-                                     design.values[:ROW_BLOCK].mean(axis=0))
+                                     design.values[:ROW_BLOCK].mean(axis=0), y)
+    elif moments.cross is None:
+        raise ValidationError("the moments must carry the response")
     with np.errstate(over="ignore", invalid="ignore"):
         means = moments.shift + moments.first / moments.total
         gram = moments.second - np.outer(moments.first, moments.first) / moments.total
-    if not (np.isfinite(means).all() and np.isfinite(gram).all()):
-        # A NaN norm would fail the drop test below and pass for a constant.
+        norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
+        keep = norms >= _TOL
+        divisor = norms[keep] if scale_columns else np.ones(int(keep.sum()))
+        xty = (moments.cross - moments.first * (moments.response / moments.total)
+               )[keep] / divisor
+        response_mean = moments.pilot + moments.response / moments.total
+    # Checked before the drop test: a NaN norm would pass for a constant.
+    if not (np.isfinite(means).all() and np.isfinite(gram).all()
+            and np.isfinite(xty).all() and math.isfinite(response_mean)):
         raise DegenerateInputError(
-            "the weighted moments are not finite: the sample's spread "
-            "overflows the float range")
-    norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
+            "the weighted moments are not finite: the sample's spread or its "
+            "responses overflow the float range")
 
-    keep = norms >= _TOL
     retained_idx = np.flatnonzero(keep)
     if retained_idx.size == 0:
         raise DegenerateInputError("every column is constant under the given weights")
     dropped = tuple(name for name, k in zip(design.column_names, keep) if not k)
-
-    divisor = norms[retained_idx] if scale_columns else np.ones(retained_idx.size)
-    xty = None
-    if moments.cross is not None:
-        # A non-finite value is left for lars_lasso_path to report.
-        with np.errstate(over="ignore", invalid="ignore"):
-            xty = (moments.cross - moments.first * (moments.response / moments.total)
-                   )[retained_idx] / divisor
     return StandardizedDesign(
         sample=design,
         sqrt_weights=np.sqrt(w),
@@ -430,6 +428,8 @@ def standardize(design: DesignMatrix, weights: np.ndarray, *,
         dropped_cols=dropped,
         retained_idx=retained_idx,
         xty=xty,
+        response=y,
+        response_mean=response_mean,
     )
 
 
@@ -443,45 +443,31 @@ def transform_response(response: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sqrt(w) * (y - (w @ y) / w.sum())
 
 
-def lars_lasso_path(design: StandardizedDesign, response: np.ndarray | None,
-                    max_active: int, observer: EntryObserver | None = None) -> PathState:
+def lars_lasso_path(design: StandardizedDesign, max_active: int,
+                    observer: EntryObserver | None = None) -> PathState:
     """Trace the LASSO path on standardized data until ``max_active`` features.
 
-    ``response`` must already be transformed by :func:`transform_response`.
-    The correlations with it are ``design.xty`` when :func:`standardize`
-    took them from moments over the same responses, else one blocked pass.
-    The walk itself reads only the Gram and those correlations, so with
-    ``design.xty`` set and no observer ``response`` may be None, and the
-    path reads no row of the sample; a None ``response`` otherwise raises
-    :class:`ValidationError`.  One variable enters per outer iteration.  The
-    LASSO drop modification is always applied: a coefficient that would
-    cross zero leaves the active set at the crossing instead, and the
-    direction is recomputed.  Every completed breakpoint is recorded with its
-    implied penalty so the path can be checked against a direct penalized
-    solver.
+    The walk reads only the Gram matrix and ``design.xty``, the
+    correlations with the transformed response, so it reads no row of the
+    sample unless an observer asks for the residual.  One variable enters
+    per outer iteration.  The LASSO drop modification is always applied: a
+    coefficient that would cross zero leaves the active set at the crossing
+    instead, and the direction is recomputed.  Every completed breakpoint is
+    recorded with its implied penalty so the path can be checked against a
+    direct penalized solver.
 
     The observer, when given, is consulted before each entry with the ranked
-    inactive candidates; returning False abandons the walk and marks the
-    returned state ``aborted``.
+    inactive candidates and the residual; returning False abandons the walk
+    and marks the returned state ``aborted``.
     """
-    gram = design.gram
+    gram, xty = design.gram, design.xty
     names = design.column_names
     n, m = design.n_rows, gram.shape[0]
-    if response is None:
-        if design.xty is None or observer is not None:
-            raise ValidationError(
-                "a response is needed unless the design carries xty and no observer is given")
-        y = None
-    else:
-        y = _check_response(response, n)
     if not (1 <= max_active <= min(n - 1, m)):
         raise ValidationError(
             f"max_active must lie in [1, min(n - 1, p)] = [1, {min(n - 1, m)}], got {max_active}")
 
     beta = np.zeros(m)
-    xty = design.project(y) if design.xty is None else design.xty
-    if not np.isfinite(xty).all():
-        raise DegenerateInputError("the correlations with the response are not finite")
     active: list[int] = []
     entry_events: list[tuple[int, str, float]] = []
     drop_events: list[tuple[int, str]] = []
@@ -522,7 +508,7 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray | None,
                 break  # residual carries no further signal
             ranked = sorted(inactive, key=lambda j: (-abs_c[j], j))
             if observer is not None:
-                r = design.residual(y, beta)
+                r = design.residual(beta)
                 r.flags.writeable = False
                 ctx = EntryContext(
                     step=step + 1,
@@ -620,13 +606,11 @@ def lars_lasso_path(design: StandardizedDesign, response: np.ndarray | None,
         entry_events=entry_events,
         drop_events=drop_events,
         breakpoints=breakpoints,
-        xty=xty,
         aborted=aborted,
     )
 
 
-def refit_least_squares(design: StandardizedDesign, xty: np.ndarray,
-                        response_mean: float, selected: Sequence[str]
+def refit_least_squares(design: StandardizedDesign, selected: Sequence[str]
                         ) -> tuple[np.ndarray, float]:
     """Weighted least squares on the original scale for the selected columns.
 
@@ -634,19 +618,11 @@ def refit_least_squares(design: StandardizedDesign, xty: np.ndarray,
     ``selected``.  This is the final polish step: the path picks the features,
     the refit reports honest coefficients free of shrinkage.
 
-    Centred like the path, it reads no row of the sample: ``xty`` holds the
-    retained columns' correlations with the transformed response
-    (``PathState.xty``) and ``response_mean`` the weighted mean of y.  The
-    solve runs on the selected block of ``design.gram``; the column norms and
-    weighted means give back the original scale and the intercept.  ``xty``
-    must be finite with one entry per retained column, and ``response_mean``
-    finite.
+    Centred like the path, it reads no row of the sample: the solve runs on
+    the selected block of ``design.gram`` against ``design.xty``, and the
+    column norms, the weighted means and ``design.response_mean`` give back
+    the original scale and the intercept.
     """
-    xty = np.asarray(xty, dtype=float)
-    if xty.shape != design.col_norms.shape or not (
-            np.isfinite(xty).all() and np.isfinite(response_mean)):
-        raise ValidationError("xty must hold one finite entry per retained column "
-                              "and response_mean must be finite")
     if not selected:
         raise ValidationError("selected feature list must be non-empty")
     position = {name: j for j, name in enumerate(design.column_names)}
@@ -656,8 +632,8 @@ def refit_least_squares(design: StandardizedDesign, xty: np.ndarray,
         raise ValidationError(f"unknown feature {exc.args[0]!r}") from None
     if len(set(idx)) != len(idx):
         raise ValidationError("selected features must be distinct")
-    b = _spd_solve(design.gram[np.ix_(idx, idx)], xty[idx],
+    b = _spd_solve(design.gram[np.ix_(idx, idx)], design.xty[idx],
                    "weighted Gram matrix over the selected features is singular",
                    tuple(selected))
     coef = b / design.col_norms[idx]
-    return coef, float(response_mean - design.col_means[idx] @ coef)
+    return coef, float(design.response_mean - design.col_means[idx] @ coef)

@@ -77,9 +77,9 @@ def test_c3_path_matches_coordinate_descent_on_random_problems():
     breakpoints = 0
     for seed in range(50):
         design, y, w = _random_oracle_problem(seed)
-        std = standardize(design, w)
+        std = standardize(design, w, y)
         yt = transform_response(y, w)
-        state = lars_lasso_path(std, yt, std.base.n_cols)
+        state = lars_lasso_path(std, std.base.n_cols)
         assert not state.aborted
         for bp in state.breakpoints:
             beta = bp.beta[std.retained_idx]

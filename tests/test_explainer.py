@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slime.explainer
+import slime.weighted_lars
 from oracles import weighted_ols
 from slime.errors import ValidationError
 from slime.explainer import (ExplainerConfig, Explanation, lime_explain,
@@ -169,10 +170,10 @@ def test_growth_releases_each_sample_before_the_next_standardize(monkeypatch):
     standardize = slime.explainer.standardize
     samples = []
 
-    def spy(design, weights, **kwargs):
+    def spy(design, weights, response, **kwargs):
         assert all(sample() is None for sample in samples)
         samples.append(weakref.ref(design.values))
-        return standardize(design, weights, **kwargs)
+        return standardize(design, weights, response, **kwargs)
 
     monkeypatch.setattr(slime.explainer, "standardize", spy)
     config = ExplainerConfig(n0=200, k=2, n_max=20000, seed=3)
@@ -292,41 +293,36 @@ def test_explainers_never_build_the_standardized_base(monkeypatch):
     lime_explain(near_tied(12), instance, config)
 
 
-def test_explainers_take_the_correlations_from_the_moments(monkeypatch):
-    def refuse(self, v):
-        raise AssertionError("the explainer made a pass over the sample for xty")
-
-    monkeypatch.setattr(StandardizedDesign, "project", refuse)
-    outcomes = set()
-    for multiple_testing in (False, True):
-        for seed in (0, 2):   # seed 0 reaches the cap, seed 2 stops below it
-            config = ExplainerConfig(n0=300, k=4, n_max=50000, seed=seed,
-                                     multiple_testing=multiple_testing)
-            explanation = slime_explain(MarsModel(), MARS_INSTANCE, config)
-            assert explanation.final_n > config.n0
-            outcomes.add((multiple_testing, explanation.capped))
-    assert len(outcomes) == 4
-    assert len(lime_explain(MarsModel(), MARS_INSTANCE, config).selected) == 4
-
-
 def test_only_gated_rounds_make_the_response_vector(monkeypatch):
-    # An ungated round (lime, or the capped last round) walks on the moments
-    # with no response; a gated one needs it for the gate's residual.
-    path = slime.explainer.lars_lasso_path
+    # No round transforms the response over the rows: the correlations and
+    # the intercept come from the moments.  Only a gated round builds the
+    # gate's residual; an ungated one (lime, or the capped last round)
+    # reads no row of the response.
+    def refuse(*args):
+        raise AssertionError("the explainer transformed the response")
+
+    monkeypatch.setattr(slime.explainer, "transform_response", refuse)
+    monkeypatch.setattr(slime.weighted_lars, "transform_response", refuse)
+    path, residual = slime.explainer.lars_lasso_path, StandardizedDesign.residual
     walks = []
 
-    def spy(design, response, max_active, observer=None):
-        walks.append((response is None, observer is None))
-        return path(design, response, max_active, observer=observer)
+    def counted(self, beta):
+        walks[-1][1] += 1
+        return residual(self, beta)
 
+    def spy(design, max_active, observer=None):
+        walks.append([observer is None, 0])
+        return path(design, max_active, observer=observer)
+
+    monkeypatch.setattr(StandardizedDesign, "residual", counted)
     monkeypatch.setattr(slime.explainer, "lars_lasso_path", spy)
     instance = InstanceSpec(values=np.zeros(2))
     config = ExplainerConfig(n0=100, k=2, n_max=400, seed=1)
     assert slime_explain(LinearModel([1.0, 1.0]), instance, config).capped
     lime_explain(LinearModel([1.0, 1.0]), instance, config)
-    assert walks[0] == (False, False)
-    assert walks[-2:] == [(True, True), (True, True)]
-    assert all(no_response == ungated for no_response, ungated in walks)
+    assert walks[0] == [False, 1]
+    assert walks[-2:] == [[True, 0], [True, 0]]
+    assert all((residuals == 0) == ungated for ungated, residuals in walks)
 
 
 def test_growing_explanation_holds_one_copy_of_its_sample():

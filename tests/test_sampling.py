@@ -380,12 +380,10 @@ def test_a_dataset_made_without_moments_extends_and_explains_like_its_parent(mon
         fits = []
         for dataset in (want, got):
             design = DesignMatrix(values=dataset.X, column_names=spec.feature_names)
-            std = standardize(design, dataset.weights, moments=dataset.moments)
-            state = lars_lasso_path(
-                std, transform_response(dataset.y, dataset.weights), max_active=5)
-            y_mean = (dataset.weights @ dataset.y) / dataset.weights.sum()
-            coef, intercept = refit_least_squares(std, state.xty, y_mean,
-                                                  state.active_set)
+            std = standardize(design, dataset.weights, dataset.y,
+                              moments=dataset.moments)
+            state = lars_lasso_path(std, max_active=5)
+            coef, intercept = refit_least_squares(std, state.active_set)
             fits.append((state.active_set, coef.tobytes(), intercept))
         assert fits[0] == fits[1], new_n
 
@@ -410,8 +408,8 @@ def test_correlations_from_the_moments_match_a_pass_over_the_sample(
             dataset = (extend_dataset(model, dataset, n) if reuse
                        else build_dataset(model, spec, n=n, seed=3 + i))
         design = DesignMatrix(values=dataset.X, column_names=spec.feature_names)
-        std = standardize(design, dataset.weights, moments=dataset.moments)
-        want = std.project(transform_response(dataset.y, dataset.weights))
+        std = standardize(design, dataset.weights, dataset.y, moments=dataset.moments)
+        want = std.base.values.T @ transform_response(dataset.y, dataset.weights)
         assert np.abs(std.xty - want).max() <= 1e-12 * np.abs(want).max(), n
 
 

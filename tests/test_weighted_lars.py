@@ -39,11 +39,11 @@ def random_problem(seed, n=40, p=6):
 
 
 def run_path(design, y, w, max_active=None, **kwargs):
-    std = standardize(design, w)
+    std = standardize(design, w, y)
     yt = transform_response(y, w)
     if max_active is None:
         max_active = std.base.n_cols
-    return std, yt, lars_lasso_path(std, yt, max_active, **kwargs)
+    return std, yt, lars_lasso_path(std, max_active, **kwargs)
 
 
 # ------------------------------------------------------------ standardize
@@ -52,7 +52,7 @@ def test_standardize_weighted_frozen_example():
     design = make_design([[1.0, 1.0, 5.0],
                           [2.0, -1.0, 5.0],
                           [3.0, 0.0, 5.0]], names=("a", "b", "c"))
-    std = standardize(design, np.array([4.0, 1.0, 1.0]))
+    std = standardize(design, np.array([4.0, 1.0, 1.0]), np.zeros(3))
     # weighted mean of column a is (4*1 + 2 + 3) / 6 = 1.5; centering and
     # sqrt-weight scaling gives (-1, 0.5, 1.5) with norm sqrt(3.5)
     root = math.sqrt(3.5)
@@ -70,7 +70,7 @@ def test_standardize_weighted_frozen_example():
 
 def test_standardize_unit_weights_simple():
     design = make_design([[1.0], [-1.0], [0.0]])
-    std = standardize(design, np.ones(3))
+    std = standardize(design, np.ones(3), np.zeros(3))
     np.testing.assert_allclose(std.base.values[:, 0],
                                [1 / math.sqrt(2), -1 / math.sqrt(2), 0.0],
                                atol=1e-15)
@@ -83,12 +83,12 @@ def test_standardize_without_column_scaling():
                           [2.0, -1.0],
                           [3.0, 0.0]])
     w = np.array([4.0, 1.0, 1.0])
-    std = standardize(design, w, scale_columns=False)
+    std = standardize(design, w, np.zeros(3), scale_columns=False)
     np.testing.assert_allclose(std.base.values[:, 0], [-1.0, 0.5, 1.5],
                                atol=1e-15)
     np.testing.assert_array_equal(std.col_norms, [1.0, 1.0])
     # columns keep their natural norms, nothing else changes
-    scaled = standardize(design, w)
+    scaled = standardize(design, w, np.zeros(3))
     np.testing.assert_allclose(std.base.values,
                                scaled.base.values * scaled.col_norms,
                                atol=1e-14)
@@ -97,9 +97,9 @@ def test_standardize_without_column_scaling():
 def test_standardize_base_is_fortran_ordered():
     # LARS products and column norms sum in a layout-dependent order, so the
     # path's output bytes depend on the layout standardize hands it.
-    design, _, w = random_problem(5)
+    design, y, w = random_problem(5)
     for scale_columns in (True, False):
-        std = standardize(design, w, scale_columns=scale_columns)
+        std = standardize(design, w, y, scale_columns=scale_columns)
         assert std.base.values.flags.f_contiguous
 
 
@@ -112,7 +112,7 @@ def test_standardize_peak_memory_is_one_copy_of_the_design():
     w = rng.uniform(0.5, 1.5, size=n)
     tracemalloc.start()
     try:
-        std = standardize(design, w)
+        std = standardize(design, w, np.zeros(n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -122,20 +122,38 @@ def test_standardize_peak_memory_is_one_copy_of_the_design():
 
 def test_standardize_rejects_bad_weights():
     design = make_design([[1.0], [2.0], [3.0]])
+    y = np.zeros(3)
     with pytest.raises(ValidationError):
-        standardize(design, np.ones(2))
+        standardize(design, np.ones(2), y)
     with pytest.raises(ValidationError):
-        standardize(design, np.array([1.0, -0.5, 1.0]))
+        standardize(design, np.array([1.0, -0.5, 1.0]), y)
     with pytest.raises(ValidationError):
-        standardize(design, np.array([1.0, np.nan, 1.0]))
+        standardize(design, np.array([1.0, np.nan, 1.0]), y)
     with pytest.raises(DegenerateInputError):
-        standardize(design, np.array([1.0, 0.0, 0.0]))
+        standardize(design, np.array([1.0, 0.0, 0.0]), y)
 
 
 def test_standardize_all_columns_constant_is_degenerate():
     design = make_design([[2.0], [2.0], [2.0]])
     with pytest.raises(DegenerateInputError):
-        standardize(design, np.ones(3))
+        standardize(design, np.ones(3), np.zeros(3))
+
+
+def test_standardize_checks_the_response():
+    design, y, w = random_problem(2)
+    with pytest.raises(ValidationError):
+        standardize(design, w, y[:-1])
+    bad = y.copy()
+    bad[0] = np.nan
+    with pytest.raises(ValidationError):
+        standardize(design, w, bad)
+    bare = WeightedMoments.of(design.values, w, design.values[:ROW_BLOCK].mean(axis=0))
+    with pytest.raises(ValidationError, match="must carry the response"):
+        standardize(design, w, y, moments=bare)
+    # Each answer is finite, but their weighted sums overflow.
+    huge = np.where(np.arange(y.size) % 2, 1.7e308, -1.7e308)
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        standardize(design, w, huge)
 
 
 def test_transform_response_matches_column_rule():
@@ -302,7 +320,7 @@ def test_exact_tie_enters_lower_index_first():
 
 def test_observer_sees_ranked_candidates_and_can_abort():
     design, y, w = random_problem(0)
-    std = standardize(design, w)
+    std = standardize(design, w, y)
     yt = transform_response(y, w)
     seen = []
 
@@ -314,7 +332,7 @@ def test_observer_sees_ranked_candidates_and_can_abort():
             ctx.residual[0] = 0.0
         return ctx.step < 2
 
-    state = lars_lasso_path(std, yt, 4, observer=observer)
+    state = lars_lasso_path(std, 4, observer=observer)
     assert state.aborted
     assert len(state.entry_events) == 1
     assert len(state.active_set) == 1
@@ -333,9 +351,9 @@ def test_path_builds_the_residual_only_for_its_observer(monkeypatch):
     calls = []
     residual = StandardizedDesign.residual
 
-    def counted(self, v, beta):
+    def counted(self, beta):
         calls.append(1)
-        return residual(self, v, beta)
+        return residual(self, beta)
 
     monkeypatch.setattr(StandardizedDesign, "residual", counted)
     design, y, w = random_problem(0)
@@ -354,23 +372,6 @@ def test_path_builds_the_residual_only_for_its_observer(monkeypatch):
                                            if observer else 0)
 
 
-def test_path_needs_no_response_when_the_design_carries_xty():
-    design, y, w = random_problem(24)
-    moments = WeightedMoments.of(design.values, w, design.values[:ROW_BLOCK].mean(axis=0), y)
-    std = standardize(design, w, moments=moments)
-    yt = transform_response(y, w)
-    walked = lars_lasso_path(std, yt, 6)
-    bare = lars_lasso_path(std, None, 6)
-    assert bare.entry_events == walked.entry_events
-    assert bare.drop_events == walked.drop_events
-    assert [(bp.beta.tobytes(), bp.lam) for bp in bare.breakpoints] == \
-        [(bp.beta.tobytes(), bp.lam) for bp in walked.breakpoints]
-    with pytest.raises(ValidationError, match="a response is needed"):
-        lars_lasso_path(std, None, 6, observer=lambda ctx: True)
-    with pytest.raises(ValidationError, match="a response is needed"):
-        lars_lasso_path(standardize(design, w), None, 6)
-
-
 def test_entry_correlation_scale_is_mean_inner_product():
     design, y, w = random_problem(1)
     std, yt, state = run_path(design, y, w)
@@ -381,28 +382,18 @@ def test_entry_correlation_scale_is_mean_inner_product():
 
 def test_max_active_validation():
     design, y, w = random_problem(2)
-    std = standardize(design, w)
-    yt = transform_response(y, w)
+    std = standardize(design, w, y)
     with pytest.raises(ValidationError):
-        lars_lasso_path(std, yt, 0)
+        lars_lasso_path(std, 0)
     with pytest.raises(ValidationError):
-        lars_lasso_path(std, yt, 7)
-    with pytest.raises(ValidationError):
-        lars_lasso_path(std, yt[:-1], 2)
-    bad = yt.copy()
-    bad[0] = np.nan
-    with pytest.raises(ValidationError):
-        lars_lasso_path(std, bad, 2)
+        lars_lasso_path(std, 7)
 
 
 # ------------------------------------------------------------------ refit
 
 def refit(design, y, w, selected):
-    """The refit as the explainer runs it: on the standardized design, the
-    response's correlations and its weighted mean."""
-    std = standardize(design, w)
-    xty = std.project(transform_response(y, w))
-    return refit_least_squares(std, xty, (w @ y) / w.sum(), selected)
+    """The refit as the explainer runs it, on the standardized design."""
+    return refit_least_squares(standardize(design, w, y), selected)
 
 
 def test_refit_matches_weighted_least_squares_oracle():
@@ -436,15 +427,13 @@ def test_refit_reads_no_row_and_its_peak_does_not_grow_with_n():
     w = rng.uniform(0.5, 1.5, size=n)
     design = make_design(X)
     cols = list(range(2 * k - 1, 0, -2))
-    std = standardize(design, w)
-    xty = std.project(transform_response(y, w))
-    y_mean = (w @ y) / w.sum()
+    std = standardize(design, w, y)
     oracle_coefs, oracle_int = weighted_ols(X[:, cols], y, w)
     X[:] = np.nan
     tracemalloc.start()
     try:
         coefs, intercept = refit_least_squares(
-            std, xty, y_mean, [design.column_names[j] for j in cols])
+            std, [design.column_names[j] for j in cols])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -464,19 +453,6 @@ def test_refit_rejects_bad_selections():
         refit(design, y, w, ["a", "z"])
     with pytest.raises(ValidationError):
         refit(design, y, w, ["a", "a"])
-
-
-def test_refit_rejects_a_malformed_xty():
-    design, y, w = random_problem(4, p=4)
-    std = standardize(design, w)
-    xty = std.project(transform_response(y, w))
-    y_mean = (w @ y) / w.sum()
-    nan = xty.copy()
-    nan[1] = np.nan
-    for bad_xty, bad_mean in ((np.append(xty, 1.0), y_mean), (xty[:2], y_mean),
-                              (nan, y_mean), (xty, np.inf)):
-        with pytest.raises(ValidationError, match="finite"):
-            refit_least_squares(std, bad_xty, bad_mean, ["x0", "x1"])
 
 
 def test_refit_singular_selection_raises():
@@ -550,9 +526,9 @@ def path_digest(state):
 
 
 def test_path_bytes_are_pinned():
-    # Seed 24 takes a LASSO drop and re-enters the column, on correlations
-    # from a pass over the sample; the wider problem takes its correlations
-    # from moments that carry the response, as the explainer's rounds do.
+    # Seed 24 takes a LASSO drop and re-enters the column, on moments that
+    # standardize sums itself; the wider problem is handed moments that
+    # carry the response, as the explainer's rounds are.
     design, y, w = random_problem(24)
     _, _, dropping = run_path(design, y, w)
     assert dropping.drop_events
@@ -561,9 +537,9 @@ def test_path_bytes_are_pinned():
     y = X[:, :4] @ np.array([2.0, -1.0, 0.5, 0.25]) + 0.5 * rng.normal(size=600)
     w = rng.uniform(0.1, 2.0, size=600)
     moments = WeightedMoments.of(X, w, X[:ROW_BLOCK].mean(axis=0), y)
-    std = standardize(make_design(X), w, moments=moments)
-    wide = lars_lasso_path(std, transform_response(y, w), 10)
+    std = standardize(make_design(X), w, y, moments=moments)
+    wide = lars_lasso_path(std, 10)
     assert path_digest(dropping) == \
-        "d2f24b6bea801bc72eb6294a4ee009d7ee586103985a7ee923ba1164622ca816"
+        "5f9dd6c673ec326f89676c656d72083b89fc5254b5a2c7019d737a40edda1977"
     assert path_digest(wide) == \
         "5aad877c02d82974103f84598ec37850f699210ac6ca44793c8d2463f035a20c"
