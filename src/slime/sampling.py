@@ -25,7 +25,8 @@ weights and its weighted moments about the instance, the answers included
 those sums to the ones the dataset carries, in block order, so
 standardizing a grown sample, and correlating it with the answers, costs
 p x p algebra plus the new rows.  The answers are summed about a pilot
-shift, the mean answer of the dataset's first 4096 rows.  When the new rows
+shift, the dataset's first answer, so a constant model's answers sum to
+exactly zero.  When the new rows
 hold at least 2**20 entries and span more than one block, the draw and the
 weigh run on a thread pool with one thread per CPU the process may run on
 (its CPU affinity; ``taskset -c 0 slime ...`` keeps the pass on one
@@ -301,7 +302,7 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, X: np.ndarray
         each = map if pool is None else pool.map
         list(each(draw, edges[:-1], edges[1:]))
         y = query_model(model, X)
-        # The first rows fix the pilot shift of the response's moments.
+        # The first answer fixes the pilot shift of the response's moments.
         moments = (dataset.moments.copy() if start
                    else WeightedMoments.about(instance.values, y))
         # One contiguous run of blocks per worker.  Scratch is allocated

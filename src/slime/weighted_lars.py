@@ -143,9 +143,10 @@ class WeightedMoments:
     w*u*y'.  Moments made without responses have ``cross`` None, and
     :func:`standardize` refuses them.  The shifts keep the sums well
     conditioned when the rows sit far from zero but close together; the
-    sampler shifts by the instance, the centre its rows are drawn around,
-    and the pilot is the mean response of the first
-    ``ROW_BLOCK`` rows, fixed when they arrive and kept through growth.
+    sampler shifts by the instance, the centre its rows are drawn around.
+    The pilot is the first response, fixed when it arrives and kept through
+    growth: a constant response is then exactly zero about it, at any
+    magnitude.
     """
 
     shift: np.ndarray
@@ -159,12 +160,11 @@ class WeightedMoments:
     @classmethod
     def about(cls, shift: np.ndarray, y: np.ndarray | None = None) -> "WeightedMoments":
         """No rows yet.  With ``y``, the responses of the first rows to come,
-        the sums will carry the response too, about the mean of its first
-        ``ROW_BLOCK`` entries."""
+        the sums will carry the response too, about its first entry."""
         p = shift.size
         moments = cls(shift=shift, total=0.0, first=np.zeros(p), second=np.zeros((p, p)))
         if y is not None:
-            moments.pilot = float(y[:ROW_BLOCK].mean()) if y.size else 0.0
+            moments.pilot = float(y[0]) if y.size else 0.0
             moments.cross = np.zeros(p)
         return moments
 

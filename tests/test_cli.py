@@ -182,7 +182,7 @@ def test_explain_with_exec_model_prints_pinned_bytes(tmp_path):
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
              "PYTHONPATH": str(Path(slime.__file__).parents[1])})
     assert hashlib.sha256(completed.stdout).hexdigest() == \
-        "700ddefb7f59c8dfdcbd7e8731cb3ac7d7ce87aa0f1957006c5e36d992957984"
+        "9dd557ca21195359c64c398ac783198bbf45e92a2cf9398be6e3b3d2ad0e94f0"
 
 
 def test_explain_prints_the_same_bytes_on_one_and_two_blas_threads(tmp_path):

@@ -260,13 +260,19 @@ def test_feature_rescaling_rescales_coefficients_only():
 def test_constant_response_selects_nothing():
     config = ExplainerConfig(n0=100, k=2, seed=0)
     instance = InstanceSpec(values=np.zeros(2))
-    model = LinearModel([0.0, 0.0], intercept=5.0)
-    for explanation in (lime_explain(model, instance, config),
-                        slime_explain(model, instance, config)):
-        assert explanation.selected == ()
-        assert explanation.intercept == pytest.approx(5.0, abs=1e-12)
-        assert explanation.final_n == 100
-        assert not explanation.capped
+    for intercept in (5.0, 1e100, 7e250):
+        model = LinearModel([0.0, 0.0], intercept=intercept)
+        for explanation in (lime_explain(model, instance, config),
+                            slime_explain(model, instance, config)):
+            assert explanation.selected == (), intercept
+            if intercept == 5.0:
+                assert explanation.intercept == pytest.approx(5.0, abs=1e-12)
+            else:
+                # Rounding noise about an inexact pilot would pass the
+                # path's absolute stop test at this magnitude.
+                assert explanation.intercept == intercept
+            assert explanation.final_n == 100
+            assert not explanation.capped
 
 
 # ------------------------------------------------------------------ memory
