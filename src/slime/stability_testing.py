@@ -151,34 +151,40 @@ def product_covariances(residual: np.ndarray, values: np.ndarray, columns: np.nd
     pairwise update of Chan, Golub & LeVeque (1979), so every sum is about a
     mean and the order of the blocks is fixed.  Only the variances and the
     top's cross-moment with each rival are kept, so the pass costs O(n * q)
-    for q columns.  The signs are applied to the sums.  Nothing is checked
-    for finiteness: a non-finite input gives non-finite moments.
+    for q columns.  The signs are applied to the sums.  Moments that are
+    not finite, because the products or their squares overflow, raise
+    :class:`DegenerateInputError`.
     """
     n = values.shape[0]
     if n < 2:
         raise DegenerateInputError("product covariance needs at least 2 rows")
     shift, divisor = means[:, None], norms[:, None]
     count = 0
-    for rows in row_blocks(n):
-        # Products as q x rows, so each column's sums run along a contiguous row.
-        prod = values[rows].T[columns]
-        prod -= shift
-        prod *= residual[rows]
-        prod /= divisor
-        size = rows.stop - rows.start
-        block_mean = prod.sum(axis=1) / size
-        prod -= block_mean[:, None]
-        block_sq = (prod * prod).sum(axis=1)
-        block_cross = (prod[1:] * prod[0]).sum(axis=1)
-        if count == 0:
-            mean, sq, cross = block_mean, block_sq, block_cross
-        else:
-            delta = block_mean - mean
-            weight = count * size / (count + size)
-            mean = mean + delta * (size / (count + size))
-            sq = sq + block_sq + delta * delta * weight
-            cross = cross + block_cross + delta[1:] * delta[0] * weight
-        count += size
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in row_blocks(n):
+            # Products as q x rows, so each column's sums run along a contiguous row.
+            prod = values[rows].T[columns]
+            prod -= shift
+            prod *= residual[rows]
+            prod /= divisor
+            size = rows.stop - rows.start
+            block_mean = prod.sum(axis=1) / size
+            prod -= block_mean[:, None]
+            block_sq = (prod * prod).sum(axis=1)
+            block_cross = (prod[1:] * prod[0]).sum(axis=1)
+            if count == 0:
+                mean, sq, cross = block_mean, block_sq, block_cross
+            else:
+                delta = block_mean - mean
+                weight = count * size / (count + size)
+                mean = mean + delta * (size / (count + size))
+                sq = sq + block_sq + delta * delta * weight
+                cross = cross + block_cross + delta[1:] * delta[0] * weight
+            count += size
+    if not (np.isfinite(mean).all() and np.isfinite(sq).all() and np.isfinite(cross).all()):
+        raise DegenerateInputError(
+            "the entry test's moments are not finite: the residual's products "
+            "with the columns overflow the float range")
     mean = (mean * signs).tolist()
     sq = (sq / (n - 1)).tolist()
     cross = (cross * (signs[1:] * signs[0]) / (n - 1)).tolist()

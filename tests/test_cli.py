@@ -452,8 +452,10 @@ def test_overflowing_moments_exit_two(capsys):
 
 def test_overflowing_moments_print_only_the_error(tmp_path):
     # The overflow is reported once, as the error: numpy's own warnings are
-    # not printed ahead of it, also when the sums run on a worker thread.
-    for model, scales in (("1,1", "1e160,1"), ("1,1", "1e160"), ("1e50,1", "1e150,1")):
+    # not printed ahead of it, also when the sums run on a worker thread or
+    # only the entry test's products overflow.
+    for model, scales in (("1,1", "1e160,1"), ("1,1", "1e160"), ("1e50,1", "1e150,1"),
+                          ("1e200,3e200", "1")):
         completed = subprocess.run(
             [sys.executable, "-m", "slime.cli", "explain",
              "--model", f"builtin:linear:{model}", "--instance", "0,0",
