@@ -11,16 +11,17 @@ by default), and the walk restarted.  Once the requested budget ``n_max``
 would be exceeded, one final pass runs untested and the result is marked
 ``capped``.
 
-Each decision's moments come from one pass over the raw sample for the top
-candidate and its rivals (:func:`~slime.stability_testing.product_covariances`).
-The correlations with the response and the intercept's weighted mean come
-from the sample's weighted moments, which carry the answers: an ungated
-round reads no row after the weigh, and a gated one builds only the gate's
-residual.
+Each decision is one pass over the raw sample: the standardized design
+yields the residual's products with the top candidate and its rivals, a
+block of rows at a time, and :func:`~slime.stability_testing.product_covariances`
+merges the blocks.  The correlations with the response and the intercept's
+weighted mean come from the sample's weighted moments, which carry the
+answers: an ungated round reads no row after the weigh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ class ExplainerConfig:
             raise ValidationError("n_max must be at least n0")
         if self.kernel_width is not None and not self.kernel_width > 0:
             raise ValidationError("kernel_width must be positive")
-        if self.growth_factor < 2.0:
-            raise ValidationError("growth_factor must be at least 2")
+        if not (math.isfinite(self.growth_factor) and self.growth_factor >= 2.0):
+            raise ValidationError("growth_factor must be finite and at least 2")
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,7 @@ def _entry_gate(config: ExplainerConfig, design: StandardizedDesign,
         # through its sign-flipped column so every correlation is positive.
         signs = np.array([-1.0 if candidate.c_hat < 0 else 1.0
                           for candidate in (top, *rivals)])
-        # The columns' sqrt(w) factor rides on the residual.
-        covs = product_covariances(ctx.residual * design.sqrt_weights,
-                                   design.sample.values, design.retained_idx[idx],
-                                   design.col_means[idx], design.col_norms[idx], signs)
+        covs = product_covariances(design.residual_products(ctx.beta, idx), signs)
         if config.multiple_testing:
             decision = bonferroni_entry_test(
                 covs, config.alpha,

@@ -9,13 +9,13 @@ asks: if the perturbation data were regenerated from scratch, would the same
 variable win again?  When the answer is "not reliably", the companion
 sample-size rule says how many rows would be needed.
 
-The moments behind one decision come from one pass over the raw sample
-(:func:`product_covariances`): a block of rows at a time, the top column and
-every rival are centred, scaled and multiplied by the residual, and the
-blocks' means and centred second moments are merged by the pairwise update
-of Chan, Golub & LeVeque.  Only the variances and the top's covariance with
-each rival are kept.  :func:`product_covariance` is the one-rival case on
-two ready-made columns.
+The moments behind one decision are merged from blocks of per-row products,
+one block per slice of rows, as the standardized design yields them
+(``StandardizedDesign.residual_products``): :func:`product_covariances`
+takes each block's means and centred second moments and merges them by the
+pairwise update of Chan, Golub & LeVeque.  Only the variances and the top's
+covariance with each rival are kept.  :func:`product_covariance` is the
+one-rival case on two ready-made columns.
 
 Conventions: ``normal_quantile(p)`` is the *upper-tail* quantile, i.e. the z
 with ``P(Z > z) = p``, so ``normal_quantile(0.05) ~= 1.6449``.  It and
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -131,56 +131,48 @@ def product_covariance(residual: np.ndarray, col_i: np.ndarray,
         raise ValidationError("residual and both columns must be 1-d arrays of equal length")
     if not (np.isfinite(r).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValidationError("residual and columns must be finite")
-    # Centring by 0, dividing by 1 and a sign of 1 are exact: the products
-    # are r * a and r * b to the last bit.
-    return product_covariances(r, np.column_stack((a, b)), np.arange(2), np.zeros(2),
-                               np.ones(2), np.ones(2))[0]
+    blocks = (np.stack((a[rows], b[rows])) * r[rows] for rows in row_blocks(r.size))
+    return product_covariances(blocks, np.ones(2))[0]
 
 
-def product_covariances(residual: np.ndarray, values: np.ndarray, columns: np.ndarray,
-                        means: np.ndarray, norms: np.ndarray, signs: np.ndarray
+def product_covariances(blocks: Iterable[np.ndarray], signs: np.ndarray
                         ) -> list[ProductCovariance]:
-    """Moments of the top column's products with ``residual`` against each
-    rival's, in one pass over the rows of ``values``.
+    """Moments of the top column's residual products against each rival's,
+    merged over ``blocks`` of rows.
 
-    Column k is ``signs[k] * (values[:, columns[k]] - means[k]) / norms[k]``;
-    column 0 is the top and every later one a rival.  Returns one :class:`ProductCovariance` per
-    rival, pairing the top (``c1_hat``, ``sigma11``) with it.  The pass runs
-    a block of ``ROW_BLOCK`` rows at a time: each block's products get their
-    means and centred second moments, and the blocks are merged by the
-    pairwise update of Chan, Golub & LeVeque (1979), so every sum is about a
-    mean and the order of the blocks is fixed.  Only the variances and the
-    top's cross-moment with each rival are kept, so the pass costs O(n * q)
-    for q columns.  The signs are applied to the sums.  Moments that are
-    not finite, because the products or their squares overflow, raise
-    :class:`DegenerateInputError`.
+    Each block is a q x rows array of per-row products, row 0 the top's and
+    every later row a rival's, as
+    :meth:`~slime.weighted_lars.StandardizedDesign.residual_products` yields
+    them; the blocks are centred in place.  Returns one
+    :class:`ProductCovariance` per rival, pairing the top (``c1_hat``,
+    ``sigma11``) with it.  Each block's products get their means and centred
+    second moments, and the blocks are merged by the pairwise update of
+    Chan, Golub & LeVeque (1979), so every sum is about a mean and the order
+    of the blocks is fixed.  Only the variances and the top's cross-moment
+    with each rival are kept, so the pass costs O(n * q).  ``signs[k]``
+    flips product row k, applied to the sums.  Fewer than two rows raise
+    :class:`DegenerateInputError`, as do moments that are not finite
+    because the products or their squares overflow.
     """
-    n = values.shape[0]
-    if n < 2:
-        raise DegenerateInputError("product covariance needs at least 2 rows")
-    shift, divisor = means[:, None], norms[:, None]
-    count = 0
+    n = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(n):
-            # Products as q x rows, so each column's sums run along a contiguous row.
-            prod = values[rows].T[columns]
-            prod -= shift
-            prod *= residual[rows]
-            prod /= divisor
-            size = rows.stop - rows.start
+        for prod in blocks:
+            size = prod.shape[1]
             block_mean = prod.sum(axis=1) / size
             prod -= block_mean[:, None]
             block_sq = (prod * prod).sum(axis=1)
             block_cross = (prod[1:] * prod[0]).sum(axis=1)
-            if count == 0:
+            if n == 0:
                 mean, sq, cross = block_mean, block_sq, block_cross
             else:
                 delta = block_mean - mean
-                weight = count * size / (count + size)
-                mean = mean + delta * (size / (count + size))
+                weight = n * size / (n + size)
+                mean = mean + delta * (size / (n + size))
                 sq = sq + block_sq + delta * delta * weight
                 cross = cross + block_cross + delta[1:] * delta[0] * weight
-            count += size
+            n += size
+    if n < 2:
+        raise DegenerateInputError("product covariance needs at least 2 rows")
     if not (np.isfinite(mean).all() and np.isfinite(sq).all() and np.isfinite(cross).all()):
         raise DegenerateInputError(
             "the entry test's moments are not finite: the residual's products "
@@ -326,8 +318,8 @@ def required_sample_size(n: int, p_value: float, alpha: float, *,
     _check_alpha(alpha)
     if not (0.0 <= p_value <= 1.0):
         raise ValidationError(f"p_value must lie in [0, 1], got {p_value!r}")
-    if growth_factor < 2.0:
-        raise ValidationError(f"growth_factor must be >= 2, got {growth_factor!r}")
+    if not (math.isfinite(growth_factor) and growth_factor >= 2.0):
+        raise ValidationError(f"growth_factor must be finite and >= 2, got {growth_factor!r}")
     if p_value >= 0.5:
         return max(int(math.ceil(growth_factor * n)), n + 1)
     if p_value == 0.0:

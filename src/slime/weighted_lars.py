@@ -16,21 +16,21 @@ algebra: the weighted means, the norms, the Gram matrix of the transformed
 columns, their correlations with the transformed response and the
 response's weighted mean.  :func:`standardize` is the one place that folds
 the response in, as it folds in the weights.  The transformed n x p matrix
-is never stored on the solver's path: the residual and the entry gate build
-what they need from the raw sample, and ``StandardizedDesign.base`` builds
-every column, lazily, for callers that want the whole matrix.
+is never stored on the solver's path: ``StandardizedDesign.residual_products``
+builds the entry gate's products from the raw sample a block of rows at a
+time, so no other module knows the column format, and
+``StandardizedDesign.base`` builds every column, lazily, for callers that
+want the whole matrix.
 
 The solver walks the path breakpoint by breakpoint in covariance form
 (Efron, Hastie, Johnstone & Tibshirani 2004, section 7): every step works on
 the Gram matrix and on the correlations with the response, so the walk
-reads no row of the sample.  The residual is materialized only for an
-optional observer, in one blocked pass over the response and the active
-columns: before each entry the observer is shown it with the remaining
-candidates ranked by absolute correlation.  The observer may vote to abort,
-which is how the adaptive explainer interrupts a path whose next entry is
-statistically undecided.  Each step solves its p x p systems with numpy and
-does its scalar work (the ranking, the ties, the zero crossings and the
-penalty) on Python floats.
+reads no row of the sample.  Before each entry an optional observer is shown
+the current coefficients and the remaining candidates ranked by absolute
+correlation.  The observer may vote to abort, which is how the adaptive
+explainer interrupts a path whose next entry is statistically undecided.
+Each step solves its p x p systems with numpy and does its scalar work (the
+ranking, the ties, the zero crossings and the penalty) on Python floats.
 
 The refit after the path solves the selected block of the same Gram against
 the same correlations, takes the intercept from the same moments and reads
@@ -140,79 +140,68 @@ class WeightedMoments:
     Over the rows added so far, with u = x - shift and y' = y - pilot:
     ``total`` is the sum of w, ``first`` the sum of w*u, ``second`` the sum
     of w*u*u^T, ``response`` the sum of w*y' and ``cross`` the sum of
-    w*u*y'.  Moments made without responses have ``cross`` None, and
-    :func:`standardize` refuses them.  The shifts keep the sums well
-    conditioned when the rows sit far from zero but close together; the
-    sampler shifts by the instance, the centre its rows are drawn around.
-    The pilot is the first response, fixed when it arrives and kept through
-    growth: a constant response is then exactly zero about it, at any
-    magnitude.
+    w*u*y'.  The shifts keep the sums well conditioned when the rows sit far
+    from zero but close together; the sampler shifts by the instance, the
+    centre its rows are drawn around.  The pilot is the first response,
+    fixed when it arrives and kept through growth: a constant response is
+    then exactly zero about it, at any magnitude.
     """
 
     shift: np.ndarray
     total: float
     first: np.ndarray
     second: np.ndarray
-    pilot: float = 0.0
-    response: float = 0.0
-    cross: np.ndarray | None = None
+    pilot: float
+    response: float
+    cross: np.ndarray
 
     @classmethod
-    def about(cls, shift: np.ndarray, y: np.ndarray | None = None) -> "WeightedMoments":
-        """No rows yet.  With ``y``, the responses of the first rows to come,
-        the sums will carry the response too, about its first entry."""
+    def about(cls, shift: np.ndarray, y: np.ndarray) -> "WeightedMoments":
+        """No rows yet; ``y`` holds the responses of the first rows to come,
+        and its first entry becomes the pilot."""
         p = shift.size
-        moments = cls(shift=shift, total=0.0, first=np.zeros(p), second=np.zeros((p, p)))
-        if y is not None:
-            moments.pilot = float(y[0]) if y.size else 0.0
-            moments.cross = np.zeros(p)
-        return moments
+        return cls(shift=shift, total=0.0, first=np.zeros(p), second=np.zeros((p, p)),
+                   pilot=float(y[0]) if y.size else 0.0, response=0.0,
+                   cross=np.zeros(p))
 
     @classmethod
     def of(cls, X: np.ndarray, weights: np.ndarray, shift: np.ndarray,
-           y: np.ndarray | None = None) -> "WeightedMoments":
-        """The moments of every row of X, and of its responses ``y`` when
-        given, in one blocked pass."""
+           y: np.ndarray) -> "WeightedMoments":
+        """The moments of every row of X and of its responses ``y``, in one
+        blocked pass."""
         moments = cls.about(shift, y)
         for rows in row_blocks(X.shape[0]):
-            moments.add(moments.block_sums(X[rows] - shift, weights[rows],
-                                           None if y is None else y[rows]))
+            moments.add(moments.block_sums(X[rows] - shift, weights[rows], y[rows]))
         return moments
 
-    def block_sums(self, u: np.ndarray, w: np.ndarray, y: np.ndarray | None
-                   ) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray | None]:
+    def block_sums(self, u: np.ndarray, w: np.ndarray, y: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray]:
         """The sums ``(second, first, total, response, cross)`` of one block
         of rows ``u`` (already shifted) with weights ``w`` and responses
-        ``y`` (None, and no response sums, for moments without responses).
-        Scales ``u`` by sqrt(w) in place.  An overflow is left for
+        ``y``.  Scales ``u`` by sqrt(w) in place.  An overflow is left for
         :func:`standardize` to report."""
         with np.errstate(over="ignore", invalid="ignore"):
             first = w @ u
             root = np.sqrt(w)
             u *= root[:, None]
-            sums = u.T @ u, first, float(w.sum())
-            if y is None:
-                return sums + (0.0, None)
             y = y - self.pilot
-            return sums + (float(w @ y), u.T @ (root * y))
+            return u.T @ u, first, float(w.sum()), float(w @ y), u.T @ (root * y)
 
-    def add(self, sums: tuple[np.ndarray, np.ndarray, float, float, np.ndarray | None]
-            ) -> None:
+    def add(self, sums: tuple[np.ndarray, np.ndarray, float, float, np.ndarray]) -> None:
         """Add the sums of a block, as :meth:`block_sums` returns them.
         Blocks added in the same order give the same bytes."""
         second, first, total, response, cross = sums
         self.second += second
         self.first += first
         self.total += total
-        if cross is not None:
-            self.response += response
-            self.cross += cross
+        self.response += response
+        self.cross += cross
 
     def copy(self) -> "WeightedMoments":
         return WeightedMoments(
             shift=self.shift, total=self.total, first=self.first.copy(),
             second=self.second.copy(), pilot=self.pilot, response=self.response,
-            cross=None if self.cross is None else self.cross.copy())
+            cross=self.cross.copy())
 
 
 @dataclass(frozen=True)
@@ -267,21 +256,30 @@ class StandardizedDesign:
         values /= self.col_norms
         return DesignMatrix._trusted(values, self.column_names)
 
-    def residual(self, beta: np.ndarray) -> np.ndarray:
-        """``sqrt_weights * (response - response_mean) - base.values @
-        beta``, reading only the columns where beta is nonzero, a block of
-        rows at a time (which also keeps the temporaries in cache)."""
-        r = np.empty(self.n_rows)
+    def residual_products(self, beta: np.ndarray, columns: Sequence[int]
+                          ) -> Iterator[np.ndarray]:
+        """The residual's products with the retained ``columns``, one
+        ``len(columns)`` x rows block per :func:`row_blocks` block: row k
+        of a block is column ``columns[k]`` times the residual
+        ``sqrt_weights * (response - response_mean) - base.values @ beta``
+        over those rows.  The residual is built inside each block from the
+        columns where beta is nonzero and is never held whole."""
         active = np.flatnonzero(beta)
         cols, means = self.retained_idx[active], self.col_means[active]
         coef = beta[active] / self.col_norms[active]
+        picked = self.retained_idx[columns]
+        shift, divisor = self.col_means[columns][:, None], self.col_norms[columns][:, None]
         for rows in row_blocks(self.n_rows):
-            root = self.sqrt_weights[rows]
-            r[rows] = root * (self.response[rows] - self.response_mean)
+            values, root = self.sample.values[rows], self.sqrt_weights[rows]
+            r = root * (self.response[rows] - self.response_mean)
             if active.size:
-                centred = self.sample.values[rows][:, cols] - means
-                r[rows] -= root * (centred @ coef)
-        return r
+                r -= root * ((values[:, cols] - means) @ coef)
+            # Products as q x rows, so each column's sums run along a contiguous row.
+            prod = values.T[picked]
+            prod -= shift
+            prod *= r * root
+            prod /= divisor
+            yield prod
 
 
 @dataclass(frozen=True)
@@ -297,7 +295,7 @@ class EntryContext:
 
     step: int                                  # 1-based entry counter
     n_active: int                              # active set size before this entry
-    residual: np.ndarray                       # current residual, read-only
+    beta: np.ndarray                           # retained coefficients, read-only
     candidates: tuple[EntryCandidate, ...]     # inactive columns, |c_hat| descending
 
 
@@ -377,7 +375,7 @@ def standardize(design: DesignMatrix, weights: np.ndarray, response: np.ndarray,
     and the columns' correlations with the transformed response come from
     the same moments, as ``pilot + sum w*y' / sum w`` and ``xty_j = (sum
     w*u_j*y' - sum w*u_j * sum w*y' / sum w) / norm_j``; the response itself
-    is kept, not copied, for the observer's residual.
+    is kept, not copied, for the gate's residual products.
 
     With ``scale_columns=False`` the centered columns keep their natural
     norms.  Entry order on such a design is driven by inner products rather
@@ -386,9 +384,9 @@ def standardize(design: DesignMatrix, weights: np.ndarray, response: np.ndarray,
 
     Weights must be nonnegative and finite with at least two strictly
     positive entries; otherwise no meaningful regression exists.  The
-    response must be finite with one entry per row, and given ``moments``
-    must carry it.  Moments whose means, Gram matrix, correlations or
-    response mean are not finite raise :class:`DegenerateInputError`.
+    response must be finite with one entry per row.  Moments whose means,
+    Gram matrix, correlations or response mean are not finite raise
+    :class:`DegenerateInputError`.
     """
     w = _check_weights(weights, design.n_rows)
     y = _check_response(response, design.n_rows)
@@ -397,8 +395,6 @@ def standardize(design: DesignMatrix, weights: np.ndarray, response: np.ndarray,
         # weighted mean; a constant column still comes out zero to rounding.
         moments = WeightedMoments.of(design.values, w,
                                      design.values[:ROW_BLOCK].mean(axis=0), y)
-    elif moments.cross is None:
-        raise ValidationError("the moments must carry the response")
     with np.errstate(over="ignore", invalid="ignore"):
         means = moments.shift + moments.first / moments.total
         gram = moments.second - np.outer(moments.first, moments.first) / moments.total
@@ -449,7 +445,7 @@ def lars_lasso_path(design: StandardizedDesign, max_active: int,
 
     The walk reads only the Gram matrix and ``design.xty``, the
     correlations with the transformed response, so it reads no row of the
-    sample unless an observer asks for the residual.  One variable enters
+    sample.  One variable enters
     per outer iteration.  The LASSO drop modification is always applied: a
     coefficient that would cross zero leaves the active set at the crossing
     instead, and the direction is recomputed.  Every completed breakpoint is
@@ -457,8 +453,8 @@ def lars_lasso_path(design: StandardizedDesign, max_active: int,
     direct penalized solver.
 
     The observer, when given, is consulted before each entry with the ranked
-    inactive candidates and the residual; returning False abandons the walk
-    and marks the returned state ``aborted``.
+    inactive candidates and a read-only copy of the coefficients; returning
+    False abandons the walk and marks the returned state ``aborted``.
     """
     gram, xty = design.gram, design.xty
     names = design.column_names
@@ -508,12 +504,12 @@ def lars_lasso_path(design: StandardizedDesign, max_active: int,
                 break  # residual carries no further signal
             ranked = sorted(inactive, key=lambda j: (-abs_c[j], j))
             if observer is not None:
-                r = design.residual(beta)
-                r.flags.writeable = False
+                b = beta.copy()
+                b.flags.writeable = False
                 ctx = EntryContext(
                     step=step + 1,
                     n_active=len(active),
-                    residual=r,
+                    beta=b,
                     candidates=tuple(
                         EntryCandidate(index=j, name=names[j], c_hat=c[j] / n)
                         for j in ranked),

@@ -185,22 +185,34 @@ def test_explain_with_exec_model_prints_pinned_bytes(tmp_path):
         "9dd557ca21195359c64c398ac783198bbf45e92a2cf9398be6e3b3d2ad0e94f0"
 
 
-def test_explain_prints_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
-    # p=200 at n=100k: the moments, the path, the gate and the intercept
-    # must not depend on how BLAS splits its sums.  Each run takes a few
-    # seconds; the timeout bounds one that hangs or crawls.
-    coefficients = ",".join(f"{c:.3f}" for c in np.linspace(1, 0.01, 200))
-    command = [sys.executable, "-m", "slime.cli", "explain",
-               "--model", f"builtin:linear:{coefficients}",
-               "--instance", ",".join(["0"] * 200), "--k", "20",
-               "--n0", "100000", "--n-max", "100000", "--seed", "1"]
-    outputs = [
-        subprocess.run(
-            command, capture_output=True, cwd=tmp_path, check=True, timeout=60,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-                 "PYTHONPATH": str(Path(slime.__file__).parents[1])}).stdout
-        for threads in (1, 2)]
-    assert outputs[0] == outputs[1]
+def test_explain_prints_the_same_bytes_on_one_to_three_blas_threads(tmp_path):
+    # At n=100k the moments, the path, the gate and the intercept must not
+    # depend on how BLAS splits its sums.  The 0.7**j models pass all 8 of
+    # their decisions, made with up to 7 active columns, at widths on and
+    # off a multiple of the kernels' unroll; the p=200 model is capped.
+    # Each run takes about a second; the timeout bounds one that hangs or
+    # crawls.
+    def explain(coefficients, k, *extra):
+        command = [sys.executable, "-m", "slime.cli", "explain",
+                   "--model", f"builtin:linear:{','.join(coefficients)}",
+                   "--instance", ",".join(["0"] * len(coefficients)), "--k", str(k),
+                   "--n0", "100000", "--n-max", "100000", "--seed", "1", *extra]
+        runs = []
+        for threads in (1, 2, 3):
+            stdout = subprocess.run(
+                command, capture_output=True, cwd=tmp_path, check=True, timeout=60,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                     "PYTHONPATH": str(Path(slime.__file__).parents[1])}).stdout
+            runs.append((stdout, (tmp_path / "slime-manifest.json").read_bytes()))
+        return runs
+
+    for p in (37, 200, 201):
+        runs = explain([str(c) for c in 0.7 ** np.arange(p)], 8, "--format", "json")
+        assert runs[0] == runs[1] == runs[2], p
+        trace = json.loads(runs[0][0])["test_trace"]
+        assert [d["significant"] for d in trace] == [True] * 8, p
+    runs = explain([f"{c:.3f}" for c in np.linspace(1, 0.01, 200)], 20)
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_sigterm_exits_143_and_kills_the_exec_child(tmp_path):
@@ -419,6 +431,16 @@ def test_validation_errors_exit_two(capsys):
         code, _, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_a_growth_factor_that_is_not_finite_exits_two(capsys, run_in_tmp):
+    for factor in ("nan", "inf"):
+        code, out, err = run_cli(
+            ["explain", "--model", "builtin:mars", "--instance", "0.51,0.49,0.5,0.5,0.5",
+             "--scales", "0.05", "--growth-factor", factor], capsys)
+        assert (code, out) == (2, ""), factor
+        assert err.startswith("error:") and "growth_factor" in err, factor
+    assert list(run_in_tmp.iterdir()) == []   # no manifest recorded
 
 
 def test_explain_far_from_zero_refits_without_overflow(capsys):

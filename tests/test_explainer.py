@@ -300,33 +300,35 @@ def test_explainers_never_build_the_standardized_base(monkeypatch):
 def test_only_gated_rounds_make_the_response_vector(monkeypatch):
     # No round transforms the response over the rows: the correlations and
     # the intercept come from the moments.  Only a gated round builds the
-    # gate's residual; an ungated one (lime, or the capped last round)
-    # reads no row of the response.
+    # gate's residual products, once per decision; an ungated one (lime, or
+    # the capped last round) reads no row of the response.
     def refuse(*args):
         raise AssertionError("the explainer transformed the response")
 
     monkeypatch.setattr(slime.explainer, "transform_response", refuse)
     monkeypatch.setattr(slime.weighted_lars, "transform_response", refuse)
-    path, residual = slime.explainer.lars_lasso_path, StandardizedDesign.residual
+    path, products = slime.explainer.lars_lasso_path, StandardizedDesign.residual_products
     walks = []
 
-    def counted(self, beta):
+    def counted(self, beta, columns):
         walks[-1][1] += 1
-        return residual(self, beta)
+        return products(self, beta, columns)
 
     def spy(design, max_active, observer=None):
         walks.append([observer is None, 0])
         return path(design, max_active, observer=observer)
 
-    monkeypatch.setattr(StandardizedDesign, "residual", counted)
+    monkeypatch.setattr(StandardizedDesign, "residual_products", counted)
     monkeypatch.setattr(slime.explainer, "lars_lasso_path", spy)
     instance = InstanceSpec(values=np.zeros(2))
     config = ExplainerConfig(n0=100, k=2, n_max=400, seed=1)
-    assert slime_explain(LinearModel([1.0, 1.0]), instance, config).capped
+    explanation = slime_explain(LinearModel([1.0, 1.0]), instance, config)
+    assert explanation.capped
     lime_explain(LinearModel([1.0, 1.0]), instance, config)
     assert walks[0] == [False, 1]
     assert walks[-2:] == [[True, 0], [True, 0]]
-    assert all((residuals == 0) == ungated for ungated, residuals in walks)
+    assert all((calls == 0) == ungated for ungated, calls in walks)
+    assert sum(calls for _, calls in walks) == len(explanation.test_trace)
 
 
 def test_growing_explanation_holds_one_copy_of_its_sample():

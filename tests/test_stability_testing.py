@@ -15,7 +15,7 @@ from slime.stability_testing import (ProductCovariance, bonferroni_entry_test,
                                      entry_test, normal_quantile,
                                      normal_upper_tail, product_covariance,
                                      product_covariances, required_sample_size)
-from slime.weighted_lars import ROW_BLOCK
+from slime.weighted_lars import ROW_BLOCK, row_blocks
 
 
 def make_cov(c1=0.05, c2=0.0, s11=0.5, s22=0.5, s12=0.0, n=1000):
@@ -134,6 +134,13 @@ def gate_problem(n, rivals, seed):
     return residual, values, columns, means, norms, signs
 
 
+def product_blocks(residual, values, columns, means, norms):
+    """The gate's products ``residual * (values[:, col] - mean) / norm``, one
+    q x rows block per block of rows, as the standardized design yields them."""
+    for rows in row_blocks(residual.size):
+        yield (values[rows].T[columns] - means[:, None]) * residual[rows] / norms[:, None]
+
+
 def assert_matches_two_pass(covs, residual, values, columns, means, norms, signs):
     products = [residual * sign * (values[:, col] - mean) / norm
                 for col, mean, norm, sign in zip(columns, means, norms, signs)]
@@ -155,14 +162,15 @@ def assert_matches_two_pass(covs, residual, values, columns, means, norms, signs
 def test_product_covariances_match_two_pass_oracle(rivals, n):
     # 2 * ROW_BLOCK + 5 rows make the pass merge three blocks, the last short.
     problem = gate_problem(n, rivals, seed=rivals * 1000 + n)
-    covs = product_covariances(*problem)
+    covs = product_covariances(product_blocks(*problem[:5]), problem[5])
     assert_matches_two_pass(covs, *problem)
 
 
 def test_product_covariances_sign_flip_negates_mean_and_cross_only():
     residual, values, columns, means, norms, _ = gate_problem(2 * ROW_BLOCK + 5, 2, seed=5)
-    plain = product_covariances(residual, values, columns, means, norms, np.ones(3))
-    flipped = product_covariances(residual, values, columns, means, norms,
+    plain = product_covariances(product_blocks(residual, values, columns, means, norms),
+                                np.ones(3))
+    flipped = product_covariances(product_blocks(residual, values, columns, means, norms),
                                   np.array([1.0, -1.0, 1.0]))
     assert flipped[0] == replace(plain[0], c2_hat=-plain[0].c2_hat,
                                  sigma12=-plain[0].sigma12)
@@ -172,8 +180,8 @@ def test_product_covariances_sign_flip_negates_mean_and_cross_only():
 def test_product_covariances_zero_residual_is_undecidable():
     residual, values, columns, means, norms, signs = gate_problem(
         2 * ROW_BLOCK + 5, 2, seed=9)
-    covs = product_covariances(np.zeros_like(residual), values, columns, means,
-                               norms, signs)
+    covs = product_covariances(
+        product_blocks(np.zeros_like(residual), values, columns, means, norms), signs)
     for cov in covs:
         assert (cov.c1_hat, cov.c2_hat) == (0.0, 0.0)
         assert cov.sigma11 == cov.sigma22 == cov.sigma12 == 0.0
@@ -185,8 +193,8 @@ def test_product_covariances_zero_residual_is_undecidable():
 def test_product_covariances_identical_columns_have_no_difference_variance():
     residual, values, columns, means, norms, _ = gate_problem(2 * ROW_BLOCK + 5, 1, seed=4)
     twice = [columns[0], columns[0]]
-    (cov,) = product_covariances(residual, values, twice, means[[0, 0]],
-                                 norms[[0, 0]], np.ones(2))
+    (cov,) = product_covariances(
+        product_blocks(residual, values, twice, means[[0, 0]], norms[[0, 0]]), np.ones(2))
     assert cov.c1_hat == cov.c2_hat
     assert cov.sigma11 == cov.sigma22 == cov.sigma12
     assert cov.diff_variance == 0.0
@@ -321,6 +329,12 @@ def test_required_sample_size_fallback_branches():
     assert required_sample_size(500, 0.5, 0.05, growth_factor=8.0) == 4000
     # a perfect p-value still cannot certify, so the loop must move forward
     assert required_sample_size(500, 0.0, 0.05) == 501
+
+
+def test_required_sample_size_rejects_a_growth_factor_that_is_not_finite():
+    for factor in (math.inf, math.nan, 1.9):
+        with pytest.raises(ValidationError, match="growth_factor"):
+            required_sample_size(100, 0.7, 0.05, growth_factor=factor)
 
 
 def test_required_sample_size_strictly_exceeds_n():

@@ -147,9 +147,6 @@ def test_standardize_checks_the_response():
     bad[0] = np.nan
     with pytest.raises(ValidationError):
         standardize(design, w, bad)
-    bare = WeightedMoments.of(design.values, w, design.values[:ROW_BLOCK].mean(axis=0))
-    with pytest.raises(ValidationError, match="must carry the response"):
-        standardize(design, w, y, moments=bare)
     # Each answer is finite, but their weighted sums overflow.
     huge = np.where(np.arange(y.size) % 2, 1.7e308, -1.7e308)
     with pytest.raises(DegenerateInputError, match="not finite"):
@@ -321,7 +318,6 @@ def test_exact_tie_enters_lower_index_first():
 def test_observer_sees_ranked_candidates_and_can_abort():
     design, y, w = random_problem(0)
     std = standardize(design, w, y)
-    yt = transform_response(y, w)
     seen = []
 
     def observer(ctx):
@@ -329,7 +325,7 @@ def test_observer_sees_ranked_candidates_and_can_abort():
         mags = [abs(c.c_hat) for c in ctx.candidates]
         assert mags == sorted(mags, reverse=True)
         with pytest.raises(ValueError):
-            ctx.residual[0] = 0.0
+            ctx.beta[0] = 1.0
         return ctx.step < 2
 
     state = lars_lasso_path(std, 4, observer=observer)
@@ -340,22 +336,49 @@ def test_observer_sees_ranked_candidates_and_can_abort():
     assert seen[1].step == 2 and seen[1].n_active == 1
     # Entry s sees the state of breakpoint s - 1 (breakpoint 0 is beta = 0).
     for ctx in seen:
-        beta = state.breakpoints[ctx.step - 1].beta[std.retained_idx]
-        np.testing.assert_allclose(ctx.residual, yt - std.base.values @ beta,
-                                   rtol=0, atol=1e-12)
+        assert ctx.beta.tobytes() == \
+            state.breakpoints[ctx.step - 1].beta[std.retained_idx].tobytes()
+
+
+def test_residual_products_match_the_dense_columns():
+    # 2 * ROW_BLOCK + 5 rows give three blocks, the last short; a constant
+    # column is dropped, so retained and raw column positions differ.
+    rng = np.random.default_rng(11)
+    n = 2 * ROW_BLOCK + 5
+    X = 2.0 + rng.normal(size=(n, 5)) @ (np.eye(5) + 0.4 * rng.normal(size=(5, 5)))
+    X = np.insert(X, 1, 3.0, axis=1)
+    y = X[:, [0, 2, 3]] @ np.array([1.5, -2.0, 0.5]) + rng.normal(size=n)
+    w = rng.uniform(0.1, 2.0, size=n)
+    std = standardize(make_design(X), w, y)
+    assert std.dropped_cols == ("x1",)
+    base, yt = std.base.values, transform_response(y, w)
+    state = lars_lasso_path(std, 3)
+    assert np.count_nonzero(state.breakpoints[2].beta) == 2
+    cols = [4, 0, 2]
+    for bp in (state.breakpoints[0], state.breakpoints[2]):
+        beta = bp.beta[std.retained_idx]
+        blocks = list(std.residual_products(beta, cols))
+        assert [b.shape for b in blocks] == [(3, ROW_BLOCK), (3, ROW_BLOCK), (3, 5)]
+        oracle = (base[:, cols] * (yt - base @ beta)[:, None]).T
+        np.testing.assert_allclose(np.hstack(blocks), oracle, rtol=1e-12,
+                                   atol=1e-12 * np.abs(oracle).max())
+        # Their means are the walk's correlations c_hat = c / n.
+        c = std.xty - std.gram @ beta
+        np.testing.assert_allclose(oracle.mean(axis=1), c[cols] / n, rtol=0,
+                                   atol=1e-12 * np.abs(c).max() / n)
 
 
 def test_path_builds_the_residual_only_for_its_observer(monkeypatch):
-    # The residual is an n-long pass over the active columns: a walk builds
-    # it once per observer call and never for itself.
+    # The residual products are an n-row pass over the active columns: the
+    # walk hands its observer the coefficients and never builds them itself.
     calls = []
-    residual = StandardizedDesign.residual
+    products = StandardizedDesign.residual_products
 
-    def counted(self, beta):
+    def counted(self, beta, columns):
         calls.append(1)
-        return residual(self, beta)
+        return products(self, beta, columns)
 
-    monkeypatch.setattr(StandardizedDesign, "residual", counted)
+    monkeypatch.setattr(StandardizedDesign, "residual_products", counted)
     design, y, w = random_problem(0)
     seen = []
 
@@ -368,8 +391,8 @@ def test_path_builds_the_residual_only_for_its_observer(monkeypatch):
         seen.clear()
         _, _, state = run_path(design, y, w, max_active=4, observer=observer)
         assert state.aborted == (limit == 2)
-        assert len(calls) == len(seen) == (len(state.entry_events) + state.aborted
-                                           if observer else 0)
+        assert len(seen) == (len(state.entry_events) + state.aborted if observer else 0)
+        assert calls == []
 
 
 def test_entry_correlation_scale_is_mean_inner_product():
