@@ -16,7 +16,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,10 +124,11 @@ def repeat_explanations(model: Model, instance: InstanceSpec,
         raise ValidationError(f"unknown method {method!r}; use 'lime' or 'slime'")
     if workers < 1:
         raise ValidationError("workers must be at least 1")
+    seeds = [derived_seed(base_seed, (i,)) for i in range(reps)]
 
     def run_one(i: int) -> Explanation | str:
         try:
-            seeded = replace(config, seed=derived_seed(base_seed, (i,)))
+            seeded = replace(config, seed=seeds[i])
             if method == "lime":
                 return lime_explain(model, instance, seeded, n=lime_n)
             return slime_explain(model, instance, seeded)

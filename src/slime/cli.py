@@ -202,20 +202,12 @@ def _emit(text: str, out: str | None) -> None:
 def _resolve_scales(args: argparse.Namespace, p: int) -> np.ndarray | None:
     if args.scales is not None and args.scales_csv is not None:
         raise ValidationError("--scales and --scales-csv are mutually exclusive")
+    # InstanceSpec refuses scales of another width.
     if args.scales is not None:
         scales = _parse_floats(args.scales, "--scales")
-        if scales.size == 1:
-            scales = np.full(p, scales[0])
-        if scales.size != p:
-            raise ValidationError(
-                f"--scales lists {scales.size} values for {p} features")
-        return scales
+        return np.full(p, scales[0]) if scales.size == 1 else scales
     if args.scales_csv is not None:
-        _, scales = scales_from_csv(args.scales_csv)
-        if scales.size != p:
-            raise ValidationError(
-                f"--scales-csv yields {scales.size} columns for {p} features")
-        return scales
+        return scales_from_csv(args.scales_csv)[1]
     return None
 
 
@@ -272,12 +264,7 @@ def _report_payload(report) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
-    if args.reps < 2:
-        raise ValidationError("--reps must be at least 2")
     model, instance, config = _build_inputs(args)
-    report_dir = Path(args.report) if args.report else None
-    if report_dir is not None:
-        report_dir.mkdir(parents=True, exist_ok=True)
     with model:
         report, explanations = repeat_explanations(
             model, instance, config, reps=args.reps, base_seed=config.seed,
@@ -287,7 +274,10 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
         text = json.dumps(_report_payload(report), sort_keys=True, indent=2) + "\n"
     else:
         text = report_to_markdown(report, title=args.method)
-    if report_dir is not None:
+    if args.report:
+        # Made only now, so a refused run leaves no directory behind.
+        report_dir = Path(args.report)
+        report_dir.mkdir(parents=True, exist_ok=True)
         (report_dir / "report.csv").write_text(report_to_csv(report),
                                                encoding="utf-8")
         (report_dir / "report.md").write_text(

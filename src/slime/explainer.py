@@ -21,18 +21,19 @@ answers: an ungated round reads no row after the weigh.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .models import Model
-from .sampling import (InstanceSpec, PerturbationDataset, build_dataset,
-                       derived_seed, extend_dataset)
+from .models import Model, _check_input_dim
+from .sampling import (InstanceSpec, PerturbationDataset, _check_seed,
+                       _check_width, build_dataset, derived_seed,
+                       extend_dataset)
 # product_covariance is not called here since the gate makes one pass per
 # decision; the name stays so that perfbench/layers.py can wrap it.
 from .stability_testing import (DEFAULT_GROWTH_FACTOR, TestDecision,  # noqa: F401
+                                _check_alpha, _check_growth_factor,
                                 bonferroni_entry_test, entry_test,
                                 product_covariance, product_covariances)
 # transform_response is not called here since standardize takes the
@@ -56,7 +57,9 @@ class ExplainerConfig:
     switches the entry gate from the top-two comparison to the summed
     pairwise comparison against every remaining candidate; ``growth_factor``
     is the fallback multiplier when a test is too hopeless to project a
-    sample size; ``reuse_samples`` keeps already-queried rows when growing.
+    sample size; ``seed`` (non-negative) keys every row drawn;
+    ``reuse_samples`` keeps already-queried rows when growing.  A rule that
+    another module owns is checked by that module's helper.
     """
 
     n0: int = 1000
@@ -72,16 +75,19 @@ class ExplainerConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("k must be at least 1")
-        if self.n0 < self.k + 2:
-            raise ValidationError(f"n0 must be at least k + 2 = {self.k + 2}")
-        if not (0.0 < self.alpha < 0.5):
-            raise ValidationError("alpha must lie strictly in (0, 0.5)")
+        _check_sample_size("n0", self.n0, self.k)
+        _check_alpha(self.alpha)
         if self.n_max < self.n0:
             raise ValidationError("n_max must be at least n0")
-        if self.kernel_width is not None and not self.kernel_width > 0:
-            raise ValidationError("kernel_width must be positive")
-        if not (math.isfinite(self.growth_factor) and self.growth_factor >= 2.0):
-            raise ValidationError("growth_factor must be finite and at least 2")
+        if self.kernel_width is not None:
+            _check_width(self.kernel_width)
+        _check_growth_factor(self.growth_factor)
+        _check_seed(self.seed)
+
+
+def _check_sample_size(name: str, n: int, k: int) -> None:
+    if n < k + 2:
+        raise ValidationError(f"{name} must be at least k + 2 = {k + 2}")
 
 
 @dataclass(frozen=True)
@@ -157,9 +163,7 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
              n: int, gated: bool) -> Explanation:
     """The round loop behind both explainers: walk, grow if gated and
     undecided, walk again; refit the last walk's features."""
-    if getattr(model, "input_dim", instance.n_features) != instance.n_features:
-        raise ValidationError(
-            f"model expects {model.input_dim} features, instance has {instance.n_features}")
+    _check_input_dim(model, instance.n_features)
     dataset = build_dataset(model, instance, n, config.seed, config.kernel_width)
     trace: list[TestDecision] = []
     capped = False
@@ -207,10 +211,9 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
 def lime_explain(model: Model, instance: InstanceSpec,
                  config: ExplainerConfig, n: int | None = None) -> Explanation:
     """Plain fixed-sample explanation: sample once, select, refit."""
-    sample_n = config.n0 if n is None else n
-    if sample_n < config.k + 2:
-        raise ValidationError(f"n must be at least k + 2 = {config.k + 2}")
-    return _explain(model, instance, config, sample_n, gated=False)
+    n = config.n0 if n is None else n
+    _check_sample_size("n", n, config.k)
+    return _explain(model, instance, config, n, gated=False)
 
 
 def slime_explain(model: Model, instance: InstanceSpec,

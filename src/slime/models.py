@@ -1,7 +1,9 @@
 """Black-box model handles: builtins, arithmetic expressions, external processes.
 
-Every handle exposes ``input_dim`` and ``predict_batch(X) -> predictions``.
-Builtins are vectorized numpy; external models speak one of two protocols:
+Every handle exposes ``input_dim``, the instance's width, and
+``predict_batch(X) -> predictions`` on rows of exactly that many finite
+features.  Builtins are vectorized numpy; external models speak one of two
+protocols:
 
 * line-delimited JSON over stdin/stdout, one request object
   ``{"instances": [[...], ...]}`` per line (at most 1000 rows each) answered
@@ -26,7 +28,6 @@ import signal
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -73,6 +74,13 @@ class Model:
     def __exit__(self, *exc):
         self.close()
         return False
+
+
+def _check_input_dim(model: Model, input_dim: int) -> None:
+    # A handle that declares no width is taken at its word.
+    width = getattr(model, "input_dim", input_dim)
+    if width != input_dim:
+        raise ValidationError(f"model expects {width} features, instance has {input_dim}")
 
 
 def _as_matrix(X: np.ndarray, input_dim: int) -> np.ndarray:
@@ -261,27 +269,23 @@ def _eval_node(node, X: np.ndarray) -> np.ndarray:
 class ExpressionModel(Model):
     """Model defined by an arithmetic expression over features x1..xp.
 
-    ``input_dim`` is the largest feature index that appears; prediction input
-    may carry extra trailing features, which are ignored.
+    ``input_dim`` is the instance's width.  It defaults to the largest
+    feature index that appears, and a smaller width is refused.
     """
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, input_dim: int | None = None):
         self.source = source
         parser = _Parser(source)
         self._ast = parser.parse()
         if parser.max_index == 0:
             raise ExpressionError("expression references no feature", 1)
-        self.input_dim = parser.max_index
+        self.input_dim = parser.max_index if input_dim is None else int(input_dim)
+        if self.input_dim < parser.max_index:
+            raise ValidationError(f"expression uses x{parser.max_index}, "
+                                  f"but the model takes {self.input_dim} features")
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValidationError("prediction input must be a 2-d array")
-        if X.shape[1] < self.input_dim:
-            raise ValidationError(
-                f"expression uses x{self.input_dim} but input has {X.shape[1]} features")
-        if not all_finite(X):
-            raise ValidationError("prediction input must be finite")
+        X = _as_matrix(X, self.input_dim)
         # Overflow, 0/0 and the like surface as the non-finite check below.
         with np.errstate(all="ignore"):
             out = np.asarray(_eval_node(self._ast, X), dtype=float)
@@ -569,39 +573,26 @@ def parse_model_spec(spec: str, input_dim: int) -> Model:
     """Build a model handle from a CLI-style spec string.
 
     Recognized forms: ``builtin:mars``, ``builtin:linear:c1,c2,...``,
-    ``expr:<expression>``, ``exec:<command line>``.
+    ``expr:<expression>``, ``exec:<command line>``.  The handle takes
+    ``input_dim`` features; a builtin of another width is refused.
     """
     if spec == "builtin:mars":
         model = MarsModel()
-        if input_dim != model.input_dim:
-            raise ValidationError(
-                f"builtin:mars expects {model.input_dim} features, instance has {input_dim}")
-        return model
-    if spec.startswith("builtin:linear:"):
+    elif spec.startswith("builtin:linear:"):
         text = spec[len("builtin:linear:"):]
         try:
             coefficients = [float(v) for v in text.split(",") if v != ""]
         except ValueError as exc:
             raise ValidationError(f"bad linear coefficients {text!r}: {exc}") from None
-        if not coefficients:
-            raise ValidationError("builtin:linear needs at least one coefficient")
         model = LinearModel(coefficients)
-        if input_dim != model.input_dim:
-            raise ValidationError(
-                f"builtin:linear has {model.input_dim} coefficients, instance has {input_dim}")
-        return model
-    if spec.startswith("expr:"):
-        model = ExpressionModel(spec[len("expr:"):])
-        if model.input_dim > input_dim:
-            raise ValidationError(
-                f"expression uses x{model.input_dim}, instance has only {input_dim} features")
-        # The expression may touch only a prefix of the features: widen so the
-        # handle accepts and ignores the rest of the instance's columns.
-        model.input_dim = input_dim
-        return model
-    if spec.startswith("exec:"):
+    elif spec.startswith("expr:"):
+        model = ExpressionModel(spec[len("expr:"):], input_dim)
+    elif spec.startswith("exec:"):
         command = shlex.split(spec[len("exec:"):])
-        return SubprocessModel(command, input_dim=input_dim)
-    raise ValidationError(
-        f"unrecognized model spec {spec!r}; expected builtin:mars, "
-        "builtin:linear:..., expr:..., or exec:...")
+        model = SubprocessModel(command, input_dim=input_dim)
+    else:
+        raise ValidationError(
+            f"unrecognized model spec {spec!r}; expected builtin:mars, "
+            "builtin:linear:..., expr:..., or exec:...")
+    _check_input_dim(model, input_dim)
+    return model

@@ -105,7 +105,8 @@ class InstanceSpec:
         else:
             scales = np.asarray(scales, dtype=float)
             if scales.shape != (p,):
-                raise ValidationError("feature_scales length must match the instance")
+                raise ValidationError(f"feature_scales has shape {scales.shape} "
+                                      f"for {p} features")
             if not np.isfinite(scales).all() or (scales <= 0).any():
                 raise ValidationError("feature_scales must be finite and strictly positive")
         object.__setattr__(self, "feature_scales", scales)
@@ -166,7 +167,13 @@ def seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
     benchmark repetitions each draw from their own key, so changing one
     never shifts another's stream.
     """
+    _check_seed(seed)
     return np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def derived_seed(seed: int, key: tuple[int, ...]) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -190,6 +191,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must lie strictly in (0, 0.5), got {alpha!r}")
 
 
+def _check_growth_factor(growth_factor: float) -> None:
+    if not (math.isfinite(growth_factor) and growth_factor >= 2.0):
+        raise ValidationError(f"growth_factor must be finite and >= 2, got {growth_factor!r}")
+
+
 def _pair_p_value(cov: ProductCovariance) -> float:
     """Upper-tail p-value for 'candidate 1 beats candidate 2 on fresh data'.
 
@@ -318,10 +324,10 @@ def required_sample_size(n: int, p_value: float, alpha: float, *,
     _check_alpha(alpha)
     if not (0.0 <= p_value <= 1.0):
         raise ValidationError(f"p_value must lie in [0, 1], got {p_value!r}")
-    if not (math.isfinite(growth_factor) and growth_factor >= 2.0):
-        raise ValidationError(f"growth_factor must be finite and >= 2, got {growth_factor!r}")
+    _check_growth_factor(growth_factor)
     if p_value >= 0.5:
-        return max(int(math.ceil(growth_factor * n)), n + 1)
+        # A product past the float range is held at the largest float: the caller caps it.
+        return max(math.ceil(min(growth_factor * n, sys.float_info.max)), n + 1)
     if p_value == 0.0:
         # Already overwhelming evidence; only the progress floor applies.
         return n + 1

@@ -169,6 +169,9 @@ def test_repeat_explanations_validation():
     with pytest.raises(ValidationError):
         repeat_explanations(model, instance, fast_config(), reps=2,
                             base_seed=0, workers=0)
+    # A negative base seed is refused before any repetition runs.
+    with pytest.raises(ValidationError, match="seed must"):
+        repeat_explanations(model, instance, fast_config(), reps=2, base_seed=-1)
 
 
 # ------------------------------------------------------ ordering experiment

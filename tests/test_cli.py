@@ -418,7 +418,7 @@ def test_unknown_flag_exits_two(capsys):
     assert info.value.code == 2
 
 
-def test_validation_errors_exit_two(capsys):
+def test_validation_errors_exit_two(capsys, run_in_tmp, monkeypatch):
     cases = [
         ["explain", "--model", "magic:x", "--instance", "1,2"],
         ["explain", "--model", "builtin:linear:1,2", "--instance", "1,2,3"],
@@ -426,11 +426,22 @@ def test_validation_errors_exit_two(capsys):
         ["explain", *LINEAR3, "--scales", "1,2"],
         ["explain", *LINEAR3, "--instance", "1,zap,3"],
         ["bench", *LINEAR3, "--reps", "1"],
+        ["bench", *LINEAR3, "--reps", "1", "--report", "report"],
+        ["explain", *LINEAR3, "--seed", "-1"],
+        ["bench", *LINEAR3, "--seed", "-1", "--reps", "2"],
+        ["explain", *LINEAR3, "--kernel-width", "inf"],
+        ["explain", *LINEAR3, "--growth-factor", "1.5"],
+        ["explain", "--model", "expr:x4", "--instance", "1,2,3"],
+        ["explain", *LINEAR3, "--method", "lime", "--n", "3"],
     ]
     for argv in cases:
-        code, _, err = run_cli(argv, capsys)
-        assert code == 2, argv
-        assert err.startswith("error:"), argv
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+    monkeypatch.setenv("SLIME_SEED", "-5")
+    code, out, err = run_cli(["explain", *LINEAR3], capsys)
+    assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+    assert list(run_in_tmp.iterdir()) == []   # no manifest, no report directory
 
 
 def test_a_growth_factor_that_is_not_finite_exits_two(capsys, run_in_tmp):

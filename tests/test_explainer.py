@@ -1,6 +1,7 @@
 """Explainer checks: determinism, gating, growth, caps, refit honesty,
 memory, and metamorphic relations."""
 
+import math
 import tracemalloc
 import weakref
 
@@ -16,7 +17,9 @@ from slime.errors import ValidationError
 from slime.explainer import (ExplainerConfig, Explanation, lime_explain,
                              slime_explain)
 from slime.models import LinearModel, MarsModel, Model
-from slime.sampling import InstanceSpec, build_dataset, default_kernel_width
+from slime.sampling import (InstanceSpec, _check_seed, _check_width,
+                            build_dataset, default_kernel_width)
+from slime.stability_testing import _check_alpha, _check_growth_factor
 from slime.weighted_lars import StandardizedDesign
 
 MARS_INSTANCE = InstanceSpec(values=np.array([0.51, 0.49, 0.5, 0.5, 0.5]),
@@ -44,6 +47,18 @@ def test_config_validation():
         ExplainerConfig(kernel_width=0.0)
     with pytest.raises(ValidationError):
         ExplainerConfig(growth_factor=1.9)
+
+
+def test_config_errors_are_those_of_the_rules_owners():
+    for field, value, check in (("alpha", 0.7, _check_alpha),
+                                ("growth_factor", 1.5, _check_growth_factor),
+                                ("kernel_width", math.inf, _check_width),
+                                ("seed", -1, _check_seed)):
+        with pytest.raises(ValidationError) as owner:
+            check(value)
+        with pytest.raises(ValidationError) as config:
+            ExplainerConfig(**{field: value})
+        assert str(config.value) == str(owner.value), field
 
 
 def test_lime_rejects_tiny_sample():

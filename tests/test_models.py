@@ -132,11 +132,21 @@ def test_expression_functions():
 def test_expression_input_dim_is_largest_index():
     model = ExpressionModel("x3 + x1")
     assert model.input_dim == 3
-    # extra trailing columns are accepted and ignored
-    got = model.predict_batch(np.array([[1.0, 99.0, 2.0, 7.0]]))
-    np.testing.assert_allclose(got, [3.0])
     with pytest.raises(ValidationError):
         model.predict_batch(np.array([[1.0, 2.0]]))
+
+
+def test_expression_takes_the_width_it_is_given():
+    model = ExpressionModel("x1 + 0.5", input_dim=3)
+    assert model.input_dim == 3
+    np.testing.assert_allclose(
+        model.predict_batch(np.array([[2.0, 9.0, 9.0]])), [2.5])
+    with pytest.raises(ValidationError, match="x3"):
+        ExpressionModel("x3 + x1", input_dim=2)
+    # Its input is checked like every handle's: the width, then finiteness.
+    for X in (np.ones((1, 2)), np.ones((1, 4)), np.array([[1.0, np.nan, 1.0]])):
+        with pytest.raises(ValidationError):
+            model.predict_batch(X)
 
 
 def test_expression_errors_carry_columns():

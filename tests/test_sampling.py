@@ -118,6 +118,8 @@ def test_perturb_validation():
         gaussian_perturb(spec, 0, seed=1)
     with pytest.raises(ValidationError):
         gaussian_perturb(spec, 10, seed=1, start=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        gaussian_perturb(spec, 10, seed=-1)
 
 
 def test_sample_moments_match_instance_and_scales():

@@ -337,6 +337,17 @@ def test_required_sample_size_rejects_a_growth_factor_that_is_not_finite():
             required_sample_size(100, 0.7, 0.05, growth_factor=factor)
 
 
+def test_growth_past_the_float_range_still_recommends_more_rows():
+    # growth_factor * n overflows; the caller caps whatever int comes back.
+    grown = required_sample_size(100, 0.7, 0.05, growth_factor=1e308)
+    assert isinstance(grown, int) and grown > 100
+    # An exact tie takes the growth branch.
+    tie = entry_test(make_cov(c1=1.0, c2=1.0, s11=1.0, s22=1.0, s12=0.0, n=100),
+                     0.05, growth_factor=1e308)
+    assert not tie.significant
+    assert isinstance(tie.recommended_n, int) and tie.recommended_n > 100
+
+
 def test_required_sample_size_strictly_exceeds_n():
     for p in (0.06, 0.1, 0.3, 0.49):
         assert required_sample_size(77, p, 0.05) > 77
