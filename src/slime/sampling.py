@@ -18,23 +18,23 @@ first new row; each call but the first starts at the generator-block
 boundary at or after its block's first row, so within a growth no generator
 block is drawn twice.  A growth that starts inside a generator block redraws
 that block's leading rows and drops them.  The query phase asks the model
-once for the new rows, on the calling thread.  The weigh phase splits the
-blocks into one contiguous run per worker and gives each block its kernel
-weights and its weighted moments about the instance, the answers included
+once for the new rows, on the calling thread.  The weigh phase gives each
+block, in one task per block, its kernel weights and its weighted moments
+about the instance, the answers included
 (:class:`~slime.weighted_lars.WeightedMoments`); the calling thread adds
-those sums to the ones the dataset carries, in block order, so
+each block's sums to the dataset's, in block order, as soon as it is done, so
 standardizing a grown sample, and correlating it with the answers, costs
 p x p algebra plus the new rows.  The answers are summed about a pilot
 shift, the dataset's first answer, so a constant model's answers sum to
-exactly zero.  When the new rows
-hold at least 2**20 entries and span more than one block, the draw and the
-weigh run on a thread pool with one thread per CPU the process may run on
-(its CPU affinity; ``taskset -c 0 slime ...`` keeps the pass on one
-thread); smaller passes run in the calling thread.  Rows, weights and
-moments are the same bytes whatever the number of CPUs.  Building a dataset
-is its first growth, from no rows.  The sample lives in one C-order buffer,
-and growth writes the new rows into the buffer's spare rows, which the
-caller may reserve up front (``extend_dataset(..., capacity=)``).
+exactly zero.  When the new rows hold at least 2**20 entries and span more
+than one block, the draw and the weigh run on a thread pool with one thread
+per CPU the process may run on (its CPU affinity; ``taskset -c 0 slime ...``
+keeps the pass on one thread); smaller passes run in the calling thread.
+Either way the weigh holds the sums of at most one block more than it has
+threads.  Rows, weights and moments are the same bytes whatever the number
+of CPUs.  Building a dataset is its first growth, from no rows.  The sample
+lives in one C-order buffer, and growth writes the new rows into its spare
+rows, which the caller may reserve up front (``extend_dataset(..., capacity=)``).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -240,9 +241,10 @@ def _check_width(width: float) -> None:
 
 def _scratch(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Work space of :func:`_weigh` on the blocks of an n-row pass: one
-    ``ROW_BLOCK`` of shifted rows and one generator block of scale-normalized
-    rows."""
-    return np.empty((min(n, ROW_BLOCK), p)), np.empty((min(n, _BLOCK), p))
+    ``ROW_BLOCK`` of shifted rows, and one chunk of scale-normalized rows
+    that holds at most 2**15 entries (and at least one row)."""
+    chunk = min(n, ROW_BLOCK, max(1, (1 << 15) // p))
+    return np.empty((min(n, ROW_BLOCK), p)), np.empty((chunk, p))
 
 
 def _weigh(rows: np.ndarray, instance: InstanceSpec, width: float, w: np.ndarray,
@@ -255,8 +257,8 @@ def _weigh(rows: np.ndarray, instance: InstanceSpec, width: float, w: np.ndarray
     """
     u_space, z_space = scratch
     u = np.subtract(rows, instance.values, out=u_space[:rows.shape[0]])
-    for lo in range(0, u.shape[0], _BLOCK):
-        part = u[lo:lo + _BLOCK]
+    for lo in range(0, u.shape[0], z_space.shape[0]):
+        part = u[lo:lo + z_space.shape[0]]
         z = np.divide(part, instance.feature_scales, out=z_space[:part.shape[0]])
         d2 = np.einsum("ij,ij->i", z, z)
         w[lo:lo + z.shape[0]] = np.maximum(np.exp(-d2 / (width * width)), _MIN_WEIGHT)
@@ -279,10 +281,12 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, X: np.ndarray
 
     Three phases: draw the rows in one call per block of ``ROW_BLOCK`` rows,
     query the model once on the calling thread, then weigh the blocks and
-    sum their moments, responses included.  Large passes run the draw and
-    the weigh on a thread pool sized to the CPUs the process may use; the
-    calling thread adds the sums in block order, so the bytes do not depend
-    on the number of threads.
+    sum their moments, responses included, in one task per block.  Large
+    passes run the draw and the weigh on a thread pool sized to the CPUs the
+    process may use.  At most ``workers + 1`` weigh tasks are in flight, each
+    borrowing one of ``workers`` scratches while it runs; the calling thread
+    adds each block's sums in block order as soon as that block is done, so
+    the bytes do not depend on the number of threads.
     """
     instance, start, width = dataset.instance, dataset.n, dataset.kernel_width
     _check_width(width)
@@ -299,27 +303,32 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, X: np.ndarray
         if lo < hi:
             gaussian_perturb(instance, hi - lo, dataset.seed, start=start + lo, out=X[lo:hi])
 
-    def weigh(run) -> list[tuple]:
-        run_blocks, scratch = run
-        return [moments.block_sums(_weigh(X[rows], instance, width, w[rows], scratch),
-                                   w[rows], y[rows])
-                for rows in run_blocks]
+    def weigh(rows: slice) -> tuple:
+        scratch = free.pop()   # at most ``workers`` tasks run at once
+        try:
+            return moments.block_sums(_weigh(X[rows], instance, width, w[rows], scratch),
+                                      w[rows], y[rows])
+        finally:
+            free.append(scratch)
 
     with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        each = map if pool is None else pool.map
-        list(each(draw, edges[:-1], edges[1:]))
+        list((map if pool is None else pool.map)(draw, edges[:-1], edges[1:]))
         y = query_model(model, X)
         # The first answer fixes the pilot shift of the response's moments.
         moments = (dataset.moments.copy() if start
                    else WeightedMoments.about(instance.values, y))
-        # One contiguous run of blocks per worker.  Scratch is allocated
-        # here, after the query, not in the workers: memory a worker thread
-        # frees stays in that thread's malloc arena.
-        cuts = [len(blocks) * k // workers for k in range(workers + 1)]
-        runs = [(blocks[lo:hi], _scratch(n, p)) for lo, hi in zip(cuts, cuts[1:])]
-        for sums in each(weigh, runs):
-            for part in sums:
-                moments.add(part)
+        # Scratch is allocated here, after the query, not in the workers:
+        # memory a worker thread frees stays in that thread's malloc arena.
+        free = [_scratch(n, p) for _ in range(workers)]
+        # A pending entry, called, gives its block's sums (weighed then, with no pool).
+        submit = partial if pool is None else lambda *task: pool.submit(*task).result
+        pending = []
+        for rows in blocks:
+            pending.append(submit(weigh, rows))
+            if len(pending) > workers:
+                moments.add(pending.pop(0)())
+        for sums in pending:
+            moments.add(sums())
     return y, w, moments
 
 

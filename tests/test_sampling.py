@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from slime.sampling import (InstanceSpec, PerturbationDataset, build_dataset,
                             default_kernel_width, extend_dataset,
                             gaussian_perturb, kernel_weights, query_model,
                             scales_from_csv)
-from slime.weighted_lars import (DesignMatrix, lars_lasso_path,
+from slime.weighted_lars import (DesignMatrix, WeightedMoments, lars_lasso_path,
                                  refit_least_squares, standardize,
                                  transform_response)
 
@@ -361,6 +362,87 @@ def test_a_failing_block_propagates_and_leaves_no_thread(monkeypatch):
         extend_dataset(model, small, 70000)
     assert set(threading.enumerate()) <= before
     assert model.batch_sizes == [3000]   # never queried on a partial sample
+
+
+def test_a_failing_weigh_task_propagates_and_leaves_no_thread(monkeypatch):
+    p = 20
+    spec = InstanceSpec(values=np.zeros(p))
+    model = CountingLinear(np.ones(p))
+    small = build_dataset(model, spec, n=3000, seed=4)
+    kept = _sample_bytes(small)
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 2)
+    weigh = sampling._weigh
+    lock = threading.Lock()
+    calls = []
+
+    def failing(*args):
+        with lock:
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("weigh failed")
+        return weigh(*args)
+
+    monkeypatch.setattr(sampling, "_weigh", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="weigh failed"):
+        extend_dataset(model, small, 70000)
+    assert set(threading.enumerate()) <= before
+    assert model.batch_sizes == [3000, 67000]
+    assert _sample_bytes(small) == kept   # the grown-from dataset is untouched
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_the_weigh_holds_the_sums_of_at_most_one_block_more_than_it_has_workers(
+        monkeypatch, workers):
+    # A block's sums are held from the moment block_sums returns them until
+    # add has taken them.  3000 rows grow by 24 blocks of 4096 on the pool.
+    p = 20
+    spec = InstanceSpec(values=np.zeros(p))
+    model = LinearModel(np.ones(p))
+    small = build_dataset(model, spec, n=3000, seed=4)
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: workers)
+    block_sums, add = WeightedMoments.block_sums, WeightedMoments.add
+    lock = threading.Lock()
+    count = {"made": 0, "held": 0, "most": 0}
+
+    def counted_block_sums(self, *args):
+        sums = block_sums(self, *args)
+        with lock:
+            count["made"] += 1
+            count["held"] += 1
+            count["most"] = max(count["most"], count["held"])
+        return sums
+
+    def counted_add(self, sums):
+        add(self, sums)
+        with lock:
+            count["held"] -= 1
+
+    monkeypatch.setattr(WeightedMoments, "block_sums", counted_block_sums)
+    monkeypatch.setattr(WeightedMoments, "add", counted_add)
+    extend_dataset(model, small, 3000 + 24 * 4096)
+    assert (count["made"], count["held"]) == (24, 0)
+    assert count["most"] <= workers + 1
+
+
+def test_a_wide_pool_pass_holds_the_sample_its_scratch_and_a_few_blocks_sums(monkeypatch):
+    # p = 400 and 8 blocks of 4096 rows: the sample is 105 MB, each worker's
+    # scratch 13 MB and each block's p x p sums 1.3 MB.
+    p, n, workers = 400, 8 * 4096, 2
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: workers)
+    spec = InstanceSpec(values=np.zeros(p))
+    model = LinearModel(np.linspace(1.0, -1.0, p))
+    tracemalloc.start()
+    try:
+        build_dataset(model, spec, n=n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sums = p * p * 8
+    scratch = sum(a.nbytes for a in sampling._scratch(n, p))
+    # Slack: the running sums, the empty start's, and eight n-vectors.
+    slack = 2 * sums + 8 * n * 8
+    assert peak <= n * p * 8 + workers * scratch + (workers + 1) * sums + slack
 
 
 def test_a_dataset_made_without_moments_extends_and_explains_like_its_parent(monkeypatch):
