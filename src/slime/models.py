@@ -12,8 +12,11 @@ protocols:
   command is invoked once, and predictions are read back from a response CSV
   with a single ``prediction`` column.
 
-Floats are serialized with ``repr``-level precision so a numeric round trip
-through either protocol is exact.
+Each float is written as the bytes ``repr`` writes, its shortest decimal
+that reads back as the same double, so a numeric round trip through either
+protocol is exact.  A JSON request is byte for byte what ``json.dumps``
+writes and a request CSV what ``csv.writer`` writes, from one vectorized
+encoder.
 """
 
 from __future__ import annotations
@@ -399,6 +402,7 @@ def _exchange(child: subprocess.Popen, X: np.ndarray, starts: range,
     against that time too.  Bytes read past the last answer stay in
     ``pending`` for the next call.
     """
+    from ._float_text import float_text   # here: builtin-model runs never build its tables
     out_fd, in_fd = child.stdout.fileno(), child.stdin.fileno()
     poller = select.poll()
     poller.register(out_fd, select.POLLIN)
@@ -425,12 +429,9 @@ def _exchange(child: subprocess.Popen, X: np.ndarray, starts: range,
                 f"model process pipe failed: {pipe_error}",
                 batch_index=sent) from pipe_error
         if not request and sent < len(starts):
-            # tolist() yields Python floats, which json.dumps writes at repr
-            # precision (17 significant digits when needed): exact round trip.
             start = starts[sent]
-            request = memoryview(json.dumps(
-                {"instances": X[start:start + MAX_ROWS_PER_REQUEST].tolist()}
-            ).encode() + b"\n")
+            request = memoryview(float_text(X[start:start + MAX_ROWS_PER_REQUEST],
+                                            b'{"instances": [[', b", ", b"], [", b"]]}\n"))
         remaining = deadline - time.monotonic()
         if remaining <= 0 or not (events := poller.poll(remaining * 1000)):
             raise ModelQueryError(
@@ -514,13 +515,12 @@ class BatchFileModel(Model):
         self._lock = threading.Lock()
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        from ._float_text import float_text   # here: builtin-model runs never build its tables
         X = _as_matrix(X, self.input_dim)
         with self._lock:
-            with open(self.request_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow([f"x{j + 1}" for j in range(self.input_dim)])
-                for row in X:
-                    writer.writerow([repr(float(v)) for v in row])
+            header = ",".join(f"x{j + 1}" for j in range(self.input_dim)) + "\r\n"
+            self.request_path.write_bytes(
+                float_text(X, header.encode(), b",", b"\r\n", b"\r\n"))
             try:
                 child = subprocess.Popen(
                     self.command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,

@@ -125,7 +125,9 @@ class PerturbationDataset:
     extended later without re-querying existing rows.  ``moments`` holds
     the weighted moments of the rows about the instance and of the answers
     about their pilot shift: growth carries them along, and a dataset made
-    without them sums them from its rows and answers.
+    without them sums them from its rows and answers.  A dataset with no
+    rows carries no moments: its first growth starts them about its first
+    answer.
     ``_buffer``, when set, is the array whose leading rows ``X`` views; its
     later rows are spare capacity for growth.
     """
@@ -149,7 +151,7 @@ class PerturbationDataset:
             raise ValidationError("responses must be finite")
         if (self.weights <= 0).any() or (self.weights > 1).any():
             raise ValidationError("weights must lie in (0, 1]")
-        if self.moments is None:
+        if self.moments is None and self.n:
             object.__setattr__(self, "moments", WeightedMoments.of(
                 self.X, self.weights, self.instance.values, self.y))
 

@@ -1,5 +1,8 @@
 """Model handle checks: builtins, expression grammar, external protocols."""
 
+import csv
+import io
+import json
 import math
 import os
 import sys
@@ -10,9 +13,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import eval_linear, eval_mars
-from slime import models
+from slime import _float_text, models
 from slime.errors import ModelQueryError, ValidationError
 from slime.models import (MAX_ROWS_PER_REQUEST, BatchFileModel,
                           ExpressionError, ExpressionModel, LinearModel,
@@ -380,18 +386,18 @@ def test_subprocess_encoding_error_propagates_and_closes_the_child(monkeypatch, 
         pass
 
     failure = EncodeFailure("second request")
-    dumps, calls = models.json.dumps, []
+    encode, calls = _float_text.float_text, []
 
-    def failing_dumps(obj, **kwargs):
+    def failing_encode(*args):
         calls.append(1)
         if len(calls) == 2:
             raise failure
-        return dumps(obj, **kwargs)
+        return encode(*args)
 
     model = child_model(tmp_path, CHILD_FIRST_COLUMN)
     child = model._ensure_child()
     threads = threading.active_count()
-    monkeypatch.setattr(models.json, "dumps", failing_dumps)
+    monkeypatch.setattr(_float_text, "float_text", failing_encode)
     with pytest.raises(EncodeFailure) as info:
         model.predict_batch(np.zeros((2500, 2)))
     monkeypatch.undo()
@@ -478,6 +484,52 @@ def test_subprocess_validation():
         SubprocessModel(["cat"], input_dim=0)
 
 
+# ------------------------------------------------------- request encoding
+
+def json_request(X):
+    return _float_text.float_text(X, b'{"instances": [[', b", ", b"], [", b"]]}\n")
+
+
+def assert_encodes_like_json(X):
+    assert json_request(X) == json.dumps({"instances": X.tolist()}).encode() + b"\n"
+
+
+def edge_corpus():
+    """About 240k finite doubles whose shortest digits or layout are hard
+    to get right."""
+    rng = np.random.default_rng(22)
+    patterns = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(float)
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers_of_ten = np.array([10.0 ** k for k in range(-323, 309)])
+    subnormals = np.arange(1, 4001, dtype=np.uint64).view(float)
+    integers = np.concatenate([np.arange(10_000.0), 2.0**53 - np.arange(10_000.0),
+                               rng.integers(0, 2**53, size=10_000).astype(float)])
+    scaled = rng.uniform(1, 10, size=10_000) * 10.0 ** rng.integers(-8, 19, size=10_000)
+    values = np.concatenate([patterns, powers_of_two, powers_of_ten, subnormals,
+                             integers, scaled, [0.0, -0.0, 1e16, 1e-4, 1e-5]])
+    values = values[np.isfinite(values)]
+    return values * np.where(np.arange(values.size) % 3 == 0, -1.0, 1.0)
+
+
+def test_requests_are_the_bytes_json_dumps_writes_on_the_edge_corpus():
+    values = edge_corpus()
+    rows = values.size // 7
+    assert_encodes_like_json(values[:rows * 7].reshape(rows, 7))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (1000, 20)])
+def test_requests_are_the_bytes_json_dumps_writes_on_every_shape(shape):
+    rng = np.random.default_rng(sum(shape))
+    assert_encodes_like_json(rng.normal(size=shape) * 10.0 ** rng.integers(-6, 20, size=shape))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=30),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_requests_are_the_bytes_json_dumps_writes_on_any_finite_rows(X):
+    assert_encodes_like_json(X)
+
+
 # -------------------------------------------------------------- batch file
 
 BATCH_FIRST_COLUMN = """\
@@ -509,6 +561,18 @@ def test_batch_file_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(model.predict_batch(X), X[:, 0])
     # a second call rewrites the request file and works again
     np.testing.assert_array_equal(model.predict_batch(X[:5]), X[:5, 0])
+
+
+def test_batch_file_request_is_the_bytes_csv_writer_writes(tmp_path):
+    X = np.array([[0.0, -0.0, 5e-324], [1e16, 1e-5, 1e300], [-1.5, 0.1, 123456.789]])
+    model = batch_model(tmp_path, BATCH_FIRST_COLUMN, input_dim=3)
+    model.predict_batch(X)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["x1", "x2", "x3"])
+    for row in X:
+        writer.writerow([repr(float(v)) for v in row])
+    assert model.request_path.read_bytes() == expected.getvalue().encode()
 
 
 def test_batch_file_missing_prediction_column(tmp_path):

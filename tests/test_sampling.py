@@ -445,6 +445,21 @@ def test_a_wide_pool_pass_holds_the_sample_its_scratch_and_a_few_blocks_sums(mon
     assert peak <= n * p * 8 + workers * scratch + (workers + 1) * sums + slack
 
 
+def test_the_empty_start_of_a_wide_dataset_holds_no_moments():
+    # build_dataset grows this start: a p x p zero sum would be 8 MB at p = 1000.
+    p = 1000
+    spec = InstanceSpec(values=np.zeros(p))
+    tracemalloc.start()
+    try:
+        empty = PerturbationDataset(X=np.empty((0, p)), y=np.empty(0), weights=np.empty(0),
+                                    seed=1, n=0, instance=spec, kernel_width=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert empty.moments is None
+    assert peak < 1 << 20
+
+
 def test_a_dataset_made_without_moments_extends_and_explains_like_its_parent(monkeypatch):
     # p = 20: growing 3000 rows to 70000 takes the pool; to 5000, not.
     p = 20
