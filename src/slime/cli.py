@@ -175,7 +175,7 @@ def _load_manifest(path: str) -> tuple[list[str], object]:
     and the recorded ``--scales-csv`` digest (None when absent)."""
     try:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read manifest: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest is not valid JSON: {exc}") from None

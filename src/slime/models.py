@@ -98,6 +98,25 @@ def _as_matrix(X: np.ndarray, input_dim: int) -> np.ndarray:
     return X
 
 
+def _predictions(values, rows: int, answer: str = "",
+                 batch_index: int | None = None) -> np.ndarray:
+    """Any model's answer ``values`` as ``rows`` finite floats, or a
+    :class:`ModelQueryError` quoting the ``answer`` text they came from."""
+    def failure(message: str) -> ModelQueryError:
+        return ModelQueryError(message, batch_index=batch_index,
+                               payload_excerpt=_excerpt(answer) if answer else None)
+
+    try:
+        predictions = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:   # overflow: an int past the floats
+        raise failure(f"model returned a non-numeric prediction: {exc}") from exc
+    if predictions.shape != (rows,):
+        raise failure(f"expected {rows} predictions, got shape {predictions.shape}")
+    if not np.isfinite(predictions).all():
+        raise failure("model returned non-finite predictions")
+    return predictions
+
+
 class MarsModel(Model):
     """Noise-free nonlinear benchmark with known local behavior:
     ``10 sin(pi x1 x2) + 20 (x3 - 0.05)^2 + 5.2 x4 + 5 x5``."""
@@ -195,7 +214,10 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise ExpressionError("expression nests too deeply", self.peek()[2]) from None
         kind, text, col = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected token {text!r}", col)
@@ -289,12 +311,9 @@ class ExpressionModel(Model):
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = _as_matrix(X, self.input_dim)
-        # Overflow, 0/0 and the like surface as the non-finite check below.
+        # Overflow, 0/0 and the like surface as _predictions' non-finite check.
         with np.errstate(all="ignore"):
-            out = np.asarray(_eval_node(self._ast, X), dtype=float)
-        if not np.isfinite(out).all():
-            raise ModelQueryError("expression produced a non-finite prediction")
-        return out
+            return _predictions(_eval_node(self._ast, X), X.shape[0])
 
 
 # --------------------------------------------------------------------------
@@ -472,16 +491,7 @@ def _parse_answer(line: str, rows: int, batch_index: int) -> np.ndarray:
         raise ModelQueryError(
             "model reply lacks a 'predictions' field",
             batch_index=batch_index, payload_excerpt=_excerpt(line))
-    predictions = np.asarray(reply["predictions"], dtype=float)
-    if predictions.ndim != 1 or predictions.shape[0] != rows:
-        raise ModelQueryError(
-            f"expected {rows} predictions, got shape {predictions.shape}",
-            batch_index=batch_index, payload_excerpt=_excerpt(line))
-    if not np.isfinite(predictions).all():
-        raise ModelQueryError(
-            "model returned non-finite predictions",
-            batch_index=batch_index, payload_excerpt=_excerpt(line))
-    return predictions
+    return _predictions(reply["predictions"], rows, line, batch_index)
 
 
 def _kill_group(child: subprocess.Popen) -> None:
@@ -553,20 +563,9 @@ class BatchFileModel(Model):
                             "response CSV lacks a 'prediction' column",
                             payload_excerpt=_excerpt(",".join(reader.fieldnames or [])))
                     values = [row["prediction"] for row in reader]
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError, csv.Error) as exc:
                 raise ModelQueryError(f"could not read response file: {exc}") from exc
-        try:
-            predictions = np.asarray([float(v) for v in values], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ModelQueryError(
-                f"response CSV holds a non-numeric prediction: {exc}",
-                payload_excerpt=_excerpt("\n".join(map(str, values[:5])))) from exc
-        if predictions.shape[0] != X.shape[0]:
-            raise ModelQueryError(
-                f"expected {X.shape[0]} predictions, response has {predictions.shape[0]}")
-        if not np.isfinite(predictions).all():
-            raise ModelQueryError("response CSV holds non-finite predictions")
-        return predictions
+        return _predictions(values, X.shape[0], "\n".join(map(str, values[:5])))
 
 
 def parse_model_spec(spec: str, input_dim: int) -> Model:
@@ -588,7 +587,10 @@ def parse_model_spec(spec: str, input_dim: int) -> Model:
     elif spec.startswith("expr:"):
         model = ExpressionModel(spec[len("expr:"):], input_dim)
     elif spec.startswith("exec:"):
-        command = shlex.split(spec[len("exec:"):])
+        try:
+            command = shlex.split(spec[len("exec:"):])
+        except ValueError as exc:   # an unclosed quote or a trailing backslash
+            raise ValidationError(f"cannot parse exec: command line: {exc}") from None
         model = SubprocessModel(command, input_dim=input_dim)
     else:
         raise ValidationError(

@@ -50,8 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, ModelQueryError, ValidationError
-from .models import Model
+from .errors import DegenerateInputError, ValidationError
+from .models import Model, _predictions
 from .weighted_lars import ROW_BLOCK, WeightedMoments, row_blocks
 
 __all__ = [
@@ -341,13 +341,7 @@ def query_model(model: Model, X: np.ndarray) -> np.ndarray:
     probabilities, so they arrive as plain floats like any regression output.
     """
     X = np.asarray(X, dtype=float)
-    predictions = np.asarray(model.predict_batch(X), dtype=float)
-    if predictions.shape != (X.shape[0],):
-        raise ModelQueryError(
-            f"model returned shape {predictions.shape} for {X.shape[0]} rows")
-    if not np.isfinite(predictions).all():
-        raise ModelQueryError("model returned non-finite predictions")
-    return predictions
+    return _predictions(model.predict_batch(X), X.shape[0])
 
 
 def build_dataset(model: Model, instance: InstanceSpec, n: int, seed: int,
@@ -420,7 +414,7 @@ def scales_from_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
             except StopIteration:
                 raise ValidationError(f"background file {path} is empty") from None
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read background file {path}: {exc}") from exc
     if not header or any(not name.strip() for name in header):
         raise ValidationError("background file needs a header row of feature names")

@@ -233,31 +233,14 @@ def entry_test(cov: ProductCovariance, alpha: float, *,
     # Branch on se, not the variance: a subnormal variance still gives se == 0.
     se = math.sqrt(2.0 * cov.diff_variance / cov.n)
     if se == 0.0:
-        if gap > 0:
-            t, p, significant = gap, 0.0, True
-        else:
-            t, p, significant = float("-inf"), 0.5, False
+        t, p = (gap, 0.0) if gap > 0 else (float("-inf"), 0.5)
     else:
-        t = gap - normal_quantile(alpha) * se
-        p = _pair_p_value(cov)
-        significant = t >= 0.0
-    if significant:
-        recommended = cov.n
-    else:
-        recommended = required_sample_size(cov.n, p, alpha, growth_factor=growth_factor)
-    return TestDecision(
-        statistic_t=float(t),
-        p_value=float(p),
-        significant=significant,
-        recommended_n=recommended,
-        compared=compared,
-        n=cov.n,
-        step=step,
-    )
+        t, p = gap - normal_quantile(alpha) * se, _pair_p_value(cov)
+    return _decision(t, p, t >= 0.0, cov.n, p, alpha, compared, step, growth_factor)
 
 
 def bonferroni_entry_test(covs: Sequence[ProductCovariance], alpha: float, *,
-                          compared_names: Sequence[tuple[str, str]] | None = None,
+                          compared_names: Sequence[tuple[str, str]],
                           step: int = 0,
                           growth_factor: float = DEFAULT_GROWTH_FACTOR) -> TestDecision:
     """Compare the top candidate against every remaining one at once.
@@ -269,7 +252,8 @@ def bonferroni_entry_test(covs: Sequence[ProductCovariance], alpha: float, *,
     driven by the hardest competitor: the largest per-pair p-value tested
     against alpha / (number of competitors).
 
-    ``compared`` on the returned decision names the hardest pair.
+    ``compared_names[k]`` names pair k, and ``compared`` on the returned
+    decision names the hardest pair.
     """
     _check_alpha(alpha)
     if not covs:
@@ -282,30 +266,25 @@ def bonferroni_entry_test(covs: Sequence[ProductCovariance], alpha: float, *,
             raise ValidationError("c1_hat must be >= c2_hat in every pair")
     p_values = [_pair_p_value(cov) for cov in covs]
     total = sum(p_values)
-    significant = total < alpha
     worst = int(np.argmax(p_values))
-    if compared_names is not None:
-        names = tuple(compared_names[worst])
-    else:
-        names = ("c1", "c2")
     # alpha - total plays the role of the t statistic: nonnegative exactly
     # when the summed evidence clears the bar (up to the measure-zero tie).
-    statistic = alpha - total
-    if significant:
-        recommended = n
-    else:
-        per_pair_alpha = alpha / len(covs)
-        recommended = required_sample_size(n, p_values[worst], per_pair_alpha,
-                                           growth_factor=growth_factor)
-    return TestDecision(
-        statistic_t=float(statistic),
-        p_value=float(min(total, 1.0)),
-        significant=significant,
-        recommended_n=recommended,
-        compared=names,
-        n=n,
-        step=step,
-    )
+    return _decision(alpha - total, min(total, 1.0), total < alpha, n,
+                     p_values[worst], alpha / len(covs), compared_names[worst],
+                     step, growth_factor)
+
+
+def _decision(statistic: float, p_value: float, significant: bool, n: int,
+              sizing_p: float, sizing_alpha: float, compared: Sequence[str],
+              step: int, growth_factor: float) -> TestDecision:
+    """The one constructor of a :class:`TestDecision`.  An insignificant
+    entry recommends the size :func:`required_sample_size` projects from
+    ``sizing_p`` against ``sizing_alpha``; a significant one keeps n."""
+    recommended = n if significant else required_sample_size(
+        n, sizing_p, sizing_alpha, growth_factor=growth_factor)
+    return TestDecision(statistic_t=float(statistic), p_value=float(p_value),
+                        significant=significant, recommended_n=recommended,
+                        compared=tuple(compared), n=n, step=step)
 
 
 def required_sample_size(n: int, p_value: float, alpha: float, *,

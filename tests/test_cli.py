@@ -404,6 +404,14 @@ def test_from_manifest_missing_or_malformed(capsys, tmp_path):
     assert code == 2 and "recorded no digest" in err
 
 
+def test_from_manifest_that_is_not_utf8_exits_two(capsys, tmp_path):
+    manifest = tmp_path / "run.manifest.json"
+    manifest.write_bytes(b'{"argv": ["explain", "\xff"]}')
+    code, out, err = run_cli(["--from-manifest", str(manifest)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read manifest") and err.count("\n") == 1
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_no_command_prints_usage(capsys):
@@ -433,6 +441,8 @@ def test_validation_errors_exit_two(capsys, run_in_tmp, monkeypatch):
         ["explain", *LINEAR3, "--growth-factor", "1.5"],
         ["explain", "--model", "expr:x4", "--instance", "1,2,3"],
         ["explain", *LINEAR3, "--method", "lime", "--n", "3"],
+        ["explain", "--model", 'exec:python "x', "--instance", "1,2"],
+        ["explain", "--model", "expr:" + "(" * 165 + "x1" + ")" * 165, "--instance", "1"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)
@@ -512,16 +522,19 @@ def test_scales_flags_are_mutually_exclusive(capsys, tmp_path):
 
 
 def test_model_errors_exit_three(capsys, monkeypatch):
-    # A child that exits at once, and one that never answers in time.
+    # A child that exits at once, one that never answers in time, and one
+    # that answers with something other than numbers.
     monkeypatch.setattr(models, "REQUEST_TIMEOUT_S", 1.0)
-    for child in ("import sys; sys.exit(0)", "import time; time.sleep(100)"):
+    for child in ("import sys; sys.exit(0)", "import time; time.sleep(100)",
+                  "import json, sys; [print(json.dumps({'predictions': ['x'] * "
+                  "len(json.loads(line)['instances'])}), flush=True) for line in sys.stdin]"):
         spec = "exec:%s -c \"%s\"" % (sys.executable, child)
         code, _, err = run_cli(
             ["explain", "--model", spec, "--instance", "1,2", "--n0", "50",
              "--k", "2"],
             capsys)
         assert code == 3, child
-        assert err.startswith("model error:"), child
+        assert err.startswith("model error:") and err.count("\n") == 1, child
 
 
 def test_version_flag(capsys):
@@ -550,6 +563,18 @@ def test_scales_broadcast_single_value(capsys):
     _, broadcast, _ = run_cli([*base, "--scales", "0.5"], capsys)
     _, explicit, _ = run_cli([*base, "--scales", "0.5,0.5,0.5"], capsys)
     assert broadcast == explicit
+
+
+@pytest.mark.parametrize("content", [
+    b"a,b,c\n1,2,3\n\xff,0,5\n0.5,1,4\n",
+    b"a,b,c\n1,2,3\n2,0,5\n0.5,1," + b"4" * 140000 + b"\n",
+], ids=["not-utf8", "field-over-the-csv-limit"])
+def test_scales_csv_that_cannot_be_read_exits_two(capsys, tmp_path, content):
+    background = tmp_path / "bg.csv"
+    background.write_bytes(content)
+    code, out, err = run_cli(["explain", *LINEAR3, "--scales-csv", str(background)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read background file") and err.count("\n") == 1
 
 
 def test_scales_csv_matches_manual_scales(capsys, tmp_path):

@@ -264,6 +264,9 @@ def assert_closed(child):
     ("import json, sys\nfor line in sys.stdin:\n"
      "    print(json.dumps({'predictions': [float('nan')] * 3}), flush=True)\n",
      "non-finite"),
+    ("import sys\nfor line in sys.stdin:\n"
+     "    print('{\"predictions\": [1' + '0' * 400 + ', 0, 0]}', flush=True)\n",
+     "non-numeric"),
     ("import sys\nsys.exit(0)\n", "closed its output"),
 ])
 def test_subprocess_protocol_violations(tmp_path, source, fragment):
@@ -281,6 +284,36 @@ def test_subprocess_undecodable_answer_is_a_query_error(tmp_path):
         with pytest.raises(ModelQueryError, match="not valid JSON") as info:
             model.predict_batch(np.zeros((3, 2)))
     assert info.value.batch_index == 0
+
+
+CHILD_SECOND_ANSWER_NOT_NUMBERS = """\
+import json, sys
+for k, line in enumerate(sys.stdin):
+    rows = len(json.loads(line)["instances"])
+    print(json.dumps({"predictions": [1.0 if k == 0 else "x"] * rows}), flush=True)
+"""
+
+
+def test_subprocess_answer_that_is_not_numbers_names_its_request(tmp_path):
+    with child_model(tmp_path, CHILD_SECOND_ANSWER_NOT_NUMBERS) as model:
+        with pytest.raises(ModelQueryError, match="non-numeric") as info:
+            model.predict_batch(np.zeros((MAX_ROWS_PER_REQUEST + 1, 2)))
+    assert info.value.batch_index == 1
+    assert info.value.payload_excerpt.startswith('{"predictions": ["x"]')
+
+
+def test_subprocess_call_after_the_with_block_starts_no_child(tmp_path):
+    with child_model(tmp_path, CHILD_FIRST_COLUMN) as model:
+        np.testing.assert_array_equal(model.predict_batch(np.ones((2, 2))), [1.0, 1.0])
+    with pytest.raises(ModelQueryError, match="closed for good"):
+        model.predict_batch(np.ones((2, 2)))
+    assert model._child is None
+
+
+def test_subprocess_call_on_no_rows_starts_no_child():
+    model = SubprocessModel(["/no/such/binary-here"], input_dim=2)
+    got = model.predict_batch(np.empty((0, 2)))
+    assert got.shape == (0,) and model._child is None
 
 
 @pytest.mark.parametrize("rows", [1, MAX_ROWS_PER_REQUEST])
@@ -593,6 +626,13 @@ def test_batch_file_non_numeric_prediction(tmp_path):
     bad = BATCH_FIRST_COLUMN.replace('row["x1"]', '"broken"')
     model = batch_model(tmp_path, bad)
     with pytest.raises(ModelQueryError, match="non-numeric"):
+        model.predict_batch(np.zeros((2, 2)))
+
+
+def test_batch_file_response_that_is_not_utf8(tmp_path):
+    bad = "import sys\nopen(sys.argv[2], 'wb').write(b'prediction\\n\\xff\\n\\xff\\n')\n"
+    model = batch_model(tmp_path, bad)
+    with pytest.raises(ModelQueryError, match="could not read response file"):
         model.predict_batch(np.zeros((2, 2)))
 
 

@@ -440,8 +440,8 @@ def test_a_wide_pool_pass_holds_the_sample_its_scratch_and_a_few_blocks_sums(mon
         tracemalloc.stop()
     sums = p * p * 8
     scratch = sum(a.nbytes for a in sampling._scratch(n, p))
-    # Slack: the running sums, the empty start's, and eight n-vectors.
-    slack = 2 * sums + 8 * n * 8
+    # Slack: the running sums and eight n-vectors.
+    slack = sums + 8 * n * 8
     assert peak <= n * p * 8 + workers * scratch + (workers + 1) * sums + slack
 
 

@@ -409,7 +409,8 @@ def test_bonferroni_recommendation_uses_worst_pair_at_split_alpha():
 
 def test_bonferroni_validates_input():
     with pytest.raises(ValidationError):
-        bonferroni_entry_test([], 0.05, step=1)
+        bonferroni_entry_test([], 0.05, compared_names=[], step=1)
     covs = [make_cov(n=100), make_cov(n=200)]
     with pytest.raises(ValidationError):
-        bonferroni_entry_test(covs, 0.05, step=1)
+        bonferroni_entry_test(covs, 0.05, compared_names=[("t", "a"), ("t", "b")],
+                              step=1)
