@@ -33,7 +33,6 @@ _CHUNK_VALUES = 5000
 _U = np.uint64
 _MASK32 = _U(0xFFFFFFFF)
 _MASK63 = _U((1 << 63) - 1)
-_C_MIN = _U(1 << 52)            # the hidden bit of a normal double
 _K_MIN, _K_MAX = -324, 292      # floor(log10(2**q)) over every double
 
 
@@ -216,12 +215,10 @@ def _encode(X: np.ndarray, sep: np.uint32, row_sep: np.uint32, last: np.uint32) 
     out8[:, _SIGN_BYTE] = negative.astype(np.uint8) * ord("-")
     # Integer part, right-aligned: zeros before its first digit are NUL, and
     # so are whole groups above the largest integer part.
-    integer = head
-    if small.any():
-        integer = np.where(small, _U(0), head)
-        for j in range(3):
-            out8[:, _POINT_BYTE + 1 + j] = (small & (decpt < -j)) * ord("0")
-        out8[:, _LEAD_BYTE] = small * (head.astype(np.uint8) + ord("0"))
+    integer = np.where(small, _U(0), head)
+    for j in range(3):
+        out8[:, _POINT_BYTE + 1 + j] = (small & (decpt < -j)) * ord("0")
+    out8[:, _LEAD_BYTE] = small * (head.astype(np.uint8) + ord("0"))
     top = integer.max()
     for j, group in enumerate(_groups(integer)):
         if j < 3 and top < _POW10[12 - 4 * j]:
@@ -241,9 +238,8 @@ def _encode(X: np.ndarray, sep: np.uint32, row_sep: np.uint32, last: np.uint32) 
         out[:, _FRAC + j] = _DIGITS[index]
         later |= group != 0
     out[(tail == 0) & ~(scientific | small), _FRAC] = _DIGITS[_ZERO_FIRST]
-    if scientific.any():
-        out8[scientific & (tail == 0), _POINT_BYTE] = 0
-        out[scientific, _EXP:_EXP + 2] = _EXPONENT[decpt[scientific] - 1 + 324]
+    out8[scientific & (tail == 0), _POINT_BYTE] = 0
+    out[scientific, _EXP:_EXP + 2] = _EXPONENT[decpt[scientific] - 1 + 324]
     out[:, _SEP] = sep
     out[X.shape[1] - 1::X.shape[1], _SEP] = row_sep
     out[-1, _SEP] = last

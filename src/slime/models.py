@@ -172,8 +172,7 @@ _TOKEN_RE = re.compile(
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 # Binary operators, loosest-binding level first; each level is left associative.
 _BINARY_LEVELS = ("+-", "*/")
-_BINARY_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply,
-                  "/": np.divide, "^": np.power}
+_BINARY_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
@@ -194,10 +193,13 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Compiles an expression to a postfix program of ``(tag, argument)`` steps."""
+
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
         self.max_index = 0
+        self.program = []
 
     def peek(self):
         return self.tokens[self.pos]
@@ -213,82 +215,78 @@ class _Parser:
             raise ExpressionError(f"expected {op!r}", col)
         return self.advance()
 
-    def parse(self):
+    def parse(self) -> list:
         try:
-            node = self.expr()
+            self.expr()
         except RecursionError:
             raise ExpressionError("expression nests too deeply", self.peek()[2]) from None
         kind, text, col = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected token {text!r}", col)
-        return node
+        return self.program
 
     def expr(self, level: int = 0):
         """A left-associative chain of ``_BINARY_LEVELS[level]`` operators
         over operands one level tighter (unary expressions past the last)."""
         if level == len(_BINARY_LEVELS):
             return self.unary()
-        node = self.expr(level + 1)
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in _BINARY_LEVELS[level]:
-                self.advance()
-                node = ("bin", text, node, self.expr(level + 1))
-            else:
-                return node
+        self.expr(level + 1)
+        while (token := self.peek())[0] == "op" and token[1] in _BINARY_LEVELS[level]:
+            self.advance()
+            self.expr(level + 1)
+            self.program.append(("bin", _BINARY_UFUNCS[token[1]]))
 
     def unary(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return ("neg", self.unary())
-        return self.power()
+        if self.peek()[:2] != ("op", "-"):
+            return self.power()
+        self.advance()
+        self.unary()
+        self.program.append(("call", np.negative))
 
     def power(self):
-        node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
+        self.atom()
+        if self.peek()[:2] == ("op", "^"):
             self.advance()
-            return ("bin", "^", node, self.unary())
-        return node
+            self.unary()
+            self.program.append(("bin", np.power))
 
     def atom(self):
         kind, text, col = self.advance()
         if kind == "num":
-            return ("num", float(text))
-        if kind == "name":
-            if text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", text, arg)
-            feature = re.fullmatch(r"x(\d+)", text)
-            if feature:
-                index = int(feature.group(1))
-                if index < 1:
-                    raise ExpressionError("feature indices start at x1", col)
-                self.max_index = max(self.max_index, index)
-                return ("var", index - 1)
-            raise ExpressionError(f"unknown name {text!r}", col)
-        if kind == "op" and text == "(":
-            node = self.expr()
+            self.program.append(("num", float(text)))
+        elif kind == "name" and text in _FUNCTIONS:
+            self.expect_op("(")
+            self.expr()
             self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token {text or 'end of input'!r}", col)
+            self.program.append(("call", _FUNCTIONS[text]))
+        elif kind == "name":
+            feature = re.fullmatch(r"x(\d+)", text)
+            if not feature:
+                raise ExpressionError(f"unknown name {text!r}", col)
+            index = int(feature.group(1))
+            if index < 1:
+                raise ExpressionError("feature indices start at x1", col)
+            self.max_index = max(self.max_index, index)
+            self.program.append(("var", index - 1))
+        elif kind == "op" and text == "(":
+            self.expr()
+            self.expect_op(")")
+        else:
+            raise ExpressionError(f"unexpected token {text or 'end of input'!r}", col)
 
 
-def _eval_node(node, X: np.ndarray) -> np.ndarray:
-    tag = node[0]
-    if tag == "num":
-        return np.full(X.shape[0], node[1])
-    if tag == "var":
-        return X[:, node[1]]
-    if tag == "neg":
-        return -_eval_node(node[1], X)
-    if tag == "call":
-        return _FUNCTIONS[node[1]](_eval_node(node[2], X))
-    _, op, left, right = node
-    return _BINARY_UFUNCS[op](_eval_node(left, X), _eval_node(right, X))
+def _evaluate(program: list, X: np.ndarray) -> np.ndarray:
+    """Run a postfix program on the rows of X in one loop over one stack."""
+    stack = []
+    for tag, arg in program:
+        if tag == "bin":
+            right = stack.pop()
+            stack[-1] = arg(stack[-1], right)
+        elif tag == "call":
+            stack[-1] = arg(stack[-1])
+        else:
+            stack.append(np.full(X.shape[0], arg) if tag == "num" else X[:, arg])
+    return stack.pop()
 
 
 class ExpressionModel(Model):
@@ -301,7 +299,7 @@ class ExpressionModel(Model):
     def __init__(self, source: str, input_dim: int | None = None):
         self.source = source
         parser = _Parser(source)
-        self._ast = parser.parse()
+        self._program = parser.parse()
         if parser.max_index == 0:
             raise ExpressionError("expression references no feature", 1)
         self.input_dim = parser.max_index if input_dim is None else int(input_dim)
@@ -313,7 +311,7 @@ class ExpressionModel(Model):
         X = _as_matrix(X, self.input_dim)
         # Overflow, 0/0 and the like surface as _predictions' non-finite check.
         with np.errstate(all="ignore"):
-            return _predictions(_eval_node(self._ast, X), X.shape[0])
+            return _predictions(_evaluate(self._program, X), X.shape[0])
 
 
 # --------------------------------------------------------------------------
@@ -491,7 +489,12 @@ def _parse_answer(line: str, rows: int, batch_index: int) -> np.ndarray:
         raise ModelQueryError(
             "model reply lacks a 'predictions' field",
             batch_index=batch_index, payload_excerpt=_excerpt(line))
-    return _predictions(reply["predictions"], rows, line, batch_index)
+    values = reply["predictions"]
+    if isinstance(values, list) and not {str, bool}.isdisjoint(map(type, values)):
+        raise ModelQueryError(
+            "model returned a non-numeric prediction: a JSON string or boolean",
+            batch_index=batch_index, payload_excerpt=_excerpt(line))
+    return _predictions(values, rows, line, batch_index)
 
 
 def _kill_group(child: subprocess.Popen) -> None:

@@ -13,11 +13,11 @@ Kernel weights follow the usual locality kernel
 scale-normalized coordinates, so the instance itself would get weight 1.
 
 New rows are made in three phases.  The draw phase writes them straight
-into the dataset's buffer, one call per block of 4096 rows counted from the
-first new row; each call but the first starts at the generator-block
-boundary at or after its block's first row, so within a growth no generator
-block is drawn twice.  A growth that starts inside a generator block redraws
-that block's leading rows and drops them.  The query phase asks the model
+into the dataset's buffer, split at absolute multiples of 4096 rows, which
+are generator-block boundaries, so within a growth no generator block is
+drawn twice.  A growth that starts inside a generator block skips that
+block's leading rows on the block's own stream, without a copy: their values
+are generated and dropped.  The query phase asks the model
 once for the new rows, on the calling thread.  The weigh phase gives each
 block, in one task per block, its kernel weights and its weighted moments
 about the instance, the answers included
@@ -192,11 +192,8 @@ def _standard_rows(seed: int, start: int, stop: int, p: int, out: np.ndarray) ->
         first = block * _BLOCK
         lo = max(start, first)
         hi = min(stop, first + _BLOCK)
-        if lo == first:
-            # Leading rows of a block are a prefix of its stream: draw in place.
-            gen.standard_normal(out=out[lo - start:hi - start])
-        else:
-            out[lo - start:hi - start] = gen.standard_normal((hi - first, p))[lo - first:]
+        gen.standard_normal((lo - first) * p)   # skip the rows before ``start``
+        gen.standard_normal(out=out[lo - start:hi - start])
 
 
 def gaussian_perturb(instance: InstanceSpec, n: int, seed: int, *,
@@ -281,29 +278,28 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, X: np.ndarray
     them and weigh them: return their answers, their kernel weights and the
     dataset's moments with theirs added.
 
-    Three phases: draw the rows in one call per block of ``ROW_BLOCK`` rows,
-    query the model once on the calling thread, then weigh the blocks and
-    sum their moments, responses included, in one task per block.  Large
-    passes run the draw and the weigh on a thread pool sized to the CPUs the
-    process may use.  At most ``workers + 1`` weigh tasks are in flight, each
-    borrowing one of ``workers`` scratches while it runs; the calling thread
-    adds each block's sums in block order as soon as that block is done, so
-    the bytes do not depend on the number of threads.
+    Three phases: draw the rows in one call per span between absolute
+    multiples of ``ROW_BLOCK``, query the model once on the calling thread,
+    then weigh the blocks and sum their moments, responses included, in one
+    task per block.  Large passes run the draw and the weigh on a thread
+    pool sized to the CPUs the process may use.  At most ``workers + 1``
+    weigh tasks are in flight, each borrowing one of ``workers`` scratches
+    while it runs; the calling thread adds each block's sums in block order
+    as soon as that block is done, so the bytes do not depend on the number
+    of threads.
     """
     instance, start, width = dataset.instance, dataset.n, dataset.kernel_width
     _check_width(width)
     n, p = X.shape
     w = np.empty(n)
     blocks = list(row_blocks(n))
-    # Each block's draw starts at the first generator-block boundary at or
-    # after its first row, so no generator block is drawn twice.
-    edges = [0] + [min(n, -(-(start + rows.start) // _BLOCK) * _BLOCK - start)
-                   for rows in blocks[1:]] + [n]
+    # The draw splits at absolute multiples of ROW_BLOCK, which are
+    # generator-block boundaries, so no generator block is drawn twice.
+    edges = [0, *range(-start % ROW_BLOCK or ROW_BLOCK, n, ROW_BLOCK), n]
     workers = min(_cpu_count(), len(blocks)) if X.size >= _POOL_MIN_ENTRIES else 1
 
     def draw(lo: int, hi: int) -> None:
-        if lo < hi:
-            gaussian_perturb(instance, hi - lo, dataset.seed, start=start + lo, out=X[lo:hi])
+        gaussian_perturb(instance, hi - lo, dataset.seed, start=start + lo, out=X[lo:hi])
 
     def weigh(rows: slice) -> tuple:
         scratch = free.pop()   # at most ``workers`` tasks run at once

@@ -66,10 +66,8 @@ def normal_quantile(p: float) -> float:
 
 def normal_upper_tail(z: float) -> float:
     """``P(Z > z)`` for a standard normal Z.  Inverse of :func:`normal_quantile`."""
-    if not math.isfinite(z):
-        if math.isnan(z):
-            raise ValidationError("z must not be NaN")
-        return 0.0 if z > 0 else 1.0
+    if math.isnan(z):
+        raise ValidationError("z must not be NaN")
     # erfc rather than 1 - cdf: keeps full precision for large z.
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
@@ -155,22 +153,17 @@ def product_covariances(blocks: Iterable[np.ndarray], signs: np.ndarray
     :class:`DegenerateInputError`, as do moments that are not finite
     because the products or their squares overflow.
     """
-    n = 0
+    n = mean = sq = cross = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for prod in blocks:
             size = prod.shape[1]
             block_mean = prod.sum(axis=1) / size
             prod -= block_mean[:, None]
-            block_sq = (prod * prod).sum(axis=1)
-            block_cross = (prod[1:] * prod[0]).sum(axis=1)
-            if n == 0:
-                mean, sq, cross = block_mean, block_sq, block_cross
-            else:
-                delta = block_mean - mean
-                weight = n * size / (n + size)
-                mean = mean + delta * (size / (n + size))
-                sq = sq + block_sq + delta * delta * weight
-                cross = cross + block_cross + delta[1:] * delta[0] * weight
+            delta = block_mean - mean
+            weight = n * size / (n + size)
+            mean = mean + delta * (size / (n + size))
+            sq = sq + (prod * prod).sum(axis=1) + delta * delta * weight
+            cross = cross + (prod[1:] * prod[0]).sum(axis=1) + delta[1:] * delta[0] * weight
             n += size
     if n < 2:
         raise DegenerateInputError("product covariance needs at least 2 rows")

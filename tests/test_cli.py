@@ -464,6 +464,27 @@ def test_a_growth_factor_that_is_not_finite_exits_two(capsys, run_in_tmp):
     assert list(run_in_tmp.iterdir()) == []   # no manifest recorded
 
 
+def test_expression_chains_have_no_length_limit_and_deep_nesting_exits_two(capsys):
+    chain = "expr:" + "+".join(["x1"] * 3000)
+    code, out, err = run_cli(["explain", "--model", chain, "--instance", "1",
+                              "--k", "1", "--n0", "50"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["selected"][0]["coefficient"] == pytest.approx(3000)
+    nested = "expr:" + "(" * 3000 + "x1" + ")" * 3000
+    code, out, err = run_cli(["explain", "--model", nested, "--instance", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "nests too deeply" in err
+
+
+def test_an_exec_answer_of_json_strings_exits_three(capsys):
+    child = ("import json, sys; [print(json.dumps({'predictions': ['1.5'] * "
+             "len(json.loads(line)['instances'])}), flush=True) for line in sys.stdin]")
+    code, _, err = run_cli(["explain", "--model", 'exec:%s -c "%s"' % (sys.executable, child),
+                            "--instance", "1,2", "--n0", "50", "--k", "2"], capsys)
+    assert code == 3
+    assert err.startswith("model error:") and "non-numeric" in err
+
+
 def test_explain_far_from_zero_refits_without_overflow(capsys):
     # Rows near 1e155 square past the float range; the centred refit never
     # squares them.

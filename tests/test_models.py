@@ -173,6 +173,16 @@ def test_expression_errors_carry_columns():
         ExpressionModel("sin x1")
 
 
+def test_expression_applies_the_ufuncs_in_source_order():
+    X = np.random.default_rng(2).normal(size=(40, 3))
+    got = eval_expr("x1 - x2 * sin(x3) / x1 ^ 2 - -x2", X)
+    x1, x2, x3 = X.T
+    want = np.subtract(np.subtract(x1, np.divide(np.multiply(x2, np.sin(x3)),
+                                                 np.power(x1, np.full(40, 2.0)))),
+                       np.negative(x2))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_expression_nonfinite_output_is_query_error():
     with pytest.raises(ModelQueryError):
         eval_expr("1 / x1", [[0.0]])
@@ -300,6 +310,17 @@ def test_subprocess_answer_that_is_not_numbers_names_its_request(tmp_path):
             model.predict_batch(np.zeros((MAX_ROWS_PER_REQUEST + 1, 2)))
     assert info.value.batch_index == 1
     assert info.value.payload_excerpt.startswith('{"predictions": ["x"]')
+
+
+@pytest.mark.parametrize("value", ["'1.5'", "True", "False"])
+def test_subprocess_answer_of_json_strings_or_booleans_is_not_numbers(tmp_path, value):
+    source = ("import json, sys\nfor line in sys.stdin:\n"
+              f"    print(json.dumps({{'predictions': [0.0, {value}, 0.0]}}), flush=True)\n")
+    with child_model(tmp_path, source) as model:
+        with pytest.raises(ModelQueryError, match="non-numeric") as info:
+            model.predict_batch(np.zeros((3, 2)))
+    assert info.value.batch_index == 0
+    assert info.value.payload_excerpt.startswith('{"predictions": [0.0, ')
 
 
 def test_subprocess_call_after_the_with_block_starts_no_child(tmp_path):

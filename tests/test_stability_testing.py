@@ -78,6 +78,11 @@ def test_quantile_domain_errors():
         normal_upper_tail(float("nan"))
 
 
+def test_upper_tail_at_infinity_is_exact():
+    assert normal_upper_tail(math.inf) == 0.0
+    assert normal_upper_tail(-math.inf) == 1.0
+
+
 # ------------------------------------------------------ product covariance
 
 def test_product_covariance_matches_two_pass_oracle():
@@ -164,6 +169,17 @@ def test_product_covariances_match_two_pass_oracle(rivals, n):
     problem = gate_problem(n, rivals, seed=rivals * 1000 + n)
     covs = product_covariances(product_blocks(*problem[:5]), problem[5])
     assert_matches_two_pass(covs, *problem)
+
+
+def test_product_covariances_merge_after_a_first_block_of_zero_products():
+    # Blocks of 4096, 4096 and 17 rows; a zero residual over the first block
+    # makes its products all zero, so the merge starts from a mean of 0.
+    residual, values, columns, means, norms, signs = gate_problem(
+        2 * ROW_BLOCK + 17, 2, seed=17)
+    residual[:ROW_BLOCK] = 0.0
+    covs = product_covariances(product_blocks(residual, values, columns, means, norms),
+                               signs)
+    assert_matches_two_pass(covs, residual, values, columns, means, norms, signs)
 
 
 def test_product_covariances_sign_flip_negates_mean_and_cross_only():
