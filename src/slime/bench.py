@@ -23,16 +23,14 @@ import numpy as np
 from .errors import ValidationError
 from .explainer import Explanation, ExplainerConfig, lime_explain, slime_explain
 from .models import Model
-from .sampling import InstanceSpec, derived_seed, seed_sequence
+from .sampling import InstanceSpec, _derived_seed, _seed_sequence
 from .weighted_lars import DesignMatrix, lars_lasso_path, standardize
 
 __all__ = [
     "StabilityReport",
     "ReproResult",
-    "jaccard",
     "positionwise_stability",
     "repeat_explanations",
-    "lasso_ordering_experiment",
     "reproduce_mars_stability",
     "reproduce_lasso_ordering",
     "report_to_csv",
@@ -42,7 +40,7 @@ __all__ = [
 ]
 
 
-def jaccard(a: set, b: set) -> float:
+def _jaccard(a: set, b: set) -> float:
     """Jaccard similarity |a & b| / |a | b|, with J(empty, empty) = 1."""
     if not a and not b:
         return 1.0
@@ -95,7 +93,7 @@ def positionwise_stability(runs: Sequence[Sequence[str]],
         count = 0
         for i in range(reps):
             for j in range(i + 1, reps):
-                total += jaccard(tops[i], tops[j])
+                total += _jaccard(tops[i], tops[j])
                 count += 1
         positions.append((k, total / count))
     histogram = Counter(run[:k_max] for run in ordered)
@@ -124,7 +122,7 @@ def repeat_explanations(model: Model, instance: InstanceSpec,
         raise ValidationError(f"unknown method {method!r}; use 'lime' or 'slime'")
     if workers < 1:
         raise ValidationError("workers must be at least 1")
-    seeds = [derived_seed(base_seed, (i,)) for i in range(reps)]
+    seeds = [_derived_seed(base_seed, (i,)) for i in range(reps)]
 
     def run_one(i: int) -> Explanation | str:
         try:
@@ -161,7 +159,7 @@ def repeat_explanations(model: Model, instance: InstanceSpec,
     return report, ordered
 
 
-def lasso_ordering_experiment(coefficients: Sequence[float], n: int, runs: int,
+def _lasso_ordering_experiment(coefficients: Sequence[float], n: int, runs: int,
                               seed: int) -> Counter:
     """Entry-order histogram for a noise-free linear response.
 
@@ -186,7 +184,7 @@ def lasso_ordering_experiment(coefficients: Sequence[float], n: int, runs: int,
     weights = np.ones(n)
     histogram: Counter = Counter()
     for run in range(runs):
-        gen = np.random.Generator(np.random.Philox(seed_sequence(seed, (run,))))
+        gen = np.random.Generator(np.random.Philox(_seed_sequence(seed, (run,))))
         X = gen.standard_normal((n, p))
         y = X @ coefficients
         design = DesignMatrix(values=X, column_names=names)
@@ -268,22 +266,22 @@ class ReproResult:
 # one dominant curvature term, a pair of interacting features whose local
 # slopes nearly tie, and a second near-tie between the two weakest features.
 # The two close pairs are exactly what makes a single LASSO run unstable.
-MARS_REPRO_INSTANCE = (0.51, 0.49, 0.5, 0.5, 0.5)
-MARS_REPRO_SCALE = 0.05
-MARS_REPRO_BASE_SEED = 1
-MARS_REPRO_REPS = 20
+_MARS_REPRO_INSTANCE = (0.51, 0.49, 0.5, 0.5, 0.5)
+_MARS_REPRO_SCALE = 0.05
+_MARS_REPRO_BASE_SEED = 1
+_MARS_REPRO_REPS = 20
 
-ORDERING_REPRO_COEFFS = (1.0, 0.75, 0.7)
-ORDERING_REPRO_N = 1000
-ORDERING_REPRO_RUNS = 500
-ORDERING_REPRO_SEED = 0
+_ORDERING_REPRO_COEFFS = (1.0, 0.75, 0.7)
+_ORDERING_REPRO_N = 1000
+_ORDERING_REPRO_RUNS = 500
+_ORDERING_REPRO_SEED = 0
 
 
 def reproduce_mars_stability(*, workers: int = 1) -> ReproResult:
     """Benchmark the builtin five-feature model with both methods.
 
     Runs the adaptive method (n0=1000, n_max=10000, alpha=0.05) and the
-    fixed-n baseline (n=1000) for ``MARS_REPRO_REPS`` repetitions each and
+    fixed-n baseline (n=1000) for ``_MARS_REPRO_REPS`` repetitions each and
     checks that the adaptive method keeps the position-wise average Jaccard
     at or above 0.95 everywhere while the baseline drops to 0.95 or below at
     position 2 or position 4.
@@ -292,16 +290,16 @@ def reproduce_mars_stability(*, workers: int = 1) -> ReproResult:
 
     model = MarsModel()
     instance = InstanceSpec(
-        values=np.array(MARS_REPRO_INSTANCE),
-        feature_scales=np.full(len(MARS_REPRO_INSTANCE), MARS_REPRO_SCALE),
+        values=np.array(_MARS_REPRO_INSTANCE),
+        feature_scales=np.full(len(_MARS_REPRO_INSTANCE), _MARS_REPRO_SCALE),
     )
     config = ExplainerConfig(n0=1000, alpha=0.05, k=5, n_max=10000, seed=0)
     slime_report, _ = repeat_explanations(
-        model, instance, config, reps=MARS_REPRO_REPS,
-        base_seed=MARS_REPRO_BASE_SEED, method="slime", workers=workers)
+        model, instance, config, reps=_MARS_REPRO_REPS,
+        base_seed=_MARS_REPRO_BASE_SEED, method="slime", workers=workers)
     lime_report, _ = repeat_explanations(
-        model, instance, config, reps=MARS_REPRO_REPS,
-        base_seed=MARS_REPRO_BASE_SEED, method="lime", lime_n=1000,
+        model, instance, config, reps=_MARS_REPRO_REPS,
+        base_seed=_MARS_REPRO_BASE_SEED, method="lime", lime_n=1000,
         workers=workers)
 
     slime_j = {k: v for k, v in slime_report.positions}
@@ -321,14 +319,14 @@ def reproduce_mars_stability(*, workers: int = 1) -> ReproResult:
 def reproduce_lasso_ordering() -> ReproResult:
     """Monte-Carlo check of plain LASSO entry-order instability.
 
-    With coefficients (1, 0.75, 0.7) and ``ORDERING_REPRO_RUNS`` runs of
+    With coefficients (1, 0.75, 0.7) and ``_ORDERING_REPRO_RUNS`` runs of
     n=1000 noise-free rows the two trailing coefficients are close enough
     that the path swaps their entry order in a nontrivial fraction of runs,
     while the leading coefficient always enters first.
     """
-    histogram = lasso_ordering_experiment(
-        ORDERING_REPRO_COEFFS, n=ORDERING_REPRO_N, runs=ORDERING_REPRO_RUNS,
-        seed=ORDERING_REPRO_SEED)
+    histogram = _lasso_ordering_experiment(
+        _ORDERING_REPRO_COEFFS, n=_ORDERING_REPRO_N, runs=_ORDERING_REPRO_RUNS,
+        seed=_ORDERING_REPRO_SEED)
     total = sum(histogram.values())
     swapped = histogram.get(("x1", "x3", "x2"), 0) / total
     first = sum(v for order, v in histogram.items() if order[0] == "x1") / total

@@ -117,7 +117,7 @@ def _add_explain_flags(parser: argparse.ArgumentParser) -> None:
                              f"{_DEFAULT_MANIFEST})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slime",
         description="Stabilized local explanations for black-box models.")
@@ -312,7 +312,7 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     # SIGTERM unwinds like an interrupt, so a running query and ``with

@@ -8,6 +8,9 @@ with 3.
 
 from __future__ import annotations
 
+__all__ = ["SlimeError", "ValidationError", "DegenerateInputError",
+           "SingularityError", "ModelQueryError"]
+
 
 class SlimeError(Exception):
     """Base class for all errors raised by this package."""

@@ -28,18 +28,18 @@ import numpy as np
 from .errors import ValidationError
 from .models import Model, _check_input_dim
 from .sampling import (InstanceSpec, PerturbationDataset, _check_seed,
-                       _check_width, build_dataset, derived_seed,
+                       _check_width, _derived_seed, build_dataset,
                        extend_dataset)
 # product_covariance is not called here since the gate makes one pass per
 # decision; the name stays so that perfbench/layers.py can wrap it.
-from .stability_testing import (DEFAULT_GROWTH_FACTOR, TestDecision,  # noqa: F401
+from .stability_testing import (TestDecision, _DEFAULT_GROWTH_FACTOR,  # noqa: F401
                                 _check_alpha, _check_growth_factor,
                                 bonferroni_entry_test, entry_test,
                                 product_covariance, product_covariances)
 # transform_response is not called here since standardize takes the
 # response's moments; the name stays so that perfbench/layers.py can wrap it.
 from .weighted_lars import (DesignMatrix, EntryContext,  # noqa: F401
-                            EntryObserver, PathState, StandardizedDesign,
+                            PathState, StandardizedDesign, _EntryObserver,
                             lars_lasso_path, refit_least_squares, standardize,
                             transform_response)
 
@@ -68,7 +68,7 @@ class ExplainerConfig:
     n_max: int = 10000
     kernel_width: float | None = None
     multiple_testing: bool = False
-    growth_factor: float = DEFAULT_GROWTH_FACTOR
+    growth_factor: float = _DEFAULT_GROWTH_FACTOR
     seed: int = 0
     reuse_samples: bool = True
 
@@ -114,7 +114,7 @@ class Explanation:
 
 
 def _entry_gate(config: ExplainerConfig, design: StandardizedDesign,
-                trace: list[TestDecision]) -> EntryObserver:
+                trace: list[TestDecision]) -> _EntryObserver:
     """Observer that tests each entry and appends its decision to ``trace``."""
 
     def gate(ctx: EntryContext) -> bool:
@@ -189,7 +189,7 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
                                          capacity=config.n_max)
         else:
             dataset = build_dataset(model, instance, recommended,
-                                    derived_seed(config.seed, (0x5EED, round_index)),
+                                    _derived_seed(config.seed, (0x5EED, round_index)),
                                     config.kernel_width)
         # If capped with recommended <= dataset.n (budget already reached),
         # the loop simply reruns ungated on the data it has.

@@ -37,18 +37,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModelQueryError, ValidationError
-from .weighted_lars import all_finite
+from .weighted_lars import _all_finite
 
 __all__ = [
     "Model",
     "MarsModel",
     "LinearModel",
-    "ExpressionModel",
-    "ExpressionError",
     "SubprocessModel",
     "BatchFileModel",
     "parse_model_spec",
     "MAX_ROWS_PER_REQUEST",
+    "REQUEST_TIMEOUT_S",
 ]
 
 MAX_ROWS_PER_REQUEST = 1000
@@ -93,7 +92,7 @@ def _as_matrix(X: np.ndarray, input_dim: int) -> np.ndarray:
     if X.shape[1] != input_dim:
         raise ValidationError(
             f"model expects {input_dim} features per row, got {X.shape[1]}")
-    if not all_finite(X):
+    if not _all_finite(X):
         raise ValidationError("prediction input must be finite")
     return X
 
@@ -158,7 +157,7 @@ class LinearModel(Model):
 # column of the offending character.
 # --------------------------------------------------------------------------
 
-class ExpressionError(ValidationError):
+class _ExpressionError(ValidationError):
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} (column {column})")
         self.column = column
@@ -184,7 +183,7 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             continue
         match = _TOKEN_RE.match(source, pos)
         if match is None:
-            raise ExpressionError(f"unexpected character {source[pos]!r}", pos + 1)
+            raise _ExpressionError(f"unexpected character {source[pos]!r}", pos + 1)
         kind = match.lastgroup
         tokens.append((kind, match.group(), pos + 1))
         pos = match.end()
@@ -212,17 +211,17 @@ class _Parser:
     def expect_op(self, op: str):
         kind, text, col = self.peek()
         if kind != "op" or text != op:
-            raise ExpressionError(f"expected {op!r}", col)
+            raise _ExpressionError(f"expected {op!r}", col)
         return self.advance()
 
     def parse(self) -> list:
         try:
             self.expr()
         except RecursionError:
-            raise ExpressionError("expression nests too deeply", self.peek()[2]) from None
+            raise _ExpressionError("expression nests too deeply", self.peek()[2]) from None
         kind, text, col = self.peek()
         if kind != "end":
-            raise ExpressionError(f"unexpected token {text!r}", col)
+            raise _ExpressionError(f"unexpected token {text!r}", col)
         return self.program
 
     def expr(self, level: int = 0):
@@ -262,17 +261,17 @@ class _Parser:
         elif kind == "name":
             feature = re.fullmatch(r"x(\d+)", text)
             if not feature:
-                raise ExpressionError(f"unknown name {text!r}", col)
+                raise _ExpressionError(f"unknown name {text!r}", col)
             index = int(feature.group(1))
             if index < 1:
-                raise ExpressionError("feature indices start at x1", col)
+                raise _ExpressionError("feature indices start at x1", col)
             self.max_index = max(self.max_index, index)
             self.program.append(("var", index - 1))
         elif kind == "op" and text == "(":
             self.expr()
             self.expect_op(")")
         else:
-            raise ExpressionError(f"unexpected token {text or 'end of input'!r}", col)
+            raise _ExpressionError(f"unexpected token {text or 'end of input'!r}", col)
 
 
 def _evaluate(program: list, X: np.ndarray) -> np.ndarray:
@@ -289,7 +288,7 @@ def _evaluate(program: list, X: np.ndarray) -> np.ndarray:
     return stack.pop()
 
 
-class ExpressionModel(Model):
+class _ExpressionModel(Model):
     """Model defined by an arithmetic expression over features x1..xp.
 
     ``input_dim`` is the instance's width.  It defaults to the largest
@@ -301,7 +300,7 @@ class ExpressionModel(Model):
         parser = _Parser(source)
         self._program = parser.parse()
         if parser.max_index == 0:
-            raise ExpressionError("expression references no feature", 1)
+            raise _ExpressionError("expression references no feature", 1)
         self.input_dim = parser.max_index if input_dim is None else int(input_dim)
         if self.input_dim < parser.max_index:
             raise ValidationError(f"expression uses x{parser.max_index}, "
@@ -588,7 +587,7 @@ def parse_model_spec(spec: str, input_dim: int) -> Model:
             raise ValidationError(f"bad linear coefficients {text!r}: {exc}") from None
         model = LinearModel(coefficients)
     elif spec.startswith("expr:"):
-        model = ExpressionModel(spec[len("expr:"):], input_dim)
+        model = _ExpressionModel(spec[len("expr:"):], input_dim)
     elif spec.startswith("exec:"):
         try:
             command = shlex.split(spec[len("exec:"):])

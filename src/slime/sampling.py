@@ -52,12 +52,11 @@ import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 from .models import Model, _predictions
-from .weighted_lars import ROW_BLOCK, WeightedMoments, row_blocks
+from .weighted_lars import WeightedMoments, _ROW_BLOCK, _row_blocks
 
 __all__ = [
     "InstanceSpec",
     "PerturbationDataset",
-    "default_kernel_width",
     "gaussian_perturb",
     "kernel_weights",
     "query_model",
@@ -68,7 +67,7 @@ __all__ = [
 
 _BLOCK = 1024            # rows per generator block; fixed, part of the stream format
 _MIN_WEIGHT = np.finfo(float).tiny   # keep weights strictly positive even at extreme distance
-# New rows holding at least this many entries, over more than one ROW_BLOCK,
+# New rows holding at least this many entries, over more than one _ROW_BLOCK,
 # are drawn and weighed on a thread pool; below it a pool costs more than it
 # saves, and the blocks run in the calling thread.
 _POOL_MIN_ENTRIES = 1 << 20
@@ -156,14 +155,14 @@ class PerturbationDataset:
                 self.X, self.weights, self.instance.values, self.y))
 
 
-def default_kernel_width(p: int) -> float:
+def _default_kernel_width(p: int) -> float:
     """Conventional locality kernel width, 0.75 * sqrt(p)."""
     if p < 1:
         raise ValidationError("p must be at least 1")
     return 0.75 * math.sqrt(p)
 
 
-def seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
+def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
     """The independent child stream ``key`` of ``seed``.
 
     Row blocks, ordering-experiment runs, adaptive growth rounds and
@@ -179,16 +178,16 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def derived_seed(seed: int, key: tuple[int, ...]) -> int:
+def _derived_seed(seed: int, key: tuple[int, ...]) -> int:
     """A fresh integer seed from the child stream ``key`` of ``seed``."""
-    return int(seed_sequence(seed, key).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
 
 def _standard_rows(seed: int, start: int, stop: int, p: int, out: np.ndarray) -> None:
     """Write rows [start, stop) of the infinite standard-normal table for this
     seed into ``out``, a C-contiguous (stop - start, p) float array."""
     for block in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
-        gen = np.random.Generator(np.random.Philox(seed_sequence(seed, (block,))))
+        gen = np.random.Generator(np.random.Philox(_seed_sequence(seed, (block,))))
         first = block * _BLOCK
         lo = max(start, first)
         hi = min(stop, first + _BLOCK)
@@ -203,7 +202,8 @@ def gaussian_perturb(instance: InstanceSpec, n: int, seed: int, *,
     Deterministic in ``(seed, row index, p)``; the default ``start=0`` yields
     the first n rows.  The instance itself is never injected.  With ``out``,
     a C-contiguous (n, p) float array, the rows are written there and ``out``
-    returned.
+    returned.  Rows that overflow the float range raise
+    :class:`ValidationError`.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
@@ -215,8 +215,14 @@ def gaussian_perturb(instance: InstanceSpec, n: int, seed: int, *,
     elif out.shape != (n, p) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValidationError("out must be a C-contiguous float array of shape (n, p)")
     _standard_rows(int(seed), start, start + n, p, out)
-    out *= instance.feature_scales
-    out += instance.values
+    try:
+        with np.errstate(over="raise"):
+            out *= instance.feature_scales
+            out += instance.values
+    except FloatingPointError:
+        raise ValidationError(
+            "perturbations overflow the float range around instance "
+            f"{instance.values} with scales {instance.feature_scales}") from None
     return out
 
 
@@ -228,7 +234,7 @@ def kernel_weights(X: np.ndarray, instance: InstanceSpec, width: float) -> np.nd
     _check_width(width)
     w = np.empty(X.shape[0])
     scratch = _scratch(X.shape[0], X.shape[1])
-    for rows in row_blocks(X.shape[0]):
+    for rows in _row_blocks(X.shape[0]):
         _weigh(X[rows], instance, width, w[rows], scratch)
     return w
 
@@ -240,15 +246,15 @@ def _check_width(width: float) -> None:
 
 def _scratch(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Work space of :func:`_weigh` on the blocks of an n-row pass: one
-    ``ROW_BLOCK`` of shifted rows, and one chunk of scale-normalized rows
+    ``_ROW_BLOCK`` of shifted rows, and one chunk of scale-normalized rows
     that holds at most 2**15 entries (and at least one row)."""
-    chunk = min(n, ROW_BLOCK, max(1, (1 << 15) // p))
-    return np.empty((min(n, ROW_BLOCK), p)), np.empty((chunk, p))
+    chunk = min(n, _ROW_BLOCK, max(1, (1 << 15) // p))
+    return np.empty((min(n, _ROW_BLOCK), p)), np.empty((chunk, p))
 
 
 def _weigh(rows: np.ndarray, instance: InstanceSpec, width: float, w: np.ndarray,
            scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Write the kernel weights of at most ``ROW_BLOCK`` ``rows`` into ``w``
+    """Write the kernel weights of at most ``_ROW_BLOCK`` ``rows`` into ``w``
     and return the rows shifted by the instance, which live in ``scratch``.
 
     Each row's weight depends on that row alone, so the bytes do not depend
@@ -279,7 +285,7 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, X: np.ndarray
     dataset's moments with theirs added.
 
     Three phases: draw the rows in one call per span between absolute
-    multiples of ``ROW_BLOCK``, query the model once on the calling thread,
+    multiples of ``_ROW_BLOCK``, query the model once on the calling thread,
     then weigh the blocks and sum their moments, responses included, in one
     task per block.  Large passes run the draw and the weigh on a thread
     pool sized to the CPUs the process may use.  At most ``workers + 1``
@@ -292,10 +298,10 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, X: np.ndarray
     _check_width(width)
     n, p = X.shape
     w = np.empty(n)
-    blocks = list(row_blocks(n))
-    # The draw splits at absolute multiples of ROW_BLOCK, which are
+    blocks = list(_row_blocks(n))
+    # The draw splits at absolute multiples of _ROW_BLOCK, which are
     # generator-block boundaries, so no generator block is drawn twice.
-    edges = [0, *range(-start % ROW_BLOCK or ROW_BLOCK, n, ROW_BLOCK), n]
+    edges = [0, *range(-start % _ROW_BLOCK or _ROW_BLOCK, n, _ROW_BLOCK), n]
     workers = min(_cpu_count(), len(blocks)) if X.size >= _POOL_MIN_ENTRIES else 1
 
     def draw(lo: int, hi: int) -> None:
@@ -346,7 +352,7 @@ def build_dataset(model: Model, instance: InstanceSpec, n: int, seed: int,
     growth of an empty dataset, with moments about the instance."""
     if n < 2:
         raise DegenerateInputError("a usable dataset needs at least 2 rows")
-    width = default_kernel_width(instance.n_features) if kernel_width is None else kernel_width
+    width = _default_kernel_width(instance.n_features) if kernel_width is None else kernel_width
     empty = PerturbationDataset(X=np.empty((0, instance.n_features)), y=np.empty(0),
                                 weights=np.empty(0), seed=int(seed), n=0,
                                 instance=instance, kernel_width=float(width))

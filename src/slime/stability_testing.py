@@ -17,9 +17,9 @@ pairwise update of Chan, Golub & LeVeque.  Only the variances and the top's
 covariance with each rival are kept.  :func:`product_covariance` is the
 one-rival case on two ready-made columns.
 
-Conventions: ``normal_quantile(p)`` is the *upper-tail* quantile, i.e. the z
-with ``P(Z > z) = p``, so ``normal_quantile(0.05) ~= 1.6449``.  It and
-``normal_upper_tail`` come from the standard library (``statistics.NormalDist``
+Conventions: ``_normal_quantile(p)`` is the *upper-tail* quantile, i.e. the z
+with ``P(Z > z) = p``, so ``_normal_quantile(0.05) ~= 1.6449``.  It and
+``_normal_upper_tail`` come from the standard library (``statistics.NormalDist``
 and ``math.erfc``) and keep their relative accuracy deep into the tail: within
 1e-14 for p down to 1e-300 and within 1e-12 for z up to 37.
 """
@@ -35,13 +35,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .weighted_lars import row_blocks
+from .weighted_lars import _row_blocks
 
 __all__ = [
     "ProductCovariance",
     "TestDecision",
-    "normal_quantile",
-    "normal_upper_tail",
     "product_covariance",
     "product_covariances",
     "entry_test",
@@ -49,13 +47,13 @@ __all__ = [
     "required_sample_size",
 ]
 
-DEFAULT_GROWTH_FACTOR = 4.0
+_DEFAULT_GROWTH_FACTOR = 4.0
 
 
-def normal_quantile(p: float) -> float:
+def _normal_quantile(p: float) -> float:
     """Upper-tail standard normal quantile: the z with ``P(Z > z) = p``.
 
-    ``normal_quantile(0.5) == 0``; smaller p gives larger z.  Raises
+    ``_normal_quantile(0.5) == 0``; smaller p gives larger z.  Raises
     :class:`ValidationError` unless ``0 < p < 1``.
     """
     if not (0.0 < p < 1.0) or not math.isfinite(p):
@@ -64,8 +62,8 @@ def normal_quantile(p: float) -> float:
     return -statistics.NormalDist().inv_cdf(p)
 
 
-def normal_upper_tail(z: float) -> float:
-    """``P(Z > z)`` for a standard normal Z.  Inverse of :func:`normal_quantile`."""
+def _normal_upper_tail(z: float) -> float:
+    """``P(Z > z)`` for a standard normal Z.  Inverse of :func:`_normal_quantile`."""
     if math.isnan(z):
         raise ValidationError("z must not be NaN")
     # erfc rather than 1 - cdf: keeps full precision for large z.
@@ -130,7 +128,7 @@ def product_covariance(residual: np.ndarray, col_i: np.ndarray,
         raise ValidationError("residual and both columns must be 1-d arrays of equal length")
     if not (np.isfinite(r).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValidationError("residual and columns must be finite")
-    blocks = (np.stack((a[rows], b[rows])) * r[rows] for rows in row_blocks(r.size))
+    blocks = (np.stack((a[rows], b[rows])) * r[rows] for rows in _row_blocks(r.size))
     return product_covariances(blocks, np.ones(2))[0]
 
 
@@ -202,12 +200,12 @@ def _pair_p_value(cov: ProductCovariance) -> float:
     if var == 0.0:
         return 0.0 if gap > 0 else 0.5
     z = math.sqrt(cov.n) * gap / math.sqrt(2.0 * var)
-    return normal_upper_tail(z)
+    return _normal_upper_tail(z)
 
 
 def entry_test(cov: ProductCovariance, alpha: float, *,
                compared: tuple[str, str] = ("c1", "c2"), step: int = 0,
-               growth_factor: float = DEFAULT_GROWTH_FACTOR) -> TestDecision:
+               growth_factor: float = _DEFAULT_GROWTH_FACTOR) -> TestDecision:
     """Test whether the leading candidate's win would survive regeneration.
 
     Requires ``cov.c1_hat >= cov.c2_hat`` (order the candidates, negating
@@ -228,14 +226,14 @@ def entry_test(cov: ProductCovariance, alpha: float, *,
     if se == 0.0:
         t, p = (gap, 0.0) if gap > 0 else (float("-inf"), 0.5)
     else:
-        t, p = gap - normal_quantile(alpha) * se, _pair_p_value(cov)
+        t, p = gap - _normal_quantile(alpha) * se, _pair_p_value(cov)
     return _decision(t, p, t >= 0.0, cov.n, p, alpha, compared, step, growth_factor)
 
 
 def bonferroni_entry_test(covs: Sequence[ProductCovariance], alpha: float, *,
                           compared_names: Sequence[tuple[str, str]],
                           step: int = 0,
-                          growth_factor: float = DEFAULT_GROWTH_FACTOR) -> TestDecision:
+                          growth_factor: float = _DEFAULT_GROWTH_FACTOR) -> TestDecision:
     """Compare the top candidate against every remaining one at once.
 
     Each entry of ``covs`` pairs the same leading candidate with one
@@ -281,7 +279,7 @@ def _decision(statistic: float, p_value: float, significant: bool, n: int,
 
 
 def required_sample_size(n: int, p_value: float, alpha: float, *,
-                         growth_factor: float = DEFAULT_GROWTH_FACTOR) -> int:
+                         growth_factor: float = _DEFAULT_GROWTH_FACTOR) -> int:
     """Sample size projected to turn an insignificant entry test around.
 
     Solves ``sqrt(n / n') = z_{p} / z_{alpha}`` for n', i.e.
@@ -303,5 +301,5 @@ def required_sample_size(n: int, p_value: float, alpha: float, *,
     if p_value == 0.0:
         # Already overwhelming evidence; only the progress floor applies.
         return n + 1
-    ratio = normal_quantile(alpha) / normal_quantile(p_value)
+    ratio = _normal_quantile(alpha) / _normal_quantile(p_value)
     return max(int(math.ceil(n * ratio * ratio)), n + 1)

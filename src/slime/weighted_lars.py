@@ -74,18 +74,18 @@ _TOL = 1e-12
 # Rows per block of the passes that stream an n x p sample: enough for BLAS
 # to run at speed, few enough that a block's temporaries are small next to
 # the sample.
-ROW_BLOCK = 4096
+_ROW_BLOCK = 4096
 
 
-def row_blocks(n: int) -> Iterator[slice]:
-    """Slices of at most ``ROW_BLOCK`` rows that cover rows 0..n-1."""
-    return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Slices of at most ``_ROW_BLOCK`` rows that cover rows 0..n-1."""
+    return (slice(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK))
 
 
-def all_finite(values: np.ndarray) -> bool:
+def _all_finite(values: np.ndarray) -> bool:
     """``np.isfinite(values).all()`` for a 2-d array, scanned a block of rows
     at a time so that no mask as large as the array is built."""
-    return all(np.isfinite(values[rows]).all() for rows in row_blocks(values.shape[0]))
+    return all(np.isfinite(values[rows]).all() for rows in _row_blocks(values.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class DesignMatrix:
             raise ValidationError("column_names length must match the number of columns")
         if len(set(self.column_names)) != p:
             raise ValidationError("column names must be unique")
-        if not all_finite(values):
+        if not _all_finite(values):
             raise ValidationError("design values must be finite")
 
     @classmethod
@@ -170,7 +170,7 @@ class WeightedMoments:
         """The moments of every row of X and of its responses ``y``, in one
         blocked pass."""
         moments = cls.about(shift, y)
-        for rows in row_blocks(X.shape[0]):
+        for rows in _row_blocks(X.shape[0]):
             moments.add(moments.block_sums(X[rows] - shift, weights[rows], y[rows]))
         return moments
 
@@ -244,22 +244,32 @@ class StandardizedDesign:
     def n_rows(self) -> int:
         return self.sample.n_rows
 
+    def _columns(self, rows: slice, columns: Sequence[int] | slice,
+                 scale: np.ndarray) -> np.ndarray:
+        """The retained ``columns`` over ``rows`` in the column format, times
+        a per-row ``scale``: ``(x - mean) * scale / norm``, with ``scale =
+        sqrt_weights`` for the columns themselves.  A ``len(columns)`` x rows
+        block, so each column's sums run along a contiguous row.  The one
+        place that knows the column format."""
+        block = self.sample.values[rows].T[self.retained_idx[columns]]
+        block -= self.col_means[columns][:, None]
+        block *= scale
+        block /= self.col_norms[columns][:, None]
+        return block
+
     @cached_property
     def base(self) -> DesignMatrix:
         """Every retained column, built once, in Fortran order so that each
         column is contiguous.  The path solver never reads it."""
-        values = self.sample.values
-        if self.dropped_cols:
-            values = values[:, self.retained_idx]
-        values = np.subtract(values, self.col_means, order="F")
-        values *= self.sqrt_weights[:, None]
-        values /= self.col_norms
-        return DesignMatrix._trusted(values, self.column_names)
+        values = np.empty((self.retained_idx.size, self.n_rows))
+        for rows in _row_blocks(self.n_rows):
+            values[:, rows] = self._columns(rows, slice(None), self.sqrt_weights[rows])
+        return DesignMatrix._trusted(values.T, self.column_names)
 
     def residual_products(self, beta: np.ndarray, columns: Sequence[int]
                           ) -> Iterator[np.ndarray]:
         """The residual's products with the retained ``columns``, one
-        ``len(columns)`` x rows block per :func:`row_blocks` block: row k
+        ``len(columns)`` x rows block per :func:`_row_blocks` block: row k
         of a block is column ``columns[k]`` times the residual
         ``sqrt_weights * (response - response_mean) - base.values @ beta``
         over those rows.  The residual is built inside each block from the
@@ -267,19 +277,12 @@ class StandardizedDesign:
         active = np.flatnonzero(beta)
         cols, means = self.retained_idx[active], self.col_means[active]
         coef = beta[active] / self.col_norms[active]
-        picked = self.retained_idx[columns]
-        shift, divisor = self.col_means[columns][:, None], self.col_norms[columns][:, None]
-        for rows in row_blocks(self.n_rows):
+        for rows in _row_blocks(self.n_rows):
             values, root = self.sample.values[rows], self.sqrt_weights[rows]
             r = root * (self.response[rows] - self.response_mean)
             if active.size:
                 r -= root * ((values[:, cols] - means) @ coef)
-            # Products as q x rows, so each column's sums run along a contiguous row.
-            prod = values.T[picked]
-            prod -= shift
-            prod *= r * root
-            prod /= divisor
-            yield prod
+            yield self._columns(rows, columns, r * root)
 
 
 @dataclass(frozen=True)
@@ -300,7 +303,7 @@ class EntryContext:
 
 
 # An observer returns True to let the entry proceed, False to abort the path.
-EntryObserver = Callable[[EntryContext], bool]
+_EntryObserver = Callable[[EntryContext], bool]
 
 
 @dataclass(frozen=True)
@@ -394,7 +397,7 @@ def standardize(design: DesignMatrix, weights: np.ndarray, response: np.ndarray,
         # About the first block's mean the sums are as accurate as about the
         # weighted mean; a constant column still comes out zero to rounding.
         moments = WeightedMoments.of(design.values, w,
-                                     design.values[:ROW_BLOCK].mean(axis=0), y)
+                                     design.values[:_ROW_BLOCK].mean(axis=0), y)
     with np.errstate(over="ignore", invalid="ignore"):
         means = moments.shift + moments.first / moments.total
         gram = moments.second - np.outer(moments.first, moments.first) / moments.total
@@ -440,7 +443,7 @@ def transform_response(response: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def lars_lasso_path(design: StandardizedDesign, max_active: int,
-                    observer: EntryObserver | None = None) -> PathState:
+                    observer: _EntryObserver | None = None) -> PathState:
     """Trace the LASSO path on standardized data until ``max_active`` features.
 
     The walk reads only the Gram matrix and ``design.xty``, the

@@ -8,9 +8,10 @@ import time
 import numpy as np
 import pytest
 
+from slime.bench import _jaccard as jaccard
+from slime.bench import _lasso_ordering_experiment as lasso_ordering_experiment
 from slime.bench import (ReproResult, explanation_to_dict,
-                         explanations_to_jsonl, jaccard,
-                         lasso_ordering_experiment, positionwise_stability,
+                         explanations_to_jsonl, positionwise_stability,
                          repeat_explanations, report_to_csv,
                          report_to_markdown, reproduce_lasso_ordering)
 from slime.errors import ValidationError

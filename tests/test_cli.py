@@ -1,6 +1,8 @@
 """Command-line checks: formats, exit codes, manifests, reproducibility."""
 
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -517,12 +519,14 @@ def test_overflowing_moments_exit_two(capsys):
 def test_overflowing_moments_print_only_the_error(tmp_path):
     # The overflow is reported once, as the error: numpy's own warnings are
     # not printed ahead of it, also when the sums run on a worker thread or
-    # only the entry test's products overflow.
-    for model, scales in (("1,1", "1e160,1"), ("1,1", "1e160"), ("1e50,1", "1e150,1"),
-                          ("1e200,3e200", "1")):
+    # only the entry test's products overflow, or the perturbed rows do.
+    for model, instance, scales in (
+            ("1,1", "0,0", "1e160,1"), ("1,1", "0,0", "1e160"),
+            ("1e50,1", "0,0", "1e150,1"), ("1e200,3e200", "0,0", "1"),
+            ("1,1", "1e308,1e308", "1e308,1e308")):
         completed = subprocess.run(
             [sys.executable, "-m", "slime.cli", "explain",
-             "--model", f"builtin:linear:{model}", "--instance", "0,0",
+             "--model", f"builtin:linear:{model}", "--instance", instance,
              "--scales", scales, "--n0", "50", "--k", "2", "--n-max", "100"],
             capture_output=True, text=True, cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(Path(slime.__file__).parents[1])})
@@ -575,6 +579,35 @@ def test_every_package_export_is_in_the_readme():
                  and issubclass(getattr(slime, name), SlimeError))
         and not re.search(rf"\b{re.escape(name)}\b", readme)]
     assert undocumented == []
+    # Every module: a name defined at top level without a leading underscore
+    # is in the module's __all__, and each __all__ entry is named in README
+    # or imported by the CLI.
+    package = Path(slime.__file__).parent
+    cli_tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    used = {"main"} | {alias.name for node in ast.walk(cli_tree)
+                       if isinstance(node, ast.ImportFrom) and node.level
+                       for alias in node.names}
+    unlisted, unused = [], []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "_float_text":
+            continue
+        module = importlib.import_module(
+            "slime" if path.stem == "__init__" else f"slime.{path.stem}")
+        exported = getattr(module, "__all__", [])
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            unlisted += [f"{path.stem}.{name}" for name in names
+                         if not name.startswith("_") and name not in exported]
+        unused += [f"{path.stem}.{name}" for name in exported
+                   if name not in used
+                   and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert (unlisted, unused) == ([], [])
 
 
 # ------------------------------------------------------------------- scales

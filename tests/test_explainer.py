@@ -17,8 +17,9 @@ from slime.errors import ValidationError
 from slime.explainer import (ExplainerConfig, Explanation, lime_explain,
                              slime_explain)
 from slime.models import LinearModel, MarsModel, Model
+from slime.sampling import _default_kernel_width as default_kernel_width
 from slime.sampling import (InstanceSpec, _check_seed, _check_width,
-                            build_dataset, default_kernel_width)
+                            build_dataset)
 from slime.stability_testing import _check_alpha, _check_growth_factor
 from slime.weighted_lars import StandardizedDesign
 

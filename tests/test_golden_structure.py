@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from slime.bench import explanation_to_dict
-from slime.cli import build_parser, main
+from slime.cli import _build_parser as build_parser
+from slime.cli import main
 from slime.explainer import ExplainerConfig, slime_explain
 from slime.models import MarsModel
 from slime.sampling import InstanceSpec

@@ -20,8 +20,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from oracles import eval_linear, eval_mars
 from slime import _float_text, models
 from slime.errors import ModelQueryError, ValidationError
-from slime.models import (MAX_ROWS_PER_REQUEST, BatchFileModel,
-                          ExpressionError, ExpressionModel, LinearModel,
+from slime.models import _ExpressionError as ExpressionError
+from slime.models import _ExpressionModel as ExpressionModel
+from slime.models import (MAX_ROWS_PER_REQUEST, BatchFileModel, LinearModel,
                           MarsModel, Model, SubprocessModel, parse_model_spec)
 
 # deterministic nonlinear benchmark value, pinned to full double precision

@@ -12,10 +12,10 @@ from slime import sampling
 from slime.errors import (DegenerateInputError, ModelQueryError,
                           ValidationError)
 from slime.models import LinearModel, MarsModel, Model
+from slime.sampling import _default_kernel_width as default_kernel_width
 from slime.sampling import (InstanceSpec, PerturbationDataset, build_dataset,
-                            default_kernel_width, extend_dataset,
-                            gaussian_perturb, kernel_weights, query_model,
-                            scales_from_csv)
+                            extend_dataset, gaussian_perturb, kernel_weights,
+                            query_model, scales_from_csv)
 from slime.weighted_lars import (DesignMatrix, WeightedMoments, lars_lasso_path,
                                  refit_least_squares, standardize,
                                  transform_response)
@@ -243,6 +243,23 @@ def test_weights_and_moments_survive_blocking_and_growth():
     assert grown.moments.total == pytest.approx(w.sum(), rel=1e-13)
     np.testing.assert_allclose(grown.moments.first, w @ u, rtol=1e-11)
     np.testing.assert_allclose(grown.moments.second, (u.T * w) @ u, rtol=1e-11)
+
+
+def test_a_capacity_too_large_to_allocate_is_not_reserved():
+    # 10**17 rows of 3 features (2 EiB) lie past any user address space, so
+    # np.empty raises MemoryError before it touches memory: the growth then
+    # holds exactly the rows it needs, with the bytes of an unreserved one.
+    spec = InstanceSpec(values=np.array([0.5, -1.0, 2.0]),
+                        feature_scales=np.array([0.1, 1.0, 3.0]))
+    model = LinearModel(np.array([1.0, -0.5, 0.25]))
+    start = build_dataset(model, spec, n=100, seed=3)
+    reserved = extend_dataset(model, start, 5000, capacity=10**17)
+    plain = extend_dataset(model, start, 5000)
+    assert reserved._buffer.shape == (5000, 3)
+    assert _sample_bytes(reserved) == _sample_bytes(plain)
+    for name in ("pilot", "response", "cross"):
+        got, want = getattr(reserved.moments, name), getattr(plain.moments, name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 def _on_workers(monkeypatch, workers):

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from oracles import mp_normal_upper_quantile, two_pass_product_covariance
 from slime.errors import DegenerateInputError, ValidationError
+from slime.stability_testing import _normal_quantile as normal_quantile
+from slime.stability_testing import _normal_upper_tail as normal_upper_tail
 from slime.stability_testing import (ProductCovariance, bonferroni_entry_test,
-                                     entry_test, normal_quantile,
-                                     normal_upper_tail, product_covariance,
+                                     entry_test, product_covariance,
                                      product_covariances, required_sample_size)
-from slime.weighted_lars import ROW_BLOCK, row_blocks
+from slime.weighted_lars import _ROW_BLOCK as ROW_BLOCK
+from slime.weighted_lars import _row_blocks as row_blocks
 
 
 def make_cov(c1=0.05, c2=0.0, s11=0.5, s22=0.5, s12=0.0, n=1000):

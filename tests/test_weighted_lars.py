@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from oracles import cd_lasso, kkt_violation, weighted_ols
 from slime.errors import (DegenerateInputError, SingularityError,
                           ValidationError)
-from slime.weighted_lars import (ROW_BLOCK, DesignMatrix, StandardizedDesign,
+from slime.weighted_lars import _ROW_BLOCK as ROW_BLOCK
+from slime.weighted_lars import (DesignMatrix, StandardizedDesign,
                                  WeightedMoments, lars_lasso_path,
                                  refit_least_squares, standardize,
                                  transform_response)
