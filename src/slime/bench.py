@@ -15,7 +15,6 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -235,12 +234,9 @@ def explanation_to_dict(explanation: Explanation) -> dict:
     }
 
 
-def explanations_to_jsonl(explanations: Sequence[Explanation],
-                          path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for explanation in explanations:
-            fh.write(json.dumps(explanation_to_dict(explanation), sort_keys=True))
-            fh.write("\n")
+def explanations_to_jsonl(explanations: Sequence[Explanation]) -> str:
+    return "".join(json.dumps(explanation_to_dict(explanation), sort_keys=True) + "\n"
+                   for explanation in explanations)
 
 
 @dataclass(frozen=True)

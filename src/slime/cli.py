@@ -165,9 +165,7 @@ def _write_manifest(argv: list[str], path: Path, scales_sha256: str | None) -> N
     manifest = {"package_version": __version__, "argv": argv}
     if scales_sha256 is not None:
         manifest["scales_csv_sha256"] = scales_sha256
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    _write(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _load_manifest(path: str) -> tuple[list[str], object]:
@@ -192,9 +190,20 @@ def _sha256(path: str) -> str:
         raise ValidationError(f"cannot read background file {path}: {exc}") from None
 
 
+def _write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``, creating its missing parent directories;
+    a path that cannot be written is an input error naming it."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -277,12 +286,9 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[str, int]:
     if args.report:
         # Made only now, so a refused run leaves no directory behind.
         report_dir = Path(args.report)
-        report_dir.mkdir(parents=True, exist_ok=True)
-        (report_dir / "report.csv").write_text(report_to_csv(report),
-                                               encoding="utf-8")
-        (report_dir / "report.md").write_text(
-            report_to_markdown(report, title=args.method), encoding="utf-8")
-        explanations_to_jsonl(explanations, report_dir / "raw.jsonl")
+        _write(report_dir / "report.csv", report_to_csv(report))
+        _write(report_dir / "report.md", report_to_markdown(report, title=args.method))
+        _write(report_dir / "raw.jsonl", explanations_to_jsonl(explanations))
     return text, 0
 
 

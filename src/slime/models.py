@@ -147,14 +147,15 @@ class LinearModel(Model):
 # --------------------------------------------------------------------------
 # Arithmetic expression models
 #
-#   expr   := term (('+' | '-') term)*
-#   term   := unary (('*' | '/') unary)*
-#   unary  := '-' unary | power
-#   power  := atom ('^' unary)?          right associative
-#   atom   := NUMBER | xN | (sin|cos|exp) '(' expr ')' | '(' expr ')'
+# Operands are numbers, features x1, x2, ... (1-based), (sin|cos|exp)(...)
+# and parenthesized expressions.  Operators, loosest binding first:
 #
-# Features are written x1, x2, ... (1-based).  Errors report the 1-based
-# column of the offending character.
+#   + -   1   binary, left associative
+#   * /   2   binary, left associative
+#   -     3   unary:  -x1*x2 is (-x1)*x2, -x1^2 is -(x1^2)
+#   ^     4   binary, right associative:  x1^x2^x3 is x1^(x2^x3)
+#
+# Errors report the 1-based column of the offending character.
 # --------------------------------------------------------------------------
 
 class _ExpressionError(ValidationError):
@@ -166,112 +167,90 @@ class _ExpressionError(ValidationError):
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])")
+    r"|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)", re.S)
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-# Binary operators, loosest-binding level first; each level is left associative.
-_BINARY_LEVELS = ("+-", "*/")
-_BINARY_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_BINARY = {"+": (1, np.add), "-": (1, np.subtract), "*": (2, np.multiply),
+           "/": (2, np.divide), "^": (4, np.power)}
+# Pending operators and open parentheses an expression may hold at once;
+# evaluation keeps one operand live per pending binary operator, plus one.
+_MAX_PENDING = 1000
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(source):
-        if source[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise _ExpressionError(f"unexpected character {source[pos]!r}", pos + 1)
-        kind = match.lastgroup
-        tokens.append((kind, match.group(), pos + 1))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(source):
+        kind, col = match.lastgroup, match.start() + 1
+        if kind == "bad":
+            raise _ExpressionError(f"unexpected character {match.group()!r}", col)
+        if kind != "space":
+            tokens.append((kind, match.group(), col))
     tokens.append(("end", "", len(source) + 1))
     return tokens
 
 
-class _Parser:
-    """Compiles an expression to a postfix program of ``(tag, argument)`` steps."""
-
-    def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.pos = 0
-        self.max_index = 0
-        self.program = []
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect_op(self, op: str):
-        kind, text, col = self.peek()
-        if kind != "op" or text != op:
-            raise _ExpressionError(f"expected {op!r}", col)
-        return self.advance()
-
-    def parse(self) -> list:
-        try:
-            self.expr()
-        except RecursionError:
-            raise _ExpressionError("expression nests too deeply", self.peek()[2]) from None
-        kind, text, col = self.peek()
-        if kind != "end":
-            raise _ExpressionError(f"unexpected token {text!r}", col)
-        return self.program
-
-    def expr(self, level: int = 0):
-        """A left-associative chain of ``_BINARY_LEVELS[level]`` operators
-        over operands one level tighter (unary expressions past the last)."""
-        if level == len(_BINARY_LEVELS):
-            return self.unary()
-        self.expr(level + 1)
-        while (token := self.peek())[0] == "op" and token[1] in _BINARY_LEVELS[level]:
-            self.advance()
-            self.expr(level + 1)
-            self.program.append(("bin", _BINARY_UFUNCS[token[1]]))
-
-    def unary(self):
-        if self.peek()[:2] != ("op", "-"):
-            return self.power()
-        self.advance()
-        self.unary()
-        self.program.append(("call", np.negative))
-
-    def power(self):
-        self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            self.unary()
-            self.program.append(("bin", np.power))
-
-    def atom(self):
-        kind, text, col = self.advance()
-        if kind == "num":
-            self.program.append(("num", float(text)))
-        elif kind == "name" and text in _FUNCTIONS:
-            self.expect_op("(")
-            self.expr()
-            self.expect_op(")")
-            self.program.append(("call", _FUNCTIONS[text]))
-        elif kind == "name":
-            feature = re.fullmatch(r"x(\d+)", text)
-            if not feature:
-                raise _ExpressionError(f"unknown name {text!r}", col)
-            index = int(feature.group(1))
-            if index < 1:
-                raise _ExpressionError("feature indices start at x1", col)
-            self.max_index = max(self.max_index, index)
-            self.program.append(("var", index - 1))
-        elif kind == "op" and text == "(":
-            self.expr()
-            self.expect_op(")")
+def _compile(source: str) -> tuple[list, int]:
+    """The postfix program of ``(tag, argument)`` steps that computes
+    ``source``, and the largest feature index it names, from one pass with
+    one stack of pending ``(strength, tag, ufunc)`` entries.  An open
+    parenthesis has strength 0, and the ufunc of the function whose
+    argument it opens (None for a plain one)."""
+    program, pending = [], []
+    open_parens = max_index = 0
+    operand_next = True
+    tokens = iter(_tokenize(source))
+    for kind, text, col in tokens:
+        entry = None
+        if operand_next:
+            if kind == "num":
+                value = float(text)
+                if not np.isfinite(value):
+                    raise _ExpressionError(f"number {text!r} is past the float range", col)
+                program.append(("num", value))
+            elif kind == "name" and text not in _FUNCTIONS:
+                feature = re.fullmatch(r"x(\d+)", text)
+                if not feature:
+                    raise _ExpressionError(f"unknown name {text!r}", col)
+                index = int(feature.group(1))
+                if index < 1:
+                    raise _ExpressionError("feature indices start at x1", col)
+                max_index = max(max_index, index)
+                program.append(("var", index - 1))
+            elif text == "(" or text in _FUNCTIONS:
+                if text in _FUNCTIONS and (paren := next(tokens))[1] != "(":
+                    raise _ExpressionError("expected '('", paren[2])
+                entry = (0, "call", _FUNCTIONS.get(text))
+                open_parens += 1
+            elif text == "-":
+                entry = (3, "call", np.negative)
+            else:
+                raise _ExpressionError(f"unexpected token {text or 'end of input'!r}", col)
+        elif text in _BINARY:
+            strength, ufunc = _BINARY[text]
+            # Nothing binds tighter than a right-associative '^': it pops nothing.
+            while text != "^" and pending and pending[-1][0] >= strength:
+                program.append(pending.pop()[1:])
+            entry = (strength, "bin", ufunc)
+        elif text == ")" and open_parens:
+            while pending[-1][0]:
+                program.append(pending.pop()[1:])
+            if (ufunc := pending.pop()[2]) is not None:
+                program.append(("call", ufunc))
+            open_parens -= 1
+        elif kind == "end" and not open_parens:
+            program.extend(waiting[1:] for waiting in reversed(pending))
         else:
-            raise _ExpressionError(f"unexpected token {text or 'end of input'!r}", col)
+            raise _ExpressionError(
+                "expected ')'" if open_parens else f"unexpected token {text!r}", col)
+        # Every pushed entry waits for an operand; any other token completes one.
+        operand_next = entry is not None
+        if operand_next:
+            pending.append(entry)
+            if len(pending) > _MAX_PENDING:
+                raise _ExpressionError("expression nests too deeply", col)
+    if max_index == 0:
+        raise _ExpressionError("expression references no feature", 1)
+    return program, max_index
 
 
 def _evaluate(program: list, X: np.ndarray) -> np.ndarray:
@@ -296,14 +275,10 @@ class _ExpressionModel(Model):
     """
 
     def __init__(self, source: str, input_dim: int | None = None):
-        self.source = source
-        parser = _Parser(source)
-        self._program = parser.parse()
-        if parser.max_index == 0:
-            raise _ExpressionError("expression references no feature", 1)
-        self.input_dim = parser.max_index if input_dim is None else int(input_dim)
-        if self.input_dim < parser.max_index:
-            raise ValidationError(f"expression uses x{parser.max_index}, "
+        self._program, max_index = _compile(source)
+        self.input_dim = max_index if input_dim is None else int(input_dim)
+        if self.input_dim < max_index:
+            raise ValidationError(f"expression uses x{max_index}, "
                                   f"but the model takes {self.input_dim} features")
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:

@@ -280,8 +280,7 @@ class StandardizedDesign:
         for rows in _row_blocks(self.n_rows):
             values, root = self.sample.values[rows], self.sqrt_weights[rows]
             r = root * (self.response[rows] - self.response_mean)
-            if active.size:
-                r -= root * ((values[:, cols] - means) @ coef)
+            r -= root * ((values[:, cols] - means) @ coef)
             yield self._columns(rows, columns, r * root)
 
 
@@ -502,10 +501,9 @@ def lars_lasso_path(design: StandardizedDesign, max_active: int,
         if not drop_pending:
             if len(active) >= max_active or not inactive:
                 break
-            top = max(abs_c[j] for j in inactive)
-            if top <= _TOL:
-                break  # residual carries no further signal
             ranked = sorted(inactive, key=lambda j: (-abs_c[j], j))
+            if abs_c[ranked[0]] <= _TOL:
+                break  # residual carries no further signal
             if observer is not None:
                 b = beta.copy()
                 b.flags.writeable = False

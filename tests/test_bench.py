@@ -116,7 +116,7 @@ def test_repeat_explanations_writes_raw_jsonl(tmp_path):
     raw = tmp_path / "raw.jsonl"
     _, runs = repeat_explanations(model, instance, fast_config(), reps=3,
                                   base_seed=2)
-    explanations_to_jsonl(runs, raw)
+    raw.write_text(explanations_to_jsonl(runs), encoding="utf-8")
     lines = raw.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
     for line, explanation in zip(lines, runs):
@@ -245,7 +245,7 @@ def test_explanations_to_jsonl_round_trip(tmp_path):
                               intercept=1.0, final_n=200, capped=True,
                               test_trace=(), seed=9)
     path = tmp_path / "out.jsonl"
-    explanations_to_jsonl([explanation, explanation], path)
+    path.write_text(explanations_to_jsonl([explanation, explanation]), encoding="utf-8")
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     record = json.loads(lines[0])

@@ -92,6 +92,19 @@ def test_explain_out_file_and_manifest_placement(capsys, tmp_path,
     assert manifest["argv"] == [*argv, "--seed", "0"]
 
 
+def test_out_creates_its_parents_and_an_unwritable_path_exits_two(capsys, tmp_path):
+    flags = [*LINEAR3, "--n0", "200", "--k", "2"]
+    code, out, _ = run_cli(["explain", *flags, "--out", "a/b/x.json"], capsys)
+    assert (code, out) == (0, "")
+    assert json.loads((tmp_path / "a/b/x.json").read_text(encoding="utf-8"))["final_n"] == 200
+    # An --out that names a directory, and a --report that names a file.
+    for argv in (["explain", *flags, "--out", "a"],
+                 ["bench", *flags, "--reps", "2", "--report", "a/b/x.json"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, argv
+
+
 def test_explain_lime_uses_n_flag(capsys):
     code, out, _ = run_cli(
         ["explain", *LINEAR3, "--method", "lime", "--n0", "200", "--n", "80",
@@ -444,7 +457,7 @@ def test_validation_errors_exit_two(capsys, run_in_tmp, monkeypatch):
         ["explain", "--model", "expr:x4", "--instance", "1,2,3"],
         ["explain", *LINEAR3, "--method", "lime", "--n", "3"],
         ["explain", "--model", 'exec:python "x', "--instance", "1,2"],
-        ["explain", "--model", "expr:" + "(" * 165 + "x1" + ")" * 165, "--instance", "1"],
+        ["explain", "--model", "expr:" + "(" * 1001 + "x1" + ")" * 1001, "--instance", "1"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv, capsys)

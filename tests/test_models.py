@@ -172,6 +172,24 @@ def test_expression_errors_carry_columns():
         ExpressionModel("2 + 2")        # references no feature
     with pytest.raises(ExpressionError):
         ExpressionModel("sin x1")
+    with pytest.raises(ExpressionError, match="float range") as info:
+        ExpressionModel("x1 + 1e400")   # a literal that reads as inf
+    assert info.value.column == 6
+
+
+def test_expression_nesting_bound_does_not_depend_on_the_stack():
+    def from_depth(frames, source):
+        return from_depth(frames - 1, source) if frames else models._compile(source)
+
+    for source in ("(" * 150 + "x1" + ")" * 150, "-" * 900 + "x1",
+                   "(" * 1000 + "x1" + ")" * 1000):
+        assert from_depth(600, source) == models._compile(source)
+    # The 1001st pending entry is refused, at its own column.
+    for source in ("(" * 1001 + "x1" + ")" * 1001, "(" * 1000 + "-x1" + ")" * 1000):
+        for frames in (0, 600):
+            with pytest.raises(ExpressionError, match="nests too deeply") as info:
+                from_depth(frames, source)
+            assert info.value.column == 1001
 
 
 def test_expression_applies_the_ufuncs_in_source_order():
