@@ -24,6 +24,7 @@ Exit codes: 0 success, 1 reproduction failure, 2 invalid input or flags,
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -201,6 +202,28 @@ def _write(path: str | Path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(path: str | Path, directory: bool = False) -> None:
+    """Refuse, before the run, a ``path`` that :func:`_write` could not
+    write, with its error: one that exists as a directory (as a file, for a
+    ``directory``), or whose nearest existing ancestor is not a directory
+    this process may write into.  Nothing is created, so a run refused
+    later leaves no directory behind."""
+    path = Path(path)
+    nearest = path
+    while not nearest.exists() and nearest != nearest.parent:
+        nearest = nearest.parent
+    if nearest == path and path.is_dir() != directory:
+        code = errno.ENOTDIR if directory else errno.EISDIR
+    elif nearest != path and not nearest.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(nearest, os.W_OK | (os.X_OK if nearest.is_dir() else 0)):
+        code = errno.EACCES
+    else:
+        return
+    exc = OSError(code, os.strerror(code), str(nearest))
+    raise ValidationError(f"cannot write {path}: {exc}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         _write(out, text)
@@ -359,6 +382,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(
                 f"--scales-csv {scales_csv} has sha256 {scales_sha256}, "
                 f"but {replay} recorded {recorded_sha256 or 'no digest'}")
+        for flag in ("out", "report"):
+            if getattr(args, flag, None):
+                _check_writable(getattr(args, flag), directory=flag == "report")
+        _check_writable(_manifest_path(args))
         text, code = _DISPATCH[args.command](args)
         _emit(text, args.out)
         _write_manifest(argv, _manifest_path(args), scales_sha256)

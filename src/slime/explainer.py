@@ -11,12 +11,17 @@ by default), and the walk restarted.  Once the requested budget ``n_max``
 would be exceeded, one final pass runs untested and the result is marked
 ``capped``.
 
-Each decision is one pass over the raw sample: the standardized design
-yields the residual's products with the top candidate and its rivals, a
-block of rows at a time, and :func:`~slime.stability_testing.product_covariances`
-merges the blocks.  The correlations with the response and the intercept's
-weighted mean come from the sample's weighted moments, which carry the
-answers: an ungated round reads no row after the weigh.
+On a sample that keeps its rows, each decision is one pass over them: the
+standardized design yields the residual's products with the top candidate
+and its rivals, a block of rows at a time, and
+:func:`~slime.stability_testing.product_covariances` merges the blocks.  A
+round whose rows hold more than 2**20 entries keeps none of them
+(:func:`_sample`); its gate reads the few columns the sample kept while
+they suffice, and otherwise draws the rows again once for all the round's
+remaining decisions (:func:`_gated_walk_without_rows`).  The correlations
+with the response and the intercept's weighted mean come from the sample's
+weighted moments, which carry the answers: an ungated round reads no row
+after the weigh.
 """
 
 from __future__ import annotations
@@ -25,21 +30,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SingularityError, ValidationError
 from .models import Model, _check_input_dim
-from .sampling import (InstanceSpec, PerturbationDataset, _check_seed,
-                       _check_width, _derived_seed, build_dataset,
-                       extend_dataset)
+from .sampling import (_LARGE_ENTRIES, InstanceSpec, PerturbationDataset,
+                       _check_seed, _check_width, _derived_seed, _design, _empty,
+                       _without_rows, build_dataset, extend_dataset)
 # product_covariance is not called here since the gate makes one pass per
 # decision; the name stays so that perfbench/layers.py can wrap it.
 from .stability_testing import (TestDecision, _DEFAULT_GROWTH_FACTOR,  # noqa: F401
-                                _check_alpha, _check_growth_factor,
+                                _ProductMerge, _check_alpha, _check_growth_factor,
                                 bonferroni_entry_test, entry_test,
                                 product_covariance, product_covariances)
 # transform_response is not called here since standardize takes the
 # response's moments; the name stays so that perfbench/layers.py can wrap it.
-from .weighted_lars import (DesignMatrix, EntryContext,  # noqa: F401
-                            PathState, StandardizedDesign, _EntryObserver,
+from .weighted_lars import (EntryContext, PathState,  # noqa: F401
+                            StandardizedDesign, _EntryObserver,
                             lars_lasso_path, refit_least_squares, standardize,
                             transform_response)
 
@@ -113,50 +118,135 @@ class Explanation:
         return tuple(name for name, _ in self.selected)
 
 
+def _compared(config: ExplainerConfig, ctx: EntryContext) -> tuple[list[int], np.ndarray]:
+    """The columns an entry's test compares, the top candidate first, and the
+    sign of each one's correlation."""
+    rivals = ctx.candidates[1:] if config.multiple_testing else ctx.candidates[1:2]
+    compared = (ctx.candidates[0], *rivals)
+    # The negation rule: a negatively correlated candidate is compared
+    # through its sign-flipped column so every correlation is positive.
+    return ([candidate.index for candidate in compared],
+            np.array([-1.0 if candidate.c_hat < 0 else 1.0 for candidate in compared]))
+
+
+def _decide(config: ExplainerConfig, ctx: EntryContext, covs: list) -> TestDecision:
+    """The entry test of ``ctx`` on the covariances of its compared columns."""
+    top, rivals = ctx.candidates[0], ctx.candidates[1:1 + len(covs)]
+    if config.multiple_testing:
+        return bonferroni_entry_test(
+            covs, config.alpha,
+            compared_names=[(top.name, rival.name) for rival in rivals],
+            step=ctx.step, growth_factor=config.growth_factor)
+    return entry_test(
+        covs[0], config.alpha, compared=(top.name, rivals[0].name),
+        step=ctx.step, growth_factor=config.growth_factor)
+
+
 def _entry_gate(config: ExplainerConfig, design: StandardizedDesign,
                 trace: list[TestDecision]) -> _EntryObserver:
-    """Observer that tests each entry and appends its decision to ``trace``."""
+    """Observer that tests each entry, in one pass over the rows, and appends
+    its decision to ``trace``."""
 
     def gate(ctx: EntryContext) -> bool:
         if len(ctx.candidates) < 2:
             return True   # nothing to compete against: entry is forced
-        top = ctx.candidates[0]
-        rivals = ctx.candidates[1:] if config.multiple_testing else ctx.candidates[1:2]
-        idx = [candidate.index for candidate in (top, *rivals)]
-        # The negation rule: a negatively correlated candidate is compared
-        # through its sign-flipped column so every correlation is positive.
-        signs = np.array([-1.0 if candidate.c_hat < 0 else 1.0
-                          for candidate in (top, *rivals)])
+        idx, signs = _compared(config, ctx)
         covs = product_covariances(design.residual_products(ctx.beta, idx), signs)
-        if config.multiple_testing:
-            decision = bonferroni_entry_test(
-                covs, config.alpha,
-                compared_names=[(top.name, rival.name) for rival in rivals],
-                step=ctx.step, growth_factor=config.growth_factor)
-        else:
-            decision = entry_test(
-                covs[0], config.alpha, compared=(top.name, rivals[0].name),
-                step=ctx.step, growth_factor=config.growth_factor)
-        trace.append(decision)
-        return decision.significant
+        trace.append(_decide(config, ctx, covs))
+        return trace[-1].significant
 
     return gate
+
+
+def _gated_walk_without_rows(config: ExplainerConfig, design: StandardizedDesign,
+                             max_active: int, trace: list[TestDecision]) -> PathState:
+    """The gated walk of :func:`_entry_gate` on a sample that keeps no rows,
+    with the same decisions and state, drawing the rows again at most once.
+
+    Entries whose tests read only columns the sample kept are decided as
+    they come, as the lazy gate decides them.  From the first entry that
+    reads another column on, the gate records each contested entry and lets
+    it in: the gate only votes, so up to its first refusal that walk is the
+    gated one.  One pass over the rows drawn again then merges every
+    recorded entry's products; the entries are decided in order, and the
+    walk is cut at the first refusal.  A walk that fails past a refused
+    entry is walked again, gated by the decisions, as the lazy gate would
+    have stopped it there.
+    """
+    decide_now = _entry_gate(config, design, trace)
+    later = []
+
+    def gate(ctx: EntryContext) -> bool:
+        if len(ctx.candidates) < 2:
+            return True   # nothing to compete against: entry is forced
+        idx, signs = _compared(config, ctx)
+        if not later and design.sample._keeps(design._residual_reads(ctx.beta, idx)):
+            return decide_now(ctx)
+        later.append((ctx, signs, design._residual_block(ctx.beta, idx)))
+        return True
+
+    try:
+        state, failure = lars_lasso_path(design, max_active, observer=gate), None
+    except SingularityError as error:
+        state, failure = None, error
+    merges = [_ProductMerge() for _ in later]
+
+    def block(rows: slice, values: np.ndarray) -> list:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [_ProductMerge.block(task(rows, values)) for _, _, task in later]
+
+    if later:
+        for blocks in design.sample._map_blocks(block):
+            for merge, moments in zip(merges, blocks):
+                merge.add(moments)
+    for (ctx, signs, _), merge in zip(later, merges):
+        trace.append(_decide(config, ctx, merge.covariances(signs)))
+        if not trace[-1].significant:
+            if state is None:
+                return lars_lasso_path(design, max_active,
+                                       observer=lambda seen: seen.step < ctx.step)
+            return state._aborted_before(ctx.step)
+    if failure is not None:
+        raise failure
+    return state
 
 
 def _walk(dataset: PerturbationDataset, config: ExplainerConfig,
           trace: list[TestDecision] | None) -> tuple[StandardizedDesign, PathState]:
     """One round: standardize the sample and walk its LASSO path.
 
-    With a ``trace`` every entry is gated and its decision appended there.
-    The gate dies when the round returns; the standardized design is handed
-    back for the refit.
+    With a ``trace`` every entry is gated and its decision appended there:
+    one pass over the kept rows per decision, or, on a sample that keeps no
+    rows, one regeneration of them for the round.  The standardized design
+    is handed back for the refit.
     """
-    # Sampled rows are finite by construction: no finiteness scan.
-    design = DesignMatrix._trusted(dataset.X, dataset.instance.feature_names)
-    std = standardize(design, dataset.weights, dataset.y, moments=dataset.moments)
+    std = standardize(_design(dataset), dataset.weights, dataset.y,
+                      moments=dataset.moments)
     max_active = min(config.k, std.retained_idx.size, dataset.n - 1)
-    gate = None if trace is None else _entry_gate(config, std, trace)
-    return std, lars_lasso_path(std, max_active, observer=gate)
+    if trace is None:
+        return std, lars_lasso_path(std, max_active)
+    if dataset._streamed:
+        return std, _gated_walk_without_rows(config, std, max_active, trace)
+    return std, lars_lasso_path(std, max_active, observer=_entry_gate(config, std, trace))
+
+
+def _sample(model: Model, instance: InstanceSpec, config: ExplainerConfig, n: int,
+            seed: int, dataset: PerturbationDataset | None = None) -> PerturbationDataset:
+    """``dataset`` grown to n rows, or a new one drawn from ``seed``.
+
+    The rows are kept only while they hold at most ``_LARGE_ENTRIES``
+    entries, and the budget ``n_max`` is reserved only if it is under that
+    line; a larger sample keeps its answers, weights and moments, and a
+    gated round draws its rows again.
+    """
+    p = instance.n_features
+    if n * p > _LARGE_ENTRIES:
+        start = _empty(instance, seed, config.kernel_width) if dataset is None else dataset
+        return extend_dataset(model, _without_rows(start), n)
+    if dataset is None:
+        return build_dataset(model, instance, n, seed, config.kernel_width)
+    capacity = config.n_max if config.n_max * p <= _LARGE_ENTRIES else 0
+    return extend_dataset(model, dataset, n, capacity=capacity)
 
 
 def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
@@ -164,7 +254,7 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
     """The round loop behind both explainers: walk, grow if gated and
     undecided, walk again; refit the last walk's features."""
     _check_input_dim(model, instance.n_features)
-    dataset = build_dataset(model, instance, n, config.seed, config.kernel_width)
+    dataset = _sample(model, instance, config, n, config.seed)
     trace: list[TestDecision] = []
     capped = False
     round_index = 0
@@ -183,14 +273,11 @@ def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,
         round_index += 1
         if config.reuse_samples:
             if recommended > dataset.n:
-                # The budget is reserved on the first growth; the rows it
-                # never fills are never touched.
-                dataset = extend_dataset(model, dataset, recommended,
-                                         capacity=config.n_max)
+                dataset = _sample(model, instance, config, recommended, config.seed,
+                                  dataset)
         else:
-            dataset = build_dataset(model, instance, recommended,
-                                    _derived_seed(config.seed, (0x5EED, round_index)),
-                                    config.kernel_width)
+            dataset = _sample(model, instance, config, recommended,
+                              _derived_seed(config.seed, (0x5EED, round_index)))
         # If capped with recommended <= dataset.n (budget already reached),
         # the loop simply reruns ungated on the data it has.
 

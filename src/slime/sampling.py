@@ -26,15 +26,25 @@ each block's sums to the dataset's, in block order, as soon as it is done, so
 standardizing a grown sample, and correlating it with the answers, costs
 p x p algebra plus the new rows.  The answers are summed about a pilot
 shift, the dataset's first answer, so a constant model's answers sum to
-exactly zero.  When the new rows hold at least 2**20 entries and span more
+exactly zero.  When the new rows hold more than 2**20 entries and span more
 than one block, the draw and the weigh run on a thread pool with one thread
 per CPU the process may run on (its CPU affinity; ``taskset -c 0 slime ...``
 keeps the pass on one thread); smaller passes run in the calling thread.
 Either way the weigh holds the sums of at most one block more than it has
 threads.  Rows, weights and moments are the same bytes whatever the number
 of CPUs.  Building a dataset is its first growth, from no rows.  The sample
-lives in one C-order buffer, and growth writes the new rows into its spare
-rows, which the caller may reserve up front (``extend_dataset(..., capacity=)``).
+of a public dataset lives in one C-order buffer, and growth writes the new
+rows into its spare rows, which the caller may reserve up front
+(``extend_dataset(..., capacity=)``).
+
+The explainer's samples past 2**20 entries keep no rows
+(:func:`_without_rows`): their growth draws, asks and weighs the new rows a
+few blocks at a time through buffers made once per pass
+(:func:`_stream_query_weigh`), and keeps the answers, the weights, the
+moments and a few columns.  A pass over their rows reads those columns
+when it needs no other, and otherwise draws every row again
+(:class:`_Regenerated`); by the prefix property those are the bytes a kept
+sample would give.
 """
 
 from __future__ import annotations
@@ -42,17 +52,20 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
 from .models import Model, _predictions
-from .weighted_lars import WeightedMoments, _ROW_BLOCK, _row_blocks
+from .weighted_lars import (DesignMatrix, WeightedMoments, _ROW_BLOCK, _row_blocks,
+                            standardize)
 
 __all__ = [
     "InstanceSpec",
@@ -67,10 +80,19 @@ __all__ = [
 
 _BLOCK = 1024            # rows per generator block; fixed, part of the stream format
 _MIN_WEIGHT = np.finfo(float).tiny   # keep weights strictly positive even at extreme distance
-# New rows holding at least this many entries, over more than one _ROW_BLOCK,
-# are drawn and weighed on a thread pool; below it a pool costs more than it
-# saves, and the blocks run in the calling thread.
-_POOL_MIN_ENTRIES = 1 << 20
+# Rows holding more than this many entries make a large pass: over more than
+# one _ROW_BLOCK it runs on a thread pool (below it a pool costs more than it
+# saves, and the blocks run in the calling thread), and the explainer keeps
+# no sample this large in memory.
+_LARGE_ENTRIES = 1 << 20
+# A sample that keeps no rows keeps this many columns, the ones most
+# correlated with the answers when it stopped keeping rows: a round's first
+# entry tests compare its leading columns, and read them there instead of
+# drawing every row again.  A small sample ranks the leaders loosely (at
+# 1000 rows of 200 features, a column with the second largest coefficient
+# ranked below eight others), so many more than the two that the first test
+# compares are kept.
+_KEPT_COLUMNS = 16
 
 
 @dataclass(frozen=True)
@@ -128,7 +150,12 @@ class PerturbationDataset:
     rows carries no moments: its first growth starts them about its first
     answer.
     ``_buffer``, when set, is the array whose leading rows ``X`` views; its
-    later rows are spare capacity for growth.
+    later rows are spare capacity for growth.  A dataset with
+    ``_kept_columns`` keeps no rows: its ``X`` has none, it carries its
+    moments, and a pass that needs its rows draws them again
+    (:func:`_design`).  It keeps only the columns ``_kept_columns[0]``, whose
+    values over every row are ``_kept_columns[1]``.  Only the explainer makes
+    one, for its large rounds.
     """
 
     X: np.ndarray
@@ -140,10 +167,18 @@ class PerturbationDataset:
     kernel_width: float
     moments: WeightedMoments | None = field(default=None, repr=False, compare=False)
     _buffer: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _kept_columns: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def _streamed(self) -> bool:
+        return self._kept_columns is not None
 
     def __post_init__(self):
-        if self.X.shape != (self.n, self.instance.n_features):
+        if self.X.shape != (0 if self._streamed else self.n, self.instance.n_features):
             raise ValidationError("X shape must be (n, p)")
+        if self._streamed and self.moments is None and self.n:
+            raise ValidationError("a dataset that keeps no rows must carry its moments")
         if self.y.shape != (self.n,) or self.weights.shape != (self.n,):
             raise ValidationError("y and weights must have one entry per row")
         if not np.isfinite(self.y).all():
@@ -302,7 +337,7 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, X: np.ndarray
     # The draw splits at absolute multiples of _ROW_BLOCK, which are
     # generator-block boundaries, so no generator block is drawn twice.
     edges = [0, *range(-start % _ROW_BLOCK or _ROW_BLOCK, n, _ROW_BLOCK), n]
-    workers = min(_cpu_count(), len(blocks)) if X.size >= _POOL_MIN_ENTRIES else 1
+    workers = _workers(n, p)
 
     def draw(lo: int, hi: int) -> None:
         gaussian_perturb(instance, hi - lo, dataset.seed, start=start + lo, out=X[lo:hi])
@@ -336,6 +371,188 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, X: np.ndarray
     return y, w, moments
 
 
+def _workers(n: int, p: int) -> int:
+    """Threads for a pass over n rows of p features: one per CPU the
+    process may use, at most one per block, for a large pass; else one."""
+    return min(_cpu_count(), -(-n // _ROW_BLOCK)) if n * p > _LARGE_ENTRIES else 1
+
+
+def _stream_query_weigh(model: Model, dataset: PerturbationDataset, n: int
+                        ) -> tuple[np.ndarray, np.ndarray, WeightedMoments, np.ndarray]:
+    """The answers, weights and grown moments of the n rows that follow a
+    dataset that keeps no rows, and the values of its kept columns over
+    them: the pass of :func:`_draw_query_weigh` a few blocks at a time.
+
+    The new rows go in turns of one ``_row_blocks`` block per thread.  A
+    turn's blocks are drawn on the pool into buffers made once for the pass,
+    asked of the model on the calling thread, in block order, and weighed in
+    place on the pool; each block's sums are added in block order.  The
+    model is asked about the same rows as by a single query, and the moments
+    get the same blocks in the same order, so the bytes are those of
+    :func:`_draw_query_weigh`.  No draw runs while the model is asked, but a
+    turn's weighs run while the next turn is drawn and asked, so the pool
+    stays busy, and the pass holds two turns of rows.
+
+    Every draw but the pass's first starts on a generator block: a block's
+    draw runs on into the first ``lead`` rows of the next block, which are
+    copied there, so no generator block is drawn twice.
+    """
+    instance, start, width = dataset.instance, dataset.n, dataset.kernel_width
+    _check_width(width)
+    p = instance.n_features
+    y, w = np.empty(n), np.empty(n)
+    workers = _workers(n, p)
+    moments = dataset.moments.copy() if start else None
+    lead = -start % _BLOCK
+    kept = dataset._kept_columns[0]
+    columns = np.empty((n, kept.size))
+
+    def draw(rows: slice, buffer: np.ndarray) -> None:
+        lo = rows.start + lead if rows.start else 0
+        hi = min(rows.start + _ROW_BLOCK + lead, n)
+        if hi > lo:
+            gaussian_perturb(instance, hi - lo, dataset.seed, start=start + lo,
+                             out=buffer[lo - rows.start:hi - rows.start])
+
+    def weigh(rows: slice, values: np.ndarray) -> tuple:
+        z_space = free_z.pop()   # at most ``workers`` tasks run at once
+        try:
+            # The rows are shifted in place: nothing reads them afterwards.
+            u = _weigh(values, instance, width, w[rows], (values, z_space))
+            return moments.block_sums(u, w[rows], y[rows])
+        finally:
+            free_z.append(z_space)
+
+    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        submit = partial if pool is None else lambda *task: pool.submit(*task).result
+        # Allocated on the calling thread: memory a worker thread frees stays
+        # in that thread's malloc arena.
+        free = [np.empty((min(n, _ROW_BLOCK + lead), p)) for _ in range(2 * workers)]
+        free_z = [_scratch(n, p)[1] for _ in range(workers)]
+        blocks = _row_blocks(n)
+
+        def draw_turn() -> list:
+            turn = []
+            for rows in islice(blocks, workers):
+                buffer = free.pop()
+                turn.append((rows, buffer, submit(draw, rows, buffer)))
+            return turn
+
+        drawn, weighed, previous = draw_turn(), [], None
+        while drawn:
+            for rows, buffer, done in drawn:
+                done()
+            for rows, buffer, _ in drawn:
+                size = rows.stop - rows.start
+                if rows.start:
+                    head = min(lead, size)
+                    buffer[:head] = previous[_ROW_BLOCK:_ROW_BLOCK + head]
+                previous = buffer
+                columns[rows] = buffer[:size, kept]
+                y[rows] = query_model(model, buffer[:size])
+            if moments is None:
+                # The first answer fixes the pilot shift of the response's moments.
+                moments = WeightedMoments.about(instance.values, y)
+            for buffer, sums in weighed:
+                moments.add(sums())
+                free.append(buffer)
+            # The next turn's draws go ahead of this turn's weighs, which
+            # then run while the next turn is asked of the model.
+            following = draw_turn()
+            weighed = [(buffer, submit(weigh, rows, buffer[:rows.stop - rows.start]))
+                       for rows, buffer, _ in drawn]
+            drawn = following
+        for _, sums in weighed:
+            moments.add(sums())
+    return y, w, moments, columns
+
+
+class _Regenerated(DesignMatrix):
+    """The design of a dataset that keeps no rows: ``values`` has none, and
+    every pass over the rows draws them again (see :meth:`_map_blocks`)."""
+
+    dataset: PerturbationDataset
+
+    @property
+    def n_rows(self) -> int:
+        return self.dataset.n
+
+    def _keeps(self, columns) -> bool:
+        """Whether the dataset kept the values of every one of ``columns``."""
+        return set(columns) <= set(self.dataset._kept_columns[0].tolist())
+
+    def _map_blocks(self, task, columns=None):
+        """``task(rows, values)`` over each block of rows, in block order.
+
+        When the task reads only ``columns`` and the dataset kept them, they
+        are copied into one block of rows and the others are left unset.
+        Otherwise every row is drawn again from row 0 by
+        :func:`gaussian_perturb`: a large pass runs the draws and the tasks
+        on a thread pool, at most one block more than it has threads in
+        flight, each in one of the buffers made for the pass on the calling
+        thread.  A task's result must not keep its ``values``.
+        """
+        dataset = self.dataset
+        n, p = dataset.n, dataset.instance.n_features
+        if columns is not None and self._keeps(columns):
+            kept, values = dataset._kept_columns
+            buffer = np.empty((min(n, _ROW_BLOCK), p))
+            for rows in _row_blocks(n):
+                block = buffer[:rows.stop - rows.start]
+                block[:, kept] = values[rows]
+                yield task(rows, block)
+            return
+        workers = _workers(n, p)
+
+        def run(rows: slice, buffer: np.ndarray):
+            try:
+                return task(rows, gaussian_perturb(
+                    dataset.instance, rows.stop - rows.start, dataset.seed,
+                    start=rows.start, out=buffer[:rows.stop - rows.start]))
+            finally:
+                free.append(buffer)
+
+        with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+            submit = partial if pool is None else lambda *task: pool.submit(*task).result
+            in_flight = workers if pool is None else workers + 1
+            free = [np.empty((min(n, _ROW_BLOCK), p)) for _ in range(in_flight)]
+            pending = deque()
+            for rows in _row_blocks(n):
+                pending.append(submit(run, rows, free.pop()))
+                if len(pending) >= in_flight:
+                    yield pending.popleft()()
+            while pending:
+                yield pending.popleft()()
+
+
+def _design(dataset: PerturbationDataset) -> DesignMatrix:
+    """The dataset's rows as a design: its kept rows, or, for a dataset that
+    keeps none, a design that draws them again on every pass."""
+    names = dataset.instance.feature_names
+    if not dataset._streamed:
+        # Sampled rows are finite by construction: no finiteness scan.
+        return DesignMatrix._trusted(dataset.X, names)
+    design = _Regenerated._trusted(dataset.X, names)
+    object.__setattr__(design, "dataset", dataset)
+    return design
+
+
+def _without_rows(dataset: PerturbationDataset) -> PerturbationDataset:
+    """The dataset, keeping no rows from now on: it and its growths hold
+    answers, weights, moments and the ``_KEPT_COLUMNS`` columns most
+    correlated with the answers, and their rows are drawn again when read."""
+    if dataset._streamed:
+        return dataset
+    kept = np.empty(0, dtype=int)
+    if dataset.n:
+        std = standardize(_design(dataset), dataset.weights, dataset.y,
+                          moments=dataset.moments)
+        leading = np.argsort(-np.abs(std.xty), kind="stable")[:_KEPT_COLUMNS]
+        kept = np.sort(std.retained_idx[leading])
+    return replace(dataset, X=np.empty((0, dataset.instance.n_features)), _buffer=None,
+                   _kept_columns=(kept, dataset.X[:, kept]))
+
+
 def query_model(model: Model, X: np.ndarray) -> np.ndarray:
     """Ask the model for predictions and insist on a sane answer.
 
@@ -352,11 +569,16 @@ def build_dataset(model: Model, instance: InstanceSpec, n: int, seed: int,
     growth of an empty dataset, with moments about the instance."""
     if n < 2:
         raise DegenerateInputError("a usable dataset needs at least 2 rows")
+    return extend_dataset(model, _empty(instance, seed, kernel_width), n)
+
+
+def _empty(instance: InstanceSpec, seed: int, kernel_width: float | None
+           ) -> PerturbationDataset:
+    """A dataset with no rows yet, whose growth draws from ``seed``."""
     width = _default_kernel_width(instance.n_features) if kernel_width is None else kernel_width
-    empty = PerturbationDataset(X=np.empty((0, instance.n_features)), y=np.empty(0),
-                                weights=np.empty(0), seed=int(seed), n=0,
-                                instance=instance, kernel_width=float(width))
-    return extend_dataset(model, empty, n)
+    return PerturbationDataset(X=np.empty((0, instance.n_features)), y=np.empty(0),
+                               weights=np.empty(0), seed=int(seed), n=0,
+                               instance=instance, kernel_width=float(width))
 
 
 def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
@@ -370,24 +592,32 @@ def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
     buffer of ``max(new_n, capacity)`` rows takes the old rows first (of
     ``new_n`` rows when the larger one cannot be allocated).  Two
     datasets may share a buffer: rows are a pure function of their index, so
-    a row written twice is written with the same bytes.
+    a row written twice is written with the same bytes.  A dataset that
+    keeps no rows grows into one that keeps none, with the same answers,
+    weights and moments, and ignores ``capacity``.
     """
     if new_n <= dataset.n:
         raise ValidationError(
             f"new_n must exceed the current {dataset.n} rows, got {new_n}")
     n = dataset.n
     buffer = dataset._buffer
-    if buffer is None or buffer.shape[0] < new_n:
-        p = dataset.instance.n_features
-        try:
-            buffer = np.empty((max(new_n, capacity), p))
-        except MemoryError:   # a budget too large to reserve is not reserved
-            buffer = np.empty((new_n, p))
-        buffer[:n] = dataset.X
-    X_new = buffer[n:new_n]
-    y_new, w_new, moments = _draw_query_weigh(model, dataset, X_new)
+    kept = dataset._kept_columns
+    if kept is not None:
+        X = dataset.X
+        y_new, w_new, moments, columns = _stream_query_weigh(model, dataset, new_n - n)
+        kept = (kept[0], np.concatenate([kept[1], columns]))
+    else:
+        if buffer is None or buffer.shape[0] < new_n:
+            p = dataset.instance.n_features
+            try:
+                buffer = np.empty((max(new_n, capacity), p))
+            except MemoryError:   # a budget too large to reserve is not reserved
+                buffer = np.empty((new_n, p))
+            buffer[:n] = dataset.X
+        X = buffer[:new_n]
+        y_new, w_new, moments = _draw_query_weigh(model, dataset, buffer[n:new_n])
     return PerturbationDataset(
-        X=buffer[:new_n],
+        X=X,
         y=np.concatenate([dataset.y, y_new]),
         weights=np.concatenate([dataset.weights, w_new]),
         seed=dataset.seed,
@@ -396,6 +626,7 @@ def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
         kernel_width=dataset.kernel_width,
         moments=moments,
         _buffer=buffer,
+        _kept_columns=kept,
     )
 
 

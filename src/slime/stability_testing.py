@@ -14,8 +14,9 @@ one block per slice of rows, as the standardized design yields them
 (``StandardizedDesign.residual_products``): :func:`product_covariances`
 takes each block's means and centred second moments and merges them by the
 pairwise update of Chan, Golub & LeVeque.  Only the variances and the top's
-covariance with each rival are kept.  :func:`product_covariance` is the
-one-rival case on two ready-made columns.
+covariance with each rival are kept.  The merge takes one block at a time,
+so several decisions can share one pass over the rows.
+:func:`product_covariance` is the one-rival case on two ready-made columns.
 
 Conventions: ``_normal_quantile(p)`` is the *upper-tail* quantile, i.e. the z
 with ``P(Z > z) = p``, so ``_normal_quantile(0.05) ~= 1.6449``.  It and
@@ -142,39 +143,71 @@ def product_covariances(blocks: Iterable[np.ndarray], signs: np.ndarray
     :meth:`~slime.weighted_lars.StandardizedDesign.residual_products` yields
     them; the blocks are centred in place.  Returns one
     :class:`ProductCovariance` per rival, pairing the top (``c1_hat``,
-    ``sigma11``) with it.  Each block's products get their means and centred
-    second moments, and the blocks are merged by the pairwise update of
-    Chan, Golub & LeVeque (1979), so every sum is about a mean and the order
-    of the blocks is fixed.  Only the variances and the top's cross-moment
-    with each rival are kept, so the pass costs O(n * q).  ``signs[k]``
-    flips product row k, applied to the sums.  Fewer than two rows raise
+    ``sigma11``) with it.  The blocks are merged one at a time by
+    :class:`_ProductMerge`, so the pass costs O(n * q).  ``signs[k]`` flips
+    product row k, applied to the sums.  Fewer than two rows raise
     :class:`DegenerateInputError`, as do moments that are not finite
     because the products or their squares overflow.
     """
-    n = mean = sq = cross = 0
+    merge = _ProductMerge()
+    # The blocks' own arithmetic runs as they are drawn, under this state.
     with np.errstate(over="ignore", invalid="ignore"):
         for prod in blocks:
+            merge.add(_ProductMerge.block(prod))
+    return merge.covariances(signs)
+
+
+class _ProductMerge:
+    """The moments of residual products, merged a block of rows at a time.
+
+    :meth:`block` gives one block's means and centred second moments, on
+    any thread; :meth:`add` merges them, in block order, by the pairwise
+    update of Chan, Golub & LeVeque (1979), so every sum is about a mean.
+    Only the variances and the top's cross-moment with each rival are
+    kept.  Several merges can share one pass over the rows, one per entry.
+    """
+
+    def __init__(self):
+        self.n = self.mean = self.sq = self.cross = 0
+
+    @staticmethod
+    def block(prod: np.ndarray) -> tuple:
+        """The size, means and centred sums of squares and of cross products
+        with row 0 of one q x rows block of products, centred in place."""
+        with np.errstate(over="ignore", invalid="ignore"):
             size = prod.shape[1]
-            block_mean = prod.sum(axis=1) / size
-            prod -= block_mean[:, None]
-            delta = block_mean - mean
+            mean = prod.sum(axis=1) / size
+            prod -= mean[:, None]
+            return size, mean, (prod * prod).sum(axis=1), (prod[1:] * prod[0]).sum(axis=1)
+
+    def add(self, block: tuple) -> None:
+        """Merge a block's moments, as :meth:`block` gives them."""
+        size, block_mean, sq, cross = block
+        n = self.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = block_mean - self.mean
             weight = n * size / (n + size)
-            mean = mean + delta * (size / (n + size))
-            sq = sq + (prod * prod).sum(axis=1) + delta * delta * weight
-            cross = cross + (prod[1:] * prod[0]).sum(axis=1) + delta[1:] * delta[0] * weight
-            n += size
-    if n < 2:
-        raise DegenerateInputError("product covariance needs at least 2 rows")
-    if not (np.isfinite(mean).all() and np.isfinite(sq).all() and np.isfinite(cross).all()):
-        raise DegenerateInputError(
-            "the entry test's moments are not finite: the residual's products "
-            "with the columns overflow the float range")
-    mean = (mean * signs).tolist()
-    sq = (sq / (n - 1)).tolist()
-    cross = (cross * (signs[1:] * signs[0]) / (n - 1)).tolist()
-    return [ProductCovariance(c1_hat=mean[0], c2_hat=mean[k], sigma11=sq[0],
-                              sigma22=sq[k], sigma12=cross[k - 1], n=n)
-            for k in range(1, len(mean))]
+            self.mean = self.mean + delta * (size / (n + size))
+            self.sq = self.sq + sq + delta * delta * weight
+            self.cross = self.cross + cross + delta[1:] * delta[0] * weight
+        self.n = n + size
+
+    def covariances(self, signs: np.ndarray) -> list[ProductCovariance]:
+        """One :class:`ProductCovariance` per rival, with product row k
+        flipped by ``signs[k]``; raises as :func:`product_covariances`."""
+        n, mean, sq, cross = self.n, self.mean, self.sq, self.cross
+        if n < 2:
+            raise DegenerateInputError("product covariance needs at least 2 rows")
+        if not (np.isfinite(mean).all() and np.isfinite(sq).all() and np.isfinite(cross).all()):
+            raise DegenerateInputError(
+                "the entry test's moments are not finite: the residual's products "
+                "with the columns overflow the float range")
+        mean = (mean * signs).tolist()
+        sq = (sq / (n - 1)).tolist()
+        cross = (cross * (signs[1:] * signs[0]) / (n - 1)).tolist()
+        return [ProductCovariance(c1_hat=mean[0], c2_hat=mean[k], sigma11=sq[0],
+                                  sigma22=sq[k], sigma12=cross[k - 1], n=n)
+                for k in range(1, len(mean))]
 
 
 def _check_alpha(alpha: float) -> None:

@@ -20,7 +20,9 @@ is never stored on the solver's path: ``StandardizedDesign.residual_products``
 builds the entry gate's products from the raw sample a block of rows at a
 time, so no other module knows the column format, and
 ``StandardizedDesign.base`` builds every column, lazily, for callers that
-want the whole matrix.
+want the whole matrix.  Both read the raw rows a block at a time through
+``DesignMatrix._map_blocks``, from the stored values or, for a sample that
+keeps no rows, from whatever source its design draws them from.
 
 The solver walks the path breakpoint by breakpoint in covariance form
 (Efron, Hastie, Johnstone & Tibshirani 2004, section 7): every step works on
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -75,6 +77,9 @@ _TOL = 1e-12
 # to run at speed, few enough that a block's temporaries are small next to
 # the sample.
 _ROW_BLOCK = 4096
+
+
+_T = TypeVar("_T")
 
 
 def _row_blocks(n: int) -> Iterator[slice]:
@@ -130,6 +135,14 @@ class DesignMatrix:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
+
+    def _map_blocks(self, task: Callable[[slice, np.ndarray], _T],
+                    columns: Sequence[int] | None = None) -> Iterator[_T]:
+        """``task(rows, values)`` over each :func:`_row_blocks` block of rows,
+        ``values`` being those rows, in block order; ``columns``, when given,
+        are the only columns the task reads.  The one place the
+        standardized design reads rows from."""
+        return (task(rows, self.values[rows]) for rows in _row_blocks(self.n_rows))
 
 
 @dataclass
@@ -244,14 +257,15 @@ class StandardizedDesign:
     def n_rows(self) -> int:
         return self.sample.n_rows
 
-    def _columns(self, rows: slice, columns: Sequence[int] | slice,
+    def _columns(self, values: np.ndarray, columns: Sequence[int] | slice,
                  scale: np.ndarray) -> np.ndarray:
-        """The retained ``columns`` over ``rows`` in the column format, times
-        a per-row ``scale``: ``(x - mean) * scale / norm``, with ``scale =
-        sqrt_weights`` for the columns themselves.  A ``len(columns)`` x rows
-        block, so each column's sums run along a contiguous row.  The one
-        place that knows the column format."""
-        block = self.sample.values[rows].T[self.retained_idx[columns]]
+        """The retained ``columns`` over a block of raw rows ``values`` in
+        the column format, times a per-row ``scale``: ``(x - mean) * scale /
+        norm``, with ``scale`` the rows' sqrt_weights for the columns
+        themselves.  A ``len(columns)`` x rows block, so each column's sums
+        run along a contiguous row.  The one place that knows the column
+        format."""
+        block = values.T[self.retained_idx[columns]]
         block -= self.col_means[columns][:, None]
         block *= scale
         block /= self.col_norms[columns][:, None]
@@ -262,8 +276,12 @@ class StandardizedDesign:
         """Every retained column, built once, in Fortran order so that each
         column is contiguous.  The path solver never reads it."""
         values = np.empty((self.retained_idx.size, self.n_rows))
-        for rows in _row_blocks(self.n_rows):
-            values[:, rows] = self._columns(rows, slice(None), self.sqrt_weights[rows])
+
+        def fill(rows: slice, block: np.ndarray) -> None:
+            values[:, rows] = self._columns(block, slice(None), self.sqrt_weights[rows])
+
+        for _ in self.sample._map_blocks(fill):
+            pass
         return DesignMatrix._trusted(values.T, self.column_names)
 
     def residual_products(self, beta: np.ndarray, columns: Sequence[int]
@@ -274,14 +292,29 @@ class StandardizedDesign:
         ``sqrt_weights * (response - response_mean) - base.values @ beta``
         over those rows.  The residual is built inside each block from the
         columns where beta is nonzero and is never held whole."""
+        return self.sample._map_blocks(self._residual_block(beta, columns),
+                                       self._residual_reads(beta, columns))
+
+    def _residual_reads(self, beta: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+        """The raw sample's columns that :meth:`residual_products` reads."""
+        return np.union1d(self.retained_idx[np.flatnonzero(beta)],
+                          self.retained_idx[columns])
+
+    def _residual_block(self, beta: np.ndarray, columns: Sequence[int]
+                        ) -> Callable[[slice, np.ndarray], np.ndarray]:
+        """The block of :meth:`residual_products` over given rows, as a
+        function of the rows and their raw values."""
         active = np.flatnonzero(beta)
         cols, means = self.retained_idx[active], self.col_means[active]
         coef = beta[active] / self.col_norms[active]
-        for rows in _row_blocks(self.n_rows):
-            values, root = self.sample.values[rows], self.sqrt_weights[rows]
+
+        def products(rows: slice, values: np.ndarray) -> np.ndarray:
+            root = self.sqrt_weights[rows]
             r = root * (self.response[rows] - self.response_mean)
             r -= root * ((values[:, cols] - means) @ coef)
-            yield self._columns(rows, columns, r * root)
+            return self._columns(values, columns, r * root)
+
+        return products
 
 
 @dataclass(frozen=True)
@@ -324,6 +357,17 @@ class PathState:
     drop_events: list[tuple[int, str]]
     breakpoints: list[PathBreakpoint]
     aborted: bool = False
+
+    def _aborted_before(self, step: int) -> "PathState":
+        """The state this walk would have ended in had its observer refused
+        entry ``step``: the walk is the same up to that entry, which comes
+        after ``step`` recorded breakpoints."""
+        last = self.breakpoints[step - 1]
+        return PathState(
+            active_set=list(last.active), beta=last.beta,
+            entry_events=[e for e in self.entry_events if e[0] < step],
+            drop_events=[d for d in self.drop_events if d[0] < step],
+            breakpoints=self.breakpoints[:step], aborted=True)
 
 
 def _check_weights(weights: np.ndarray, n: int) -> np.ndarray:

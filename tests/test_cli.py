@@ -105,6 +105,27 @@ def test_out_creates_its_parents_and_an_unwritable_path_exits_two(capsys, tmp_pa
         assert err.startswith("error: cannot write ") and err.count("\n") == 1, argv
 
 
+def test_an_unwritable_output_is_refused_before_the_explainer_runs(capsys, tmp_path,
+                                                                   monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the explainer ran before the output paths were checked")
+
+    monkeypatch.setattr(slime.cli, "slime_explain", refuse)
+    monkeypatch.setattr(slime.cli, "repeat_explanations", refuse)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "f.json").write_text("{}", encoding="utf-8")
+    flags = [*LINEAR3, "--n0", "200", "--k", "2"]
+    # An --out that names a directory, a --report that names a file, and a
+    # --manifest below a file.
+    for argv in (["explain", *flags, "--out", "a"],
+                 ["bench", *flags, "--reps", "2", "--report", "f.json"],
+                 ["explain", *flags, "--manifest", "f.json/m.json"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, argv
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a", "f.json"]
+
+
 def test_explain_lime_uses_n_flag(capsys):
     code, out, _ = run_cli(
         ["explain", *LINEAR3, "--method", "lime", "--n0", "200", "--n", "80",

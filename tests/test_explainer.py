@@ -1,6 +1,8 @@
 """Explainer checks: determinism, gating, growth, caps, refit honesty,
 memory, and metamorphic relations."""
 
+import hashlib
+import json
 import math
 import tracemalloc
 import weakref
@@ -11,17 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slime.explainer
+import slime.sampling
 import slime.weighted_lars
 from oracles import weighted_ols
-from slime.errors import ValidationError
+from slime.bench import explanation_to_dict
+from slime.errors import SingularityError, ValidationError
 from slime.explainer import (ExplainerConfig, Explanation, lime_explain,
                              slime_explain)
 from slime.models import LinearModel, MarsModel, Model
 from slime.sampling import _default_kernel_width as default_kernel_width
 from slime.sampling import (InstanceSpec, _check_seed, _check_width,
-                            build_dataset)
+                            build_dataset, extend_dataset)
 from slime.stability_testing import _check_alpha, _check_growth_factor
-from slime.weighted_lars import StandardizedDesign
+from slime.weighted_lars import StandardizedDesign, standardize
 
 MARS_INSTANCE = InstanceSpec(values=np.array([0.51, 0.49, 0.5, 0.5, 0.5]),
                              feature_scales=np.full(5, 0.05))
@@ -363,6 +367,137 @@ def test_growing_explanation_holds_one_copy_of_its_sample():
     assert explanation.capped and explanation.final_n == n_max
     sample_bytes = n_max * p * 8
     assert peak <= 1.5 * sample_bytes, f"peak {peak / sample_bytes:.2f}x the sample"
+
+
+def test_a_large_sample_is_held_a_few_blocks_at_a_time(monkeypatch):
+    # p = 200, n_max = 60000: the whole sample would be 96 MB.  A round
+    # whose rows hold more than 2**20 entries keeps none of them: its growth
+    # holds two turns of one block per thread, 4096 rows and the fewer than
+    # 1024 that lead into the next block, and its gate one block more than it
+    # has threads.  It keeps 16 columns, held twice while they grow.  A kept
+    # round holds at most 2**20 entries, alive while it grows into one that
+    # keeps none.  Beside those, a round holds vectors of n and p x p matrices.
+    p, n_max, workers = 200, 60000, 2
+    monkeypatch.setattr(slime.sampling, "_cpu_count", lambda: workers)
+    config = ExplainerConfig(n0=1000, k=4, n_max=n_max, seed=0)
+    model, instance = near_tied(p), InstanceSpec(values=np.zeros(p))
+    tracemalloc.start()
+    try:
+        explanation = slime_explain(model, instance, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert explanation.capped and explanation.final_n == n_max
+    assert any(d.n * p > 1 << 20 for d in explanation.test_trace)   # a large gated round
+    block = (4096 + 1023) * p * 8
+    bound = (2 * workers * block + (1 << 20) * 8 + 2 * 16 * n_max * 8
+             + 16 * n_max * 8 + 8 * p * p * 8)
+    assert peak <= bound, f"peak {peak / 1e6:.1f} MB over the {bound / 1e6:.1f} MB bound"
+
+
+def _path_bytes(state) -> tuple:
+    return (state.aborted, tuple(state.active_set), state.beta.tobytes(),
+            tuple(state.entry_events), tuple(state.drop_events),
+            tuple((b.beta.tobytes(), b.lam, b.active) for b in state.breakpoints))
+
+
+@pytest.mark.parametrize("fail_at", [None, 1, 3])
+@pytest.mark.parametrize("multiple_testing", [False, True])
+def test_a_round_that_keeps_no_rows_gates_like_the_lazy_gate(monkeypatch, multiple_testing,
+                                                             fail_at):
+    # The same rows, kept and not: the gate that reads kept columns and
+    # draws the rest again in one pass makes the lazy gate's decisions and
+    # ends the walk in its state.  With ``fail_at``, a walk that lets entry
+    # ``fail_at`` in then raises, as a singular active set would: the lazy
+    # gate raises only when no earlier entry was refused.
+    path = slime.explainer.lars_lasso_path
+
+    def failing(design, max_active, observer=None):
+        def vote(ctx):
+            admitted = observer(ctx)
+            if admitted and fail_at is not None and ctx.step >= fail_at:
+                raise SingularityError("the active set is singular", features=())
+            return admitted
+        return path(design, max_active, observer=vote)
+
+    monkeypatch.setattr(slime.explainer, "lars_lasso_path", failing)
+    p = 60
+    model, instance = near_tied(p), InstanceSpec(values=np.zeros(p))
+    config = ExplainerConfig(k=6, multiple_testing=multiple_testing)
+    start = build_dataset(model, instance, n=1000, seed=4)
+    for n in (20000, 45000):
+        outcomes = []
+        for dataset, gated in (
+                (extend_dataset(model, start, n),
+                 lambda std, trace: failing(std, 6, slime.explainer._entry_gate(
+                     config, std, trace))),
+                (extend_dataset(model, slime.sampling._without_rows(start), n),
+                 lambda std, trace: slime.explainer._gated_walk_without_rows(
+                     config, std, 6, trace))):
+            std = standardize(slime.sampling._design(dataset), dataset.weights, dataset.y,
+                              moments=dataset.moments)
+            trace = []
+            try:
+                outcome = _path_bytes(gated(std, trace))
+            except SingularityError:
+                outcome = "raised"
+            outcomes.append((outcome, trace))
+        assert outcomes[0] == outcomes[1], (n, fail_at)
+
+
+def _leading(p: int, leads: list) -> tuple[LinearModel, InstanceSpec]:
+    coefficients = np.zeros(p)
+    coefficients[:len(leads)] = leads
+    return LinearModel(coefficients), InstanceSpec(values=np.zeros(p))
+
+
+def _pairs(p: int) -> tuple[LinearModel, InstanceSpec]:
+    coefficients = np.zeros(p)
+    coefficients[0:6:2] = [1.0, 0.8, 0.6]
+    coefficients[1:6:2] = 0.995 * coefficients[0:6:2]
+    return LinearModel(coefficients), InstanceSpec(values=np.zeros(p))
+
+
+# sha256 of each explanation's sorted JSON, made when every round kept its
+# rows.  Rounds past 2**20 entries keep none now, and must not move a byte.
+_LARGE_ROUND_CASES = {
+    # Top-two gate, p = 200: three large rounds pass two entries and refuse
+    # the third, and the last passes all five, each reading kept columns.
+    "top-two": ("de5694010e7e8a45397e3ae4664862ef7e5c2901deec11474c49c00fb2fc3fbd",
+                lambda: slime_explain(*_leading(200, [1.0, 0.9, 0.8, 0.77, 0.6, 0.5]),
+                                      ExplainerConfig(n0=1000, k=5, n_max=60000, seed=0))),
+    # Geometric leads with a near tie at the 18th: large rounds decide their
+    # first entries on kept columns, draw the rows again for the rest, and
+    # refuse the 13th and the 18th.
+    "top-two-drawn-again": (
+        "3f6fad21c1a6a2017e65344485cd7d20ef3336dedb5735de78889e533beec653",
+        lambda: slime_explain(*_leading(200, [*0.8 ** np.arange(18), 0.97 * 0.8 ** 17,
+                                              0.8 ** 19]),
+                              ExplainerConfig(n0=1000, k=20, n_max=40000, seed=0))),
+    # Every rival, p = 50: a large round passes all six entries ...
+    "all-rivals": ("48ab947d3d50c47162010592ed0d3d32409fd04e7bf29523f9f6f22c962d965f",
+                   lambda: slime_explain(*_leading(50, [1.0, 0.9, 0.8, 0.7, 0.6, 0.5]),
+                                         ExplainerConfig(n0=1000, k=6, n_max=60000, seed=0,
+                                                         multiple_testing=True))),
+    # ... and here the capped last round is large.
+    "all-rivals-capped": ("3320951b35adad4280f7c3341a465888d8e6889875fb089703bc4ea6c2ae6ef7",
+                          lambda: slime_explain(*_leading(50, [1.0, 0.9, 0.8, 0.7, 0.6, 0.5]),
+                                                ExplainerConfig(n0=1000, k=6, n_max=60000,
+                                                                seed=2, multiple_testing=True))),
+    "lime": ("94173df7a357824d6deae0f348060a7d8f257c4f48638dbe81dd6ed3c364ee73",
+             lambda: lime_explain(*_pairs(200), ExplainerConfig(n0=1000, k=4, seed=0), n=9000)),
+    # Fresh rows each round: a large refused round, then a large capped one.
+    "fresh": ("f74662c25865973ae561f1d957f8b6324fc1bd0df231af57ee33f254008e3034",
+              lambda: slime_explain(*_pairs(100), ExplainerConfig(
+                  n0=1000, k=4, n_max=40000, seed=1, reuse_samples=False))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LARGE_ROUND_CASES))
+def test_large_rounds_give_the_pinned_bytes(case):
+    digest, explain = _LARGE_ROUND_CASES[case]
+    text = json.dumps(explanation_to_dict(explain()), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------- metamorphic

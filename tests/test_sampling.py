@@ -336,6 +336,36 @@ def test_more_threads_than_cpus_switching_often_keep_the_bytes(monkeypatch):
     assert result == [reference]
 
 
+def test_a_sample_that_keeps_no_rows_keeps_its_bytes_on_many_switching_threads(monkeypatch):
+    # A lost, reordered or early-freed block in the streamed growth or in
+    # the pass that draws the rows again would change the bytes.
+    spec = InstanceSpec(values=np.array([3.0, -1.0, 0.5, 200.0, 7.0]),
+                        feature_scales=np.array([0.1, 1.0, 2.0, 0.05, 0.5]))
+    model = LinearModel(np.arange(1.0, 6.0))
+    small = sampling._without_rows(build_dataset(model, spec, n=1000, seed=6))
+
+    def run():
+        grown = extend_dataset(model, small, 300001)
+        std = standardize(sampling._design(grown), grown.weights, grown.y,
+                          moments=grown.moments)
+        return _sample_bytes(grown)[1:] + (std.base.values.tobytes(),)
+
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 1)
+    reference = run()
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 8)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(run()), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert result == [reference]
+
+
 def test_pool_queries_the_model_once_on_the_new_rows_and_leaves_no_thread(monkeypatch):
     p = 20
     spec = InstanceSpec(values=np.zeros(p))
@@ -460,6 +490,69 @@ def test_a_wide_pool_pass_holds_the_sample_its_scratch_and_a_few_blocks_sums(mon
     # Slack: the running sums and eight n-vectors.
     slack = sums + 8 * n * 8
     assert peak <= n * p * 8 + workers * scratch + (workers + 1) * sums + slack
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_dataset_that_keeps_no_rows_regenerates_the_stored_bytes(monkeypatch, workers):
+    # 1000 rows end inside a generator block, and 30000 rows of 60 features
+    # are a large pass.  The growth that keeps no rows gives the same
+    # answers, weights and moments.  The gate's products read the kept
+    # columns when those hold the ones they need (the top two) and draw the
+    # rows again otherwise (the top against every rival), as does the dense
+    # base: either way they are the bytes the stored rows give.
+    draws = _on_workers(monkeypatch, workers)
+    p = 60
+    spec = InstanceSpec(values=np.linspace(-3.0, 5.0, p),
+                        feature_scales=np.linspace(0.5, 2.0, p))
+    model = LinearModel(np.linspace(1.0, -1.0, p) ** 3)
+    start = build_dataset(model, spec, n=1000, seed=5)
+    stored = extend_dataset(model, start, 30000)
+    streamed = extend_dataset(model, sampling._without_rows(start), 30000)
+    assert streamed.X.shape == (0, p) and streamed._buffer is None
+    assert _sample_bytes(streamed)[1:] == _sample_bytes(stored)[1:]
+    for name in ("pilot", "response", "cross"):
+        got, want = getattr(streamed.moments, name), getattr(stored.moments, name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    designs = [standardize(sampling._design(d), d.weights, d.y, moments=d.moments)
+               for d in (stored, streamed)]
+    assert designs[1].n_rows == 30000 and designs[1].sample.values.shape == (0, p)
+    beta = lars_lasso_path(designs[0], 3).breakpoints[2].beta[designs[0].retained_idx]
+    c = designs[0].xty - designs[0].gram @ beta
+    ranked = [j for j in np.argsort(-np.abs(c), kind="stable") if beta[j] == 0]
+    for columns, drawn in ((ranked[:2], 0), (ranked, 30000)):
+        draws.clear()
+        kept, regenerated = ([b.tobytes() for b in std.residual_products(beta, columns)]
+                             for std in designs)
+        assert len(kept) == 8 and kept == regenerated
+        assert sum(n for _, _, n in draws) == drawn
+    assert designs[1].base.values.tobytes() == designs[0].base.values.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_growth_that_keeps_no_rows_draws_each_generator_block_once(monkeypatch, workers):
+    # Starts on and inside generator blocks (1024 rows), growths shorter than
+    # a generator block, than the rows up to the next one, and longer than a
+    # few 4096-row blocks; at p = 80, 14000 rows are a large pass.  The
+    # answers, weights and moments are the stored growth's bytes; the draws
+    # tile the new rows, each but the first starting on a generator block.
+    p = 80
+    spec = InstanceSpec(values=np.linspace(-3.0, 5.0, p),
+                        feature_scales=np.linspace(0.1, 2.0, p))
+    model = LinearModel(np.linspace(1.0, -2.0, p))
+    draws = _on_workers(monkeypatch, workers)
+    for start, grow in ((0, 14000), (1024, 14000), (3000, 1), (3000, 30), (3000, 4262),
+                        (3000, 4096 + 72), (3000, 14000)):
+        kept = (build_dataset(model, spec, n=start, seed=9) if start
+                else sampling._empty(spec, 9, None))
+        want = extend_dataset(model, kept, start + grow)
+        draws.clear()
+        got = extend_dataset(model, sampling._without_rows(kept), start + grow)
+        assert _sample_bytes(got)[1:] == _sample_bytes(want)[1:], (start, grow)
+        assert got.moments.pilot == want.moments.pilot, (start, grow)
+        spans = sorted((lo, lo + n) for _, lo, n in draws)
+        assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]], (start, grow)
+        assert (spans[0][0], spans[-1][1]) == (start, start + grow)
+        assert all(lo % 1024 == 0 for lo, _ in spans[1:]), (start, grow)
 
 
 def test_the_empty_start_of_a_wide_dataset_holds_no_moments():
