@@ -11,17 +11,18 @@ by default), and the walk restarted.  Once the requested budget ``n_max``
 would be exceeded, one final pass runs untested and the result is marked
 ``capped``.
 
-On a sample that keeps its rows, each decision is one pass over them: the
-standardized design yields the residual's products with the top candidate
-and its rivals, a block of rows at a time, and
+A gated round runs one walk (:func:`_gated_walk`).  A decision whose
+products read only columns the sample keeps is made as it comes, in one
+pass over them: the standardized design yields the residual's products with
+the top candidate and its rivals, a block of rows at a time, and
 :func:`~slime.stability_testing.product_covariances` merges the blocks.  A
-round whose rows hold more than 2**20 entries keeps none of them
-(:func:`_sample`); its gate reads the few columns the sample kept while
-they suffice, and otherwise draws the rows again once for all the round's
-remaining decisions (:func:`_gated_walk_without_rows`).  The correlations
-with the response and the intercept's weighted mean come from the sample's
-weighted moments, which carry the answers: an ungated round reads no row
-after the weigh.
+sample that keeps its rows keeps every column.  A round whose rows hold
+more than 2**20 entries keeps none of them but a few columns
+(:func:`_sample`); from its first decision that reads another column on,
+its rows are drawn again once for all the round's remaining decisions.  The
+correlations with the response and the intercept's weighted mean come from
+the sample's weighted moments, which carry the answers: an ungated round
+reads no row after the weigh.
 """
 
 from __future__ import annotations
@@ -158,20 +159,20 @@ def _entry_gate(config: ExplainerConfig, design: StandardizedDesign,
     return gate
 
 
-def _gated_walk_without_rows(config: ExplainerConfig, design: StandardizedDesign,
-                             max_active: int, trace: list[TestDecision]) -> PathState:
-    """The gated walk of :func:`_entry_gate` on a sample that keeps no rows,
-    with the same decisions and state, drawing the rows again at most once.
+def _gated_walk(config: ExplainerConfig, design: StandardizedDesign,
+                max_active: int, trace: list[TestDecision]) -> PathState:
+    """The walk with every entry gated by :func:`_entry_gate`, drawing the
+    rows again at most once.
 
-    Entries whose tests read only columns the sample kept are decided as
-    they come, as the lazy gate decides them.  From the first entry that
-    reads another column on, the gate records each contested entry and lets
-    it in: the gate only votes, so up to its first refusal that walk is the
-    gated one.  One pass over the rows drawn again then merges every
-    recorded entry's products; the entries are decided in order, and the
-    walk is cut at the first refusal.  A walk that fails past a refused
-    entry is walked again, gated by the decisions, as the lazy gate would
-    have stopped it there.
+    Entries whose tests read only columns the sample keeps are decided as
+    they come, by the lazy gate; on a sample that keeps its rows that is
+    every entry.  From the first entry that reads another column on, the
+    gate records each contested entry and lets it in: the gate only votes,
+    so up to its first refusal that walk is the gated one.  One pass over
+    the rows drawn again then merges every recorded entry's products; the
+    entries are decided in order, and the walk is cut at the first refusal.
+    A walk that fails past a refused entry is walked again, gated by the
+    decisions, as the lazy gate would have stopped it there.
     """
     decide_now = _entry_gate(config, design, trace)
     later = []
@@ -215,19 +216,16 @@ def _walk(dataset: PerturbationDataset, config: ExplainerConfig,
           trace: list[TestDecision] | None) -> tuple[StandardizedDesign, PathState]:
     """One round: standardize the sample and walk its LASSO path.
 
-    With a ``trace`` every entry is gated and its decision appended there:
-    one pass over the kept rows per decision, or, on a sample that keeps no
-    rows, one regeneration of them for the round.  The standardized design
-    is handed back for the refit.
+    With a ``trace`` every entry is gated and its decision appended there
+    (:func:`_gated_walk`).  The standardized design is handed back for the
+    refit.
     """
     std = standardize(_design(dataset), dataset.weights, dataset.y,
                       moments=dataset.moments)
     max_active = min(config.k, std.retained_idx.size, dataset.n - 1)
     if trace is None:
         return std, lars_lasso_path(std, max_active)
-    if dataset._streamed:
-        return std, _gated_walk_without_rows(config, std, max_active, trace)
-    return std, lars_lasso_path(std, max_active, observer=_entry_gate(config, std, trace))
+    return std, _gated_walk(config, std, max_active, trace)
 
 
 def _sample(model: Model, instance: InstanceSpec, config: ExplainerConfig, n: int,

@@ -12,39 +12,38 @@ Kernel weights follow the usual locality kernel
 ``exp(-d^2 / width^2)`` with d the Euclidean distance measured in
 scale-normalized coordinates, so the instance itself would get weight 1.
 
-New rows are made in three phases.  The draw phase writes them straight
-into the dataset's buffer, split at absolute multiples of 4096 rows, which
-are generator-block boundaries, so within a growth no generator block is
-drawn twice.  A growth that starts inside a generator block skips that
-block's leading rows on the block's own stream, without a copy: their values
-are generated and dropped.  The query phase asks the model
-once for the new rows, on the calling thread.  The weigh phase gives each
-block, in one task per block, its kernel weights and its weighted moments
-about the instance, the answers included
-(:class:`~slime.weighted_lars.WeightedMoments`); the calling thread adds
-each block's sums to the dataset's, in block order, as soon as it is done, so
-standardizing a grown sample, and correlating it with the answers, costs
-p x p algebra plus the new rows.  The answers are summed about a pilot
-shift, the dataset's first answer, so a constant model's answers sum to
-exactly zero.  When the new rows hold more than 2**20 entries and span more
-than one block, the draw and the weigh run on a thread pool with one thread
-per CPU the process may run on (its CPU affinity; ``taskset -c 0 slime ...``
-keeps the pass on one thread); smaller passes run in the calling thread.
-Either way the weigh holds the sums of at most one block more than it has
-threads.  Rows, weights and moments are the same bytes whatever the number
-of CPUs.  Building a dataset is its first growth, from no rows.  The sample
-of a public dataset lives in one C-order buffer, and growth writes the new
-rows into its spare rows, which the caller may reserve up front
-(``extend_dataset(..., capacity=)``).
+New rows are made by one pass (:func:`_draw_query_weigh`) in turns.  A
+turn's rows are drawn into one contiguous buffer, one task per 4096-row
+block, each draw running on into the next block's first rows so that it
+ends on a generator block and no generator block is drawn twice; a growth
+that starts inside a generator block skips that block's leading rows on the
+block's own stream, without a copy.  The turn is asked of the model at
+once, on the calling thread.  Each of its blocks is then weighed in one
+task: its kernel weights and its weighted moments about the instance, the
+answers included (:class:`~slime.weighted_lars.WeightedMoments`); the
+calling thread adds each block's sums to the dataset's, in block order, as
+soon as it is done, so standardizing a grown sample, and correlating it
+with the answers, costs p x p algebra plus the new rows.  The answers are
+summed about a pilot shift, the dataset's first answer, so a constant
+model's answers sum to exactly zero.  When the new rows hold more than
+2**20 entries and span more than one block, the draws and the weighs run on
+a thread pool with one thread per CPU the process may run on (its CPU
+affinity; ``taskset -c 0 slime ...`` keeps the pass on one thread); smaller
+passes run in the calling thread.  Either way the weigh holds the sums of
+at most one block more than it has threads.  Rows, weights and moments are
+the same bytes whatever the number of CPUs.  Building a dataset is its
+first growth, from no rows.
 
+The sample of a public dataset lives in one C-order buffer: a growth is one
+turn, drawn into the buffer's spare rows, which the caller may reserve up
+front (``extend_dataset(..., capacity=)``), and weighed through scratch.
 The explainer's samples past 2**20 entries keep no rows
-(:func:`_without_rows`): their growth draws, asks and weighs the new rows a
-few blocks at a time through buffers made once per pass
-(:func:`_stream_query_weigh`), and keeps the answers, the weights, the
-moments and a few columns.  A pass over their rows reads those columns
-when it needs no other, and otherwise draws every row again
-(:class:`_Regenerated`); by the prefix property those are the bytes a kept
-sample would give.
+(:func:`_without_rows`): a turn is one block per thread, in one of two
+buffers made for the pass, and is weighed in place while the next turn is
+drawn and asked; the dataset keeps the answers, the weights, the moments
+and a few columns.  A pass over its rows reads those columns when it needs
+no other, and otherwise draws every row again (:class:`_Regenerated`); by
+the prefix property those are the bytes a kept sample would give.
 """
 
 from __future__ import annotations
@@ -54,11 +53,11 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import islice
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -279,24 +278,27 @@ def _check_width(width: float) -> None:
         raise ValidationError("kernel width must be positive and finite")
 
 
-def _scratch(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _scratch(n: int, p: int, in_place: bool = False) -> tuple[np.ndarray | None, np.ndarray]:
     """Work space of :func:`_weigh` on the blocks of an n-row pass: one
-    ``_ROW_BLOCK`` of shifted rows, and one chunk of scale-normalized rows
-    that holds at most 2**15 entries (and at least one row)."""
+    ``_ROW_BLOCK`` of shifted rows (none when the rows are shifted in
+    place), and one chunk of scale-normalized rows that holds at most 2**15
+    entries (and at least one row)."""
     chunk = min(n, _ROW_BLOCK, max(1, (1 << 15) // p))
-    return np.empty((min(n, _ROW_BLOCK), p)), np.empty((chunk, p))
+    return None if in_place else np.empty((min(n, _ROW_BLOCK), p)), np.empty((chunk, p))
 
 
 def _weigh(rows: np.ndarray, instance: InstanceSpec, width: float, w: np.ndarray,
            scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Write the kernel weights of at most ``_ROW_BLOCK`` ``rows`` into ``w``
-    and return the rows shifted by the instance, which live in ``scratch``.
+    and return the rows shifted by the instance, which live in ``scratch``,
+    or in ``rows`` themselves when its first entry is None.
 
     Each row's weight depends on that row alone, so the bytes do not depend
     on the blocking or on which rows are weighed together.
     """
     u_space, z_space = scratch
-    u = np.subtract(rows, instance.values, out=u_space[:rows.shape[0]])
+    u = np.subtract(rows, instance.values,
+                    out=rows if u_space is None else u_space[:rows.shape[0]])
     for lo in range(0, u.shape[0], z_space.shape[0]):
         part = u[lo:lo + z_space.shape[0]]
         z = np.divide(part, instance.feature_scales, out=z_space[:part.shape[0]])
@@ -313,62 +315,16 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_query_weigh(model: Model, dataset: PerturbationDataset, X: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, WeightedMoments]:
-    """Fill ``X`` with the rows that follow the dataset's, query the model on
-    them and weigh them: return their answers, their kernel weights and the
-    dataset's moments with theirs added.
-
-    Three phases: draw the rows in one call per span between absolute
-    multiples of ``_ROW_BLOCK``, query the model once on the calling thread,
-    then weigh the blocks and sum their moments, responses included, in one
-    task per block.  Large passes run the draw and the weigh on a thread
-    pool sized to the CPUs the process may use.  At most ``workers + 1``
-    weigh tasks are in flight, each borrowing one of ``workers`` scratches
-    while it runs; the calling thread adds each block's sums in block order
-    as soon as that block is done, so the bytes do not depend on the number
-    of threads.
-    """
-    instance, start, width = dataset.instance, dataset.n, dataset.kernel_width
-    _check_width(width)
-    n, p = X.shape
-    w = np.empty(n)
-    blocks = list(_row_blocks(n))
-    # The draw splits at absolute multiples of _ROW_BLOCK, which are
-    # generator-block boundaries, so no generator block is drawn twice.
-    edges = [0, *range(-start % _ROW_BLOCK or _ROW_BLOCK, n, _ROW_BLOCK), n]
-    workers = _workers(n, p)
-
-    def draw(lo: int, hi: int) -> None:
-        gaussian_perturb(instance, hi - lo, dataset.seed, start=start + lo, out=X[lo:hi])
-
-    def weigh(rows: slice) -> tuple:
-        scratch = free.pop()   # at most ``workers`` tasks run at once
-        try:
-            return moments.block_sums(_weigh(X[rows], instance, width, w[rows], scratch),
-                                      w[rows], y[rows])
-        finally:
-            free.append(scratch)
-
-    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        list((map if pool is None else pool.map)(draw, edges[:-1], edges[1:]))
-        y = query_model(model, X)
-        # The first answer fixes the pilot shift of the response's moments.
-        moments = (dataset.moments.copy() if start
-                   else WeightedMoments.about(instance.values, y))
-        # Scratch is allocated here, after the query, not in the workers:
-        # memory a worker thread frees stays in that thread's malloc arena.
-        free = [_scratch(n, p) for _ in range(workers)]
-        # A pending entry, called, gives its block's sums (weighed then, with no pool).
-        submit = partial if pool is None else lambda *task: pool.submit(*task).result
-        pending = []
-        for rows in blocks:
-            pending.append(submit(weigh, rows))
-            if len(pending) > workers:
-                moments.add(pending.pop(0)())
-        for sums in pending:
-            moments.add(sums())
-    return y, w, moments
+@contextmanager
+def _pool(workers: int) -> Iterator[Callable]:
+    """``submit(fn, *args)``, which returns a callable that gives
+    ``fn(*args)``: run on a pool of ``workers`` threads open for the
+    ``with`` block, or, for one worker, in the calling thread when called."""
+    if workers == 1:
+        yield partial
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        yield lambda *task: pool.submit(*task).result
 
 
 def _workers(n: int, p: int) -> int:
@@ -377,93 +333,104 @@ def _workers(n: int, p: int) -> int:
     return min(_cpu_count(), -(-n // _ROW_BLOCK)) if n * p > _LARGE_ENTRIES else 1
 
 
-def _stream_query_weigh(model: Model, dataset: PerturbationDataset, n: int
-                        ) -> tuple[np.ndarray, np.ndarray, WeightedMoments, np.ndarray]:
-    """The answers, weights and grown moments of the n rows that follow a
-    dataset that keeps no rows, and the values of its kept columns over
-    them: the pass of :func:`_draw_query_weigh` a few blocks at a time.
+def _draw_query_weigh(model: Model, dataset: PerturbationDataset, n: int,
+                      X: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, WeightedMoments, np.ndarray | None]:
+    """Draw, query and weigh the n rows that follow the dataset's: return
+    their answers, their kernel weights, the dataset's moments with theirs
+    added and, for a dataset that keeps no rows, the values of its kept
+    columns over them.
 
-    The new rows go in turns of one ``_row_blocks`` block per thread.  A
-    turn's blocks are drawn on the pool into buffers made once for the pass,
-    asked of the model on the calling thread, in block order, and weighed in
-    place on the pool; each block's sums are added in block order.  The
-    model is asked about the same rows as by a single query, and the moments
-    get the same blocks in the same order, so the bytes are those of
-    :func:`_draw_query_weigh`.  No draw runs while the model is asked, but a
-    turn's weighs run while the next turn is drawn and asked, so the pool
-    stays busy, and the pass holds two turns of rows.
+    The rows go in turns, each drawn into one contiguous buffer, one task
+    per :func:`_row_blocks` block, and asked of the model at once on the
+    calling thread; then each of the turn's blocks is weighed in one task,
+    and the calling thread adds its sums in block order, with at most
+    ``workers + 1`` weighs in flight.  Given ``X``, the rows are kept there:
+    the turn is every block, weighed through scratch.  Otherwise a turn is
+    one block per thread, in one of two buffers made for the pass, weighed
+    in place while the next turn is drawn and asked.  The bytes depend
+    neither on the number of threads nor on the turns.
 
-    Every draw but the pass's first starts on a generator block: a block's
-    draw runs on into the first ``lead`` rows of the next block, which are
-    copied there, so no generator block is drawn twice.
+    A block's draw runs on into the first ``lead`` rows of the next block,
+    so every draw but the pass's first starts on a generator block and none
+    is drawn twice; only a turn's first rows are copied, from the end of
+    the previous turn's buffer.
     """
     instance, start, width = dataset.instance, dataset.n, dataset.kernel_width
     _check_width(width)
     p = instance.n_features
-    y, w = np.empty(n), np.empty(n)
     workers = _workers(n, p)
-    moments = dataset.moments.copy() if start else None
     lead = -start % _BLOCK
-    kept = dataset._kept_columns[0]
-    columns = np.empty((n, kept.size))
+    if X is None:
+        turn = workers * _ROW_BLOCK
+        # Made before the pass's outputs, so that, once freed, their heap
+        # space takes the allocations that follow the pass.  Made after them,
+        # a p=200, n=100k explain on 2 threads peaked 7-9% higher: a freed
+        # turn buffer raises glibc's mmap threshold to its own size.
+        buffers = [np.empty((min(n, turn + lead), p)) for _ in range(2)]
+        kept = dataset._kept_columns[0]
+        columns = np.empty((n, kept.size))
+    else:
+        turn, columns, buffers = n, None, [X]
+    y, w = np.empty(n), np.empty(n)
+    moments = dataset.moments.copy() if start else None
+    scratch = []
 
-    def draw(rows: slice, buffer: np.ndarray) -> None:
-        lo = rows.start + lead if rows.start else 0
-        hi = min(rows.start + _ROW_BLOCK + lead, n)
+    def draw(block: int, buffer: np.ndarray, first: int) -> None:
+        lo, hi = block + lead if block else 0, min(block + _ROW_BLOCK + lead, n)
         if hi > lo:
             gaussian_perturb(instance, hi - lo, dataset.seed, start=start + lo,
-                             out=buffer[lo - rows.start:hi - rows.start])
+                             out=buffer[lo - first:hi - first])
 
     def weigh(rows: slice, values: np.ndarray) -> tuple:
-        z_space = free_z.pop()   # at most ``workers`` tasks run at once
+        space = scratch.pop()   # at most ``workers`` tasks run at once
         try:
-            # The rows are shifted in place: nothing reads them afterwards.
-            u = _weigh(values, instance, width, w[rows], (values, z_space))
-            return moments.block_sums(u, w[rows], y[rows])
+            return moments.block_sums(_weigh(values, instance, width, w[rows], space),
+                                      w[rows], y[rows])
         finally:
-            free_z.append(z_space)
+            scratch.append(space)
 
-    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        submit = partial if pool is None else lambda *task: pool.submit(*task).result
-        # Allocated on the calling thread: memory a worker thread frees stays
-        # in that thread's malloc arena.
-        free = [np.empty((min(n, _ROW_BLOCK + lead), p)) for _ in range(2 * workers)]
-        free_z = [_scratch(n, p)[1] for _ in range(workers)]
-        blocks = _row_blocks(n)
+    with _pool(workers) as submit:
+        def draw_turn(first: int) -> list:
+            buffer = buffers[first // turn % 2]
+            return [submit(draw, block, buffer, first)
+                    for block in range(first, min(first + turn, n), _ROW_BLOCK)]
 
-        def draw_turn() -> list:
-            turn = []
-            for rows in islice(blocks, workers):
-                buffer = free.pop()
-                turn.append((rows, buffer, submit(draw, rows, buffer)))
-            return turn
-
-        drawn, weighed, previous = draw_turn(), [], None
-        while drawn:
-            for rows, buffer, done in drawn:
+        drawing, pending, previous = draw_turn(0), deque(), None
+        for first in range(0, n, turn):
+            last = min(first + turn, n)
+            buffer = buffers[first // turn % 2]
+            for done in drawing:
                 done()
-            for rows, buffer, _ in drawn:
-                size = rows.stop - rows.start
-                if rows.start:
-                    head = min(lead, size)
-                    buffer[:head] = previous[_ROW_BLOCK:_ROW_BLOCK + head]
-                previous = buffer
-                columns[rows] = buffer[:size, kept]
-                y[rows] = query_model(model, buffer[:size])
+            if first:
+                head = min(lead, last - first)
+                buffer[:head] = previous[turn:turn + head]
+            values = buffer[:last - first]
+            if columns is not None:
+                columns[first:last] = values[:, kept]
+            y[first:last] = query_model(model, values)
             if moments is None:
                 # The first answer fixes the pilot shift of the response's moments.
                 moments = WeightedMoments.about(instance.values, y)
-            for buffer, sums in weighed:
-                moments.add(sums())
-                free.append(buffer)
-            # The next turn's draws go ahead of this turn's weighs, which
-            # then run while the next turn is asked of the model.
-            following = draw_turn()
-            weighed = [(buffer, submit(weigh, rows, buffer[:rows.stop - rows.start]))
-                       for rows, buffer, _ in drawn]
-            drawn = following
-        for _, sums in weighed:
-            moments.add(sums())
+            if not first:
+                # Allocated here, after the query, not in the workers: memory
+                # a worker thread frees stays in that thread's malloc arena.
+                # Rows that are not kept are shifted in place.
+                scratch.extend(_scratch(n, p, in_place=X is None) for _ in range(workers))
+            # The previous turn's weighs end before its buffer is drawn into
+            # again, and the next turn's draws go ahead of this turn's weighs.
+            while pending:
+                moments.add(pending.popleft()())
+            if last < n:
+                drawing = draw_turn(last)
+            for rows in _row_blocks(last - first):
+                pending.append(submit(weigh, slice(first + rows.start, first + rows.stop),
+                                      values[rows]))
+                if len(pending) > workers:
+                    moments.add(pending.popleft()())
+            previous = buffer
+        while pending:
+            moments.add(pending.popleft()())
     return y, w, moments, columns
 
 
@@ -503,6 +470,7 @@ class _Regenerated(DesignMatrix):
                 yield task(rows, block)
             return
         workers = _workers(n, p)
+        in_flight = workers + 1 if workers > 1 else 1
 
         def run(rows: slice, buffer: np.ndarray):
             try:
@@ -512,9 +480,7 @@ class _Regenerated(DesignMatrix):
             finally:
                 free.append(buffer)
 
-        with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-            submit = partial if pool is None else lambda *task: pool.submit(*task).result
-            in_flight = workers if pool is None else workers + 1
+        with _pool(workers) as submit:
             free = [np.empty((min(n, _ROW_BLOCK), p)) for _ in range(in_flight)]
             pending = deque()
             for rows in _row_blocks(n):
@@ -601,21 +567,20 @@ def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
             f"new_n must exceed the current {dataset.n} rows, got {new_n}")
     n = dataset.n
     buffer = dataset._buffer
-    kept = dataset._kept_columns
-    if kept is not None:
-        X = dataset.X
-        y_new, w_new, moments, columns = _stream_query_weigh(model, dataset, new_n - n)
-        kept = (kept[0], np.concatenate([kept[1], columns]))
-    else:
-        if buffer is None or buffer.shape[0] < new_n:
-            p = dataset.instance.n_features
-            try:
-                buffer = np.empty((max(new_n, capacity), p))
-            except MemoryError:   # a budget too large to reserve is not reserved
-                buffer = np.empty((new_n, p))
-            buffer[:n] = dataset.X
+    X, kept = dataset.X, dataset._kept_columns
+    if kept is None and (buffer is None or buffer.shape[0] < new_n):
+        p = dataset.instance.n_features
+        try:
+            buffer = np.empty((max(new_n, capacity), p))
+        except MemoryError:   # a budget too large to reserve is not reserved
+            buffer = np.empty((new_n, p))
+        buffer[:n] = X
+    y_new, w_new, moments, columns = _draw_query_weigh(
+        model, dataset, new_n - n, buffer[n:new_n] if kept is None else None)
+    if kept is None:
         X = buffer[:new_n]
-        y_new, w_new, moments = _draw_query_weigh(model, dataset, buffer[n:new_n])
+    else:
+        kept = (kept[0], np.concatenate([kept[1], columns]))
     return PerturbationDataset(
         X=X,
         y=np.concatenate([dataset.y, y_new]),

@@ -136,6 +136,11 @@ class DesignMatrix:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
+    def _keeps(self, columns: Sequence[int]) -> bool:
+        """Whether a pass that reads only ``columns`` reads no row drawn
+        again: a design that stores its values keeps every column."""
+        return True
+
     def _map_blocks(self, task: Callable[[slice, np.ndarray], _T],
                     columns: Sequence[int] | None = None) -> Iterator[_T]:
         """``task(rows, values)`` over each :func:`_row_blocks` block of rows,
@@ -296,9 +301,12 @@ class StandardizedDesign:
                                        self._residual_reads(beta, columns))
 
     def _residual_reads(self, beta: np.ndarray, columns: Sequence[int]) -> np.ndarray:
-        """The raw sample's columns that :meth:`residual_products` reads."""
-        return np.union1d(self.retained_idx[np.flatnonzero(beta)],
-                          self.retained_idx[columns])
+        """The raw sample's columns that :meth:`residual_products` reads, in
+        order.  A mask, not numpy's set routines, whose first call imports
+        ``numpy.ma``."""
+        reads = beta != 0
+        reads[columns] = True
+        return self.retained_idx[reads]
 
     def _residual_block(self, beta: np.ndarray, columns: Sequence[int]
                         ) -> Callable[[slice, np.ndarray], np.ndarray]:

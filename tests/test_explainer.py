@@ -432,7 +432,7 @@ def test_a_round_that_keeps_no_rows_gates_like_the_lazy_gate(monkeypatch, multip
                  lambda std, trace: failing(std, 6, slime.explainer._entry_gate(
                      config, std, trace))),
                 (extend_dataset(model, slime.sampling._without_rows(start), n),
-                 lambda std, trace: slime.explainer._gated_walk_without_rows(
+                 lambda std, trace: slime.explainer._gated_walk(
                      config, std, 6, trace))):
             std = standardize(slime.sampling._design(dataset), dataset.weights, dataset.y,
                               moments=dataset.moments)

@@ -555,6 +555,28 @@ def test_a_growth_that_keeps_no_rows_draws_each_generator_block_once(monkeypatch
         assert all(lo % 1024 == 0 for lo, _ in spans[1:]), (start, grow)
 
 
+def test_a_growth_that_keeps_no_rows_asks_the_model_once_per_turn(monkeypatch):
+    # On 2 workers a turn is two 4096-row blocks.  The growth starts inside
+    # a generator block, and 30000 rows of 60 features are a large pass: the
+    # model is asked about 8192 rows at a time, and the answers, weights and
+    # moments are the bytes of a growth that keeps its rows.
+    _on_workers(monkeypatch, 2)
+    p = 60
+    spec = InstanceSpec(values=np.linspace(-3.0, 5.0, p),
+                        feature_scales=np.linspace(0.5, 2.0, p))
+    model = CountingLinear(np.linspace(1.0, -1.0, p))
+    start = build_dataset(model, spec, n=1000, seed=5)
+    stored = extend_dataset(model, start, 31000)
+    del model.batches[:]
+    streamed = extend_dataset(model, sampling._without_rows(start), 31000)
+    assert model.batch_sizes == [8192, 8192, 8192, 5424]
+    np.testing.assert_array_equal(np.concatenate(model.batches), stored.X[1000:])
+    assert _sample_bytes(streamed)[1:] == _sample_bytes(stored)[1:]
+    for name in ("pilot", "response", "cross"):
+        got, want = getattr(streamed.moments, name), getattr(stored.moments, name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
 def test_the_empty_start_of_a_wide_dataset_holds_no_moments():
     # build_dataset grows this start: a p x p zero sum would be 8 MB at p = 1000.
     p = 1000
