@@ -16,13 +16,12 @@ products read only columns the sample keeps is made as it comes, in one
 pass over them: the standardized design yields the residual's products with
 the top candidate and its rivals, a block of rows at a time, and
 :func:`~slime.stability_testing.product_covariances` merges the blocks.  A
-sample that keeps its rows keeps every column.  A round whose rows hold
-more than 2**20 entries keeps none of them but a few columns
-(:func:`_sample`); from its first decision that reads another column on,
-its rows are drawn again once for all the round's remaining decisions.  The
-correlations with the response and the intercept's weighted mean come from
-the sample's weighted moments, which carry the answers: an ungated round
-reads no row after the weigh.
+round whose rows hold at most 2**20 entries keeps every column; a larger
+one keeps a few (:func:`_sample`), and from its first decision that reads
+another column on, its rows are drawn again once for all the round's
+remaining decisions.  The correlations with the response and the
+intercept's weighted mean come from the sample's weighted moments, which
+carry the answers: an ungated round reads no row after the weigh.
 """
 
 from __future__ import annotations
@@ -33,9 +32,11 @@ import numpy as np
 
 from .errors import SingularityError, ValidationError
 from .models import Model, _check_input_dim
-from .sampling import (_LARGE_ENTRIES, InstanceSpec, PerturbationDataset,
+# build_dataset is not called here since every round grows a dataset; the
+# name stays so that perfbench/layers.py can wrap it.
+from .sampling import (InstanceSpec, PerturbationDataset,  # noqa: F401
                        _check_seed, _check_width, _derived_seed, _design, _empty,
-                       _without_rows, build_dataset, extend_dataset)
+                       _for_round, build_dataset, extend_dataset)
 # product_covariance is not called here since the gate makes one pass per
 # decision; the name stays so that perfbench/layers.py can wrap it.
 from .stability_testing import (TestDecision, _DEFAULT_GROWTH_FACTOR,  # noqa: F401
@@ -165,8 +166,8 @@ def _gated_walk(config: ExplainerConfig, design: StandardizedDesign,
     rows again at most once.
 
     Entries whose tests read only columns the sample keeps are decided as
-    they come, by the lazy gate; on a sample that keeps its rows that is
-    every entry.  From the first entry that reads another column on, the
+    they come, by the lazy gate; on a sample that keeps every column that
+    is every entry.  From the first entry that reads another column on, the
     gate records each contested entry and lets it in: the gate only votes,
     so up to its first refusal that walk is the gated one.  One pass over
     the rows drawn again then merges every recorded entry's products; the
@@ -230,21 +231,12 @@ def _walk(dataset: PerturbationDataset, config: ExplainerConfig,
 
 def _sample(model: Model, instance: InstanceSpec, config: ExplainerConfig, n: int,
             seed: int, dataset: PerturbationDataset | None = None) -> PerturbationDataset:
-    """``dataset`` grown to n rows, or a new one drawn from ``seed``.
-
-    The rows are kept only while they hold at most ``_LARGE_ENTRIES``
-    entries, and the budget ``n_max`` is reserved only if it is under that
-    line; a larger sample keeps its answers, weights and moments, and a
-    gated round draws its rows again.
-    """
-    p = instance.n_features
-    if n * p > _LARGE_ENTRIES:
-        start = _empty(instance, seed, config.kernel_width) if dataset is None else dataset
-        return extend_dataset(model, _without_rows(start), n)
-    if dataset is None:
-        return build_dataset(model, instance, n, seed, config.kernel_width)
-    capacity = config.n_max if config.n_max * p <= _LARGE_ENTRIES else 0
-    return extend_dataset(model, dataset, n, capacity=capacity)
+    """``dataset`` grown to n rows, or a new one drawn from ``seed``, keeping
+    the columns a round of n rows keeps (:func:`~slime.sampling._for_round`):
+    past 2**20 entries a few, and a gated round draws its rows again when it
+    reads another."""
+    start = _empty(instance, seed, config.kernel_width) if dataset is None else dataset
+    return extend_dataset(model, _for_round(start, n), n)
 
 
 def _explain(model: Model, instance: InstanceSpec, config: ExplainerConfig,

@@ -34,16 +34,18 @@ at most one block more than it has threads.  Rows, weights and moments are
 the same bytes whatever the number of CPUs.  Building a dataset is its
 first growth, from no rows.
 
-The sample of a public dataset lives in one C-order buffer: a growth is one
-turn, drawn into the buffer's spare rows, which the caller may reserve up
-front (``extend_dataset(..., capacity=)``), and weighed through scratch.
-The explainer's samples past 2**20 entries keep no rows
-(:func:`_without_rows`): a turn is one block per thread, in one of two
-buffers made for the pass, and is weighed in place while the next turn is
-drawn and asked; the dataset keeps the answers, the weights, the moments
-and a few columns.  A pass over its rows reads those columns when it needs
-no other, and otherwise draws every row again (:class:`_Regenerated`); by
-the prefix property those are the bytes a kept sample would give.
+A dataset's ``X`` holds the values of the columns it keeps.  A public
+dataset keeps every column: its growth copies the old rows into exactly as
+many rows as it grows to, draws the new rows into their tail in one turn and
+weighs them through scratch.  The explainer's rounds past 2**20 entries keep
+a few columns only (:func:`_for_round`): a turn is one block per thread, in
+one of two buffers made for the pass, and is weighed in place while the
+next turn is drawn and asked; the dataset keeps the answers, the weights,
+the moments and those columns.  A pass over its rows reads those columns
+when it needs no other, and otherwise draws every row again
+(:class:`_Regenerated`); by the prefix property those are the bytes the
+rows of a dataset that keeps every column give.  A sample too large for
+numpy to allocate is refused as invalid input.
 """
 
 from __future__ import annotations
@@ -81,17 +83,25 @@ _BLOCK = 1024            # rows per generator block; fixed, part of the stream f
 _MIN_WEIGHT = np.finfo(float).tiny   # keep weights strictly positive even at extreme distance
 # Rows holding more than this many entries make a large pass: over more than
 # one _ROW_BLOCK it runs on a thread pool (below it a pool costs more than it
-# saves, and the blocks run in the calling thread), and the explainer keeps
-# no sample this large in memory.
+# saves, and the blocks run in the calling thread), and an explainer round
+# this large keeps only a few columns in memory (:func:`_for_round`).
 _LARGE_ENTRIES = 1 << 20
-# A sample that keeps no rows keeps this many columns, the ones most
-# correlated with the answers when it stopped keeping rows: a round's first
-# entry tests compare its leading columns, and read them there instead of
-# drawing every row again.  A small sample ranks the leaders loosely (at
-# 1000 rows of 200 features, a column with the second largest coefficient
-# ranked below eight others), so many more than the two that the first test
-# compares are kept.
+# Such a round keeps this many columns, the ones most correlated with the
+# answers when it stopped keeping every column: a round's first entry tests
+# compare its leading columns, and read them there instead of drawing every
+# row again.  A small sample ranks the leaders loosely (at 1000 rows of 200
+# features, a column with the second largest coefficient ranked below eight
+# others), so many more than the two that the first test compares are kept.
 _KEPT_COLUMNS = 16
+
+
+def _for_round(dataset: PerturbationDataset, n: int) -> PerturbationDataset:
+    """The dataset, keeping the columns an explainer round of n rows keeps:
+    every one while the rows hold at most ``_LARGE_ENTRIES`` entries, and
+    past that the ``_KEPT_COLUMNS`` leading ones (:func:`_without_rows`)."""
+    if n * dataset.instance.n_features > _LARGE_ENTRIES:
+        return _without_rows(dataset)
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -148,13 +158,11 @@ class PerturbationDataset:
     without them sums them from its rows and answers.  A dataset with no
     rows carries no moments: its first growth starts them about its first
     answer.
-    ``_buffer``, when set, is the array whose leading rows ``X`` views; its
-    later rows are spare capacity for growth.  A dataset with
-    ``_kept_columns`` keeps no rows: its ``X`` has none, it carries its
-    moments, and a pass that needs its rows draws them again
-    (:func:`_design`).  It keeps only the columns ``_kept_columns[0]``, whose
-    values over every row are ``_kept_columns[1]``.  Only the explainer makes
-    one, for its large rounds.
+    ``X`` holds, over every row, the values of the columns the dataset
+    keeps: those ``_columns`` names, or every column when it is None.  A
+    dataset that keeps only some carries its moments, and a pass that needs
+    another column draws the rows again (:func:`_design`).  Only the
+    explainer makes one, for its large rounds.
     """
 
     X: np.ndarray
@@ -165,19 +173,12 @@ class PerturbationDataset:
     instance: InstanceSpec
     kernel_width: float
     moments: WeightedMoments | None = field(default=None, repr=False, compare=False)
-    _buffer: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _kept_columns: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
-
-    @property
-    def _streamed(self) -> bool:
-        return self._kept_columns is not None
+    _columns: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.X.shape != (0 if self._streamed else self.n, self.instance.n_features):
+        p = self.instance.n_features
+        if self.X.shape != (self.n, p if self._columns is None else self._columns.size):
             raise ValidationError("X shape must be (n, p)")
-        if self._streamed and self.moments is None and self.n:
-            raise ValidationError("a dataset that keeps no rows must carry its moments")
         if self.y.shape != (self.n,) or self.weights.shape != (self.n,):
             raise ValidationError("y and weights must have one entry per row")
         if not np.isfinite(self.y).all():
@@ -185,6 +186,8 @@ class PerturbationDataset:
         if (self.weights <= 0).any() or (self.weights > 1).any():
             raise ValidationError("weights must lie in (0, 1]")
         if self.moments is None and self.n:
+            if self._columns is not None:
+                raise ValidationError("a dataset that keeps some columns must carry its moments")
             object.__setattr__(self, "moments", WeightedMoments.of(
                 self.X, self.weights, self.instance.values, self.y))
 
@@ -278,6 +281,15 @@ def _check_width(width: float) -> None:
         raise ValidationError("kernel width must be positive and finite")
 
 
+def _allocate(n: int, *shape: int) -> np.ndarray:
+    """``np.empty((n, *shape))`` for n rows of a sample; a size numpy refuses
+    before it touches memory raises :class:`ValidationError`."""
+    try:
+        return np.empty((n, *shape))
+    except (MemoryError, ValueError) as exc:
+        raise ValidationError(f"a sample of {n} rows cannot be allocated: {exc}") from None
+
+
 def _scratch(n: int, p: int, in_place: bool = False) -> tuple[np.ndarray | None, np.ndarray]:
     """Work space of :func:`_weigh` on the blocks of an n-row pass: one
     ``_ROW_BLOCK`` of shifted rows (none when the rows are shifted in
@@ -338,8 +350,8 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, n: int,
                       ) -> tuple[np.ndarray, np.ndarray, WeightedMoments, np.ndarray | None]:
     """Draw, query and weigh the n rows that follow the dataset's: return
     their answers, their kernel weights, the dataset's moments with theirs
-    added and, for a dataset that keeps no rows, the values of its kept
-    columns over them.
+    added and, for a dataset that keeps only some columns, their values
+    over the new rows.
 
     The rows go in turns, each drawn into one contiguous buffer, one task
     per :func:`_row_blocks` block, and asked of the model at once on the
@@ -368,11 +380,11 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, n: int,
         # a p=200, n=100k explain on 2 threads peaked 7-9% higher: a freed
         # turn buffer raises glibc's mmap threshold to its own size.
         buffers = [np.empty((min(n, turn + lead), p)) for _ in range(2)]
-        kept = dataset._kept_columns[0]
-        columns = np.empty((n, kept.size))
+        kept = dataset._columns
+        columns = _allocate(n, kept.size)
     else:
         turn, columns, buffers = n, None, [X]
-    y, w = np.empty(n), np.empty(n)
+    y, w = _allocate(n), _allocate(n)
     moments = dataset.moments.copy() if start else None
     scratch = []
 
@@ -435,18 +447,15 @@ def _draw_query_weigh(model: Model, dataset: PerturbationDataset, n: int,
 
 
 class _Regenerated(DesignMatrix):
-    """The design of a dataset that keeps no rows: ``values`` has none, and
-    every pass over the rows draws them again (see :meth:`_map_blocks`)."""
+    """The design of a dataset that keeps only some columns: ``values`` holds
+    theirs, and a pass that reads another draws every row again (see
+    :meth:`_map_blocks`)."""
 
     dataset: PerturbationDataset
 
-    @property
-    def n_rows(self) -> int:
-        return self.dataset.n
-
     def _keeps(self, columns) -> bool:
         """Whether the dataset kept the values of every one of ``columns``."""
-        return set(columns) <= set(self.dataset._kept_columns[0].tolist())
+        return set(columns) <= set(self.dataset._columns.tolist())
 
     def _map_blocks(self, task, columns=None):
         """``task(rows, values)`` over each block of rows, in block order.
@@ -462,11 +471,10 @@ class _Regenerated(DesignMatrix):
         dataset = self.dataset
         n, p = dataset.n, dataset.instance.n_features
         if columns is not None and self._keeps(columns):
-            kept, values = dataset._kept_columns
             buffer = np.empty((min(n, _ROW_BLOCK), p))
             for rows in _row_blocks(n):
                 block = buffer[:rows.stop - rows.start]
-                block[:, kept] = values[rows]
+                block[:, dataset._columns] = self.values[rows]
                 yield task(rows, block)
             return
         workers = _workers(n, p)
@@ -492,10 +500,11 @@ class _Regenerated(DesignMatrix):
 
 
 def _design(dataset: PerturbationDataset) -> DesignMatrix:
-    """The dataset's rows as a design: its kept rows, or, for a dataset that
-    keeps none, a design that draws them again on every pass."""
+    """The dataset's rows as a design: its values, or, for a dataset that
+    keeps only some columns, a design that draws the rows again on a pass
+    that reads another."""
     names = dataset.instance.feature_names
-    if not dataset._streamed:
+    if dataset._columns is None:
         # Sampled rows are finite by construction: no finiteness scan.
         return DesignMatrix._trusted(dataset.X, names)
     design = _Regenerated._trusted(dataset.X, names)
@@ -504,10 +513,11 @@ def _design(dataset: PerturbationDataset) -> DesignMatrix:
 
 
 def _without_rows(dataset: PerturbationDataset) -> PerturbationDataset:
-    """The dataset, keeping no rows from now on: it and its growths hold
-    answers, weights, moments and the ``_KEPT_COLUMNS`` columns most
-    correlated with the answers, and their rows are drawn again when read."""
-    if dataset._streamed:
+    """The dataset, keeping from now on only the ``_KEPT_COLUMNS`` columns
+    most correlated with the answers: it and its growths hold those,
+    answers, weights and moments, and their rows are drawn again when
+    another column is read."""
+    if dataset._columns is not None:
         return dataset
     kept = np.empty(0, dtype=int)
     if dataset.n:
@@ -515,8 +525,7 @@ def _without_rows(dataset: PerturbationDataset) -> PerturbationDataset:
                           moments=dataset.moments)
         leading = np.argsort(-np.abs(std.xty), kind="stable")[:_KEPT_COLUMNS]
         kept = np.sort(std.retained_idx[leading])
-    return replace(dataset, X=np.empty((0, dataset.instance.n_features)), _buffer=None,
-                   _kept_columns=(kept, dataset.X[:, kept]))
+    return replace(dataset, X=dataset.X[:, kept], _columns=kept)
 
 
 def query_model(model: Model, X: np.ndarray) -> np.ndarray:
@@ -547,42 +556,30 @@ def _empty(instance: InstanceSpec, seed: int, kernel_width: float | None
                                instance=instance, kernel_width=float(width))
 
 
-def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
-                   capacity: int = 0) -> PerturbationDataset:
+def extend_dataset(model: Model, dataset: PerturbationDataset,
+                   new_n: int) -> PerturbationDataset:
     """Grow a dataset to ``new_n`` rows, querying the model only for new rows.
 
     The first ``dataset.n`` rows are reused bit for bit; the added rows are
     exactly those a fresh ``build_dataset(..., new_n, same seed)`` would have
-    produced, by the prefix property of the row generator.  They are written
-    into the spare rows of the dataset's buffer; when it has too few, a new
-    buffer of ``max(new_n, capacity)`` rows takes the old rows first (of
-    ``new_n`` rows when the larger one cannot be allocated).  Two
-    datasets may share a buffer: rows are a pure function of their index, so
-    a row written twice is written with the same bytes.  A dataset that
-    keeps no rows grows into one that keeps none, with the same answers,
-    weights and moments, and ignores ``capacity``.
+    produced, by the prefix property of the row generator.  The grown ``X``
+    holds exactly ``new_n`` rows: the old ones are copied in and the new
+    ones drawn into the rest.  A dataset that keeps only some columns grows
+    into one that keeps the same, their values over the new rows added
+    after the pass.  A sample too large for numpy to allocate raises
+    :class:`ValidationError`.
     """
     if new_n <= dataset.n:
         raise ValidationError(
             f"new_n must exceed the current {dataset.n} rows, got {new_n}")
-    n = dataset.n
-    buffer = dataset._buffer
-    X, kept = dataset.X, dataset._kept_columns
-    if kept is None and (buffer is None or buffer.shape[0] < new_n):
-        p = dataset.instance.n_features
-        try:
-            buffer = np.empty((max(new_n, capacity), p))
-        except MemoryError:   # a budget too large to reserve is not reserved
-            buffer = np.empty((new_n, p))
-        buffer[:n] = X
+    n, X = dataset.n, None
+    if dataset._columns is None:
+        X = _allocate(new_n, dataset.instance.n_features)
+        X[:n] = dataset.X
     y_new, w_new, moments, columns = _draw_query_weigh(
-        model, dataset, new_n - n, buffer[n:new_n] if kept is None else None)
-    if kept is None:
-        X = buffer[:new_n]
-    else:
-        kept = (kept[0], np.concatenate([kept[1], columns]))
+        model, dataset, new_n - n, None if X is None else X[n:])
     return PerturbationDataset(
-        X=X,
+        X=np.concatenate([dataset.X, columns]) if X is None else X,
         y=np.concatenate([dataset.y, y_new]),
         weights=np.concatenate([dataset.weights, w_new]),
         seed=dataset.seed,
@@ -590,8 +587,7 @@ def extend_dataset(model: Model, dataset: PerturbationDataset, new_n: int, *,
         instance=dataset.instance,
         kernel_width=dataset.kernel_width,
         moments=moments,
-        _buffer=buffer,
-        _kept_columns=kept,
+        _columns=dataset._columns,
     )
 
 

@@ -22,7 +22,7 @@ time, so no other module knows the column format, and
 ``StandardizedDesign.base`` builds every column, lazily, for callers that
 want the whole matrix.  Both read the raw rows a block at a time through
 ``DesignMatrix._map_blocks``, from the stored values or, for a sample that
-keeps no rows, from whatever source its design draws them from.
+keeps only some columns, from whatever source its design draws them from.
 
 The solver walks the path breakpoint by breakpoint in covariance form
 (Efron, Hastie, Johnstone & Tibshirani 2004, section 7): every step works on
@@ -134,7 +134,7 @@ class DesignMatrix:
 
     @property
     def n_cols(self) -> int:
-        return self.values.shape[1]
+        return len(self.column_names)
 
     def _keeps(self, columns: Sequence[int]) -> bool:
         """Whether a pass that reads only ``columns`` reads no row drawn

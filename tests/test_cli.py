@@ -572,6 +572,18 @@ def test_overflowing_moments_print_only_the_error(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error:"), completed.stderr
 
 
+@pytest.mark.parametrize("n", [10**17, 2**62, 10**20])
+def test_a_sample_too_large_to_allocate_exits_two(capsys, n):
+    # numpy refuses each size before it touches memory: 711 PiB, a byte
+    # count past its largest array, a row count past its largest dimension.
+    code, out, err = run_cli(["explain", "--model", "builtin:linear:1,0.5",
+                              "--instance", "0,0", "--n0", str(n), "--n-max", str(n)],
+                             capsys)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: a sample of {n} rows"), err
+
+
 def test_scales_flags_are_mutually_exclusive(capsys, tmp_path):
     background = tmp_path / "bg.csv"
     background.write_text("a,b,c\n1,2,3\n4,5,6\n", encoding="utf-8")

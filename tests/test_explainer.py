@@ -26,6 +26,7 @@ from slime.sampling import (InstanceSpec, _check_seed, _check_width,
                             build_dataset, extend_dataset)
 from slime.stability_testing import _check_alpha, _check_growth_factor
 from slime.weighted_lars import StandardizedDesign, standardize
+from test_sampling import CountingLinear
 
 MARS_INSTANCE = InstanceSpec(values=np.array([0.51, 0.49, 0.5, 0.5, 0.5]),
                              feature_scales=np.full(5, 0.05))
@@ -367,6 +368,36 @@ def test_growing_explanation_holds_one_copy_of_its_sample():
     assert explanation.capped and explanation.final_n == n_max
     sample_bytes = n_max * p * 8
     assert peak <= 1.5 * sample_bytes, f"peak {peak / sample_bytes:.2f}x the sample"
+
+
+def test_a_gated_mars_explain_draws_each_row_once(monkeypatch):
+    # p = 5: every round keeps all its columns, so its gate reads them and
+    # no row is drawn again; the rows drawn over the whole explain are its
+    # final sample.
+    draw = slime.sampling.gaussian_perturb
+    drawn = []
+
+    def counting(instance, n, seed, **kwargs):
+        drawn.append(n)
+        return draw(instance, n, seed, **kwargs)
+
+    monkeypatch.setattr(slime.sampling, "gaussian_perturb", counting)
+    config = ExplainerConfig(n0=1000, alpha=0.05, k=5, n_max=10000, seed=0)
+    explanation = slime_explain(MarsModel(), MARS_INSTANCE, config)
+    assert len({d.n for d in explanation.test_trace}) >= 2   # a gated round grew
+    assert sum(drawn) == explanation.final_n
+
+
+def test_a_wide_explain_under_the_large_line_asks_the_model_once_per_growth():
+    # p = 20, n_max = 50000: no round holds more than 2**20 entries, so each
+    # growth is asked of the model in one batch, however many 4096-row
+    # blocks it spans.
+    model = CountingLinear(near_tied(20).coefficients)
+    config = ExplainerConfig(n0=1000, k=6, n_max=50000, seed=0)
+    explanation = slime_explain(model, InstanceSpec(values=np.zeros(20)), config)
+    sizes = sorted({d.n for d in explanation.test_trace} | {explanation.final_n})
+    assert model.batch_sizes == np.diff([0, *sizes]).tolist()
+    assert max(model.batch_sizes) > 2 * 4096
 
 
 def test_a_large_sample_is_held_a_few_blocks_at_a_time(monkeypatch):

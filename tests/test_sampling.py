@@ -207,6 +207,15 @@ def test_build_dataset_needs_two_rows():
         build_dataset(CountingLinear([1.0, 1.0]), spec2(), n=1, seed=0)
 
 
+@pytest.mark.parametrize("n", [10**17, 2**62, 10**20])
+def test_a_sample_too_large_to_allocate_is_refused(n):
+    # numpy refuses each size before it touches memory; the model is never asked.
+    model = CountingLinear([1.0, 1.0])
+    with pytest.raises(ValidationError, match=f"a sample of {n} rows cannot be allocated"):
+        build_dataset(model, spec2(), n=n, seed=0)
+    assert model.batches == []
+
+
 def test_extend_reuses_rows_and_queries_only_new_ones():
     model = CountingLinear([1.0, 1.0])
     d100 = build_dataset(model, spec2(), n=100, seed=7)
@@ -223,16 +232,15 @@ def test_extend_reuses_rows_and_queries_only_new_ones():
 
 def test_weights_and_moments_survive_blocking_and_growth():
     # Weights are computed 4096 rows at a time, as the rows arrive; growth
-    # that crosses a block boundary, into reserved rows or not, must leave
-    # the bytes of one kernel_weights call on the whole sample.
+    # that crosses a block boundary must leave the bytes of one
+    # kernel_weights call on the whole sample.
     p = 7
     spec = InstanceSpec(values=np.linspace(200.0, 1000.0, p),
                         feature_scales=np.full(p, 0.05))
     model = LinearModel(np.linspace(1.0, -1.0, p))
     grown = build_dataset(model, spec, n=3000, seed=5)
-    for new_n, capacity in ((4095, 0), (4097, 9000), (5000, 9000), (9000, 0),
-                            (9001, 0)):
-        grown = extend_dataset(model, grown, new_n, capacity=capacity)
+    for new_n in (4095, 4097, 5000, 9000, 9001):
+        grown = extend_dataset(model, grown, new_n)
         whole = kernel_weights(grown.X, spec, grown.kernel_width)
         assert grown.weights.tobytes() == whole.tobytes(), new_n
     direct = build_dataset(model, spec, n=9001, seed=5)
@@ -243,23 +251,6 @@ def test_weights_and_moments_survive_blocking_and_growth():
     assert grown.moments.total == pytest.approx(w.sum(), rel=1e-13)
     np.testing.assert_allclose(grown.moments.first, w @ u, rtol=1e-11)
     np.testing.assert_allclose(grown.moments.second, (u.T * w) @ u, rtol=1e-11)
-
-
-def test_a_capacity_too_large_to_allocate_is_not_reserved():
-    # 10**17 rows of 3 features (2 EiB) lie past any user address space, so
-    # np.empty raises MemoryError before it touches memory: the growth then
-    # holds exactly the rows it needs, with the bytes of an unreserved one.
-    spec = InstanceSpec(values=np.array([0.5, -1.0, 2.0]),
-                        feature_scales=np.array([0.1, 1.0, 3.0]))
-    model = LinearModel(np.array([1.0, -0.5, 0.25]))
-    start = build_dataset(model, spec, n=100, seed=3)
-    reserved = extend_dataset(model, start, 5000, capacity=10**17)
-    plain = extend_dataset(model, start, 5000)
-    assert reserved._buffer.shape == (5000, 3)
-    assert _sample_bytes(reserved) == _sample_bytes(plain)
-    for name in ("pilot", "response", "cross"):
-        got, want = getattr(reserved.moments, name), getattr(plain.moments, name)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 def _on_workers(monkeypatch, workers):
@@ -296,10 +287,10 @@ def test_large_passes_give_the_same_bytes_on_any_number_of_threads(monkeypatch, 
     def run():
         small = build_dataset(model, spec, n=3000, seed=8)
         grown = extend_dataset(model, small, 70000)
-        reserved = extend_dataset(model, small, 70000, capacity=130000)
+        again = extend_dataset(model, small, 70000)
         return [_sample_bytes(d) for d in (
-            build_dataset(model, spec, n=60000, seed=8), grown, reserved,
-            extend_dataset(model, reserved, 125001))]
+            build_dataset(model, spec, n=60000, seed=8), grown, again,
+            extend_dataset(model, again, 125001))]
 
     on_own_cpus = run()   # as many workers as the process has CPUs
     draws = _on_workers(monkeypatch, workers)
@@ -373,7 +364,7 @@ def test_pool_queries_the_model_once_on_the_new_rows_and_leaves_no_thread(monkey
     draws = _on_workers(monkeypatch, 4)
     before = set(threading.enumerate())
     built = build_dataset(model, spec, n=60000, seed=2)
-    grown = extend_dataset(model, built, 130000, capacity=140000)
+    grown = extend_dataset(model, built, 130000)
     assert set(threading.enumerate()) <= before
     assert all(thread is not threading.main_thread() for thread, _, _ in draws)
     # The draws tile the rows, and every one but a pass's first starts on a
@@ -495,8 +486,9 @@ def test_a_wide_pool_pass_holds_the_sample_its_scratch_and_a_few_blocks_sums(mon
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_dataset_that_keeps_no_rows_regenerates_the_stored_bytes(monkeypatch, workers):
     # 1000 rows end inside a generator block, and 30000 rows of 60 features
-    # are a large pass.  The growth that keeps no rows gives the same
-    # answers, weights and moments.  The gate's products read the kept
+    # are a large pass.  The growth that keeps 16 columns holds the stored
+    # rows' values of them and gives the same answers, weights and
+    # moments.  The gate's products read the kept
     # columns when those hold the ones they need (the top two) and draw the
     # rows again otherwise (the top against every rival), as does the dense
     # base: either way they are the bytes the stored rows give.
@@ -508,14 +500,15 @@ def test_a_dataset_that_keeps_no_rows_regenerates_the_stored_bytes(monkeypatch, 
     start = build_dataset(model, spec, n=1000, seed=5)
     stored = extend_dataset(model, start, 30000)
     streamed = extend_dataset(model, sampling._without_rows(start), 30000)
-    assert streamed.X.shape == (0, p) and streamed._buffer is None
+    kept = streamed._columns
+    assert kept.size == 16 and streamed.X.tobytes() == stored.X[:, kept].tobytes()
     assert _sample_bytes(streamed)[1:] == _sample_bytes(stored)[1:]
     for name in ("pilot", "response", "cross"):
         got, want = getattr(streamed.moments, name), getattr(stored.moments, name)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
     designs = [standardize(sampling._design(d), d.weights, d.y, moments=d.moments)
                for d in (stored, streamed)]
-    assert designs[1].n_rows == 30000 and designs[1].sample.values.shape == (0, p)
+    assert designs[1].n_rows == 30000 and designs[1].sample.values.shape == (30000, 16)
     beta = lars_lasso_path(designs[0], 3).breakpoints[2].beta[designs[0].retained_idx]
     c = designs[0].xty - designs[0].gram @ beta
     ranked = [j for j in np.argsort(-np.abs(c), kind="stable") if beta[j] == 0]
